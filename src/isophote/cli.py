@@ -40,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threshold spacing (default 8)")
         p.add_argument("--offset", type=int, default=None,
                        help="first threshold (default: one increment)")
-        p.add_argument("--mode", choices=("multilevel", "pointwise"), default="multilevel",
-                       help="detector route; both produce identical masks")
+        p.add_argument("--mode", choices=("multilevel", "pointwise"), default="pointwise",
+                       help="detector route: the pointwise closed form (default) or the "
+                       "multilevel enumeration; both produce identical masks")
         p.add_argument("--preprocess", choices=("none", "dx", "dy"), default="none",
                        help="finite-difference operator applied before detection")
         p.add_argument("--channel", choices=("gray", "r", "g", "b"), default="gray",
@@ -118,7 +119,7 @@ def cmd_detect(args) -> int:
     mask = _DETECTORS[args.mode](grid, schedule, _TOPOLOGIES[args.topology])
     flagged = mask.flagged
     if args.filter_occluding:
-        flagged = flagged & ~zero_mask(hamiltonian(grid), args.filter_tolerance)
+        flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
         counts = mask.level_count
@@ -177,9 +178,9 @@ def cmd_detect_temporal(args) -> int:
     grids = [_load_preprocessed(p, args.channel, args.preprocess) for p in args.frames]
     stack = frame_stack(grids)
     schedule = ThresholdSchedule(args.increment, args.offset)
-    mask = _DETECTORS[args.mode](stack, schedule, Topology.N4T)
+    flagged = _DETECTORS[args.mode](stack, schedule, Topology.N4T).flagged
     for t in range(stack.frames):
-        write_pbm(args.out_pattern.format(i=t), mask.flagged[t], binary=not args.ascii)
+        write_pbm(args.out_pattern.format(i=t), flagged[t], binary=not args.ascii)
     return 0
 
 

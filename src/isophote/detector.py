@@ -33,6 +33,7 @@ from .raster import (
     neighbor_any,
     neighbor_min,
     neighbors,
+    signed_dtype,
 )
 
 __all__ = [
@@ -129,7 +130,9 @@ class DetectionMask:
 
     A pixel is flagged when the count is at least two. witness_hi/witness_lo
     hold the two largest such thresholds at flagged pixels and are zero
-    elsewhere, which makes masks comparable bit-for-bit.
+    elsewhere, which makes masks comparable bit-for-bit. The arrays are
+    signed integers whose width depends on the route and the grid;
+    equality and every accessor compare values, not dtypes.
     """
 
     level_count: np.ndarray
@@ -186,6 +189,7 @@ def sublevel(grid: Grid, c: int) -> np.ndarray:
 
 def level_curve_set(grid: Grid, c: int, topology: Topology) -> LevelCurveSet:
     """Boundary of the sublevel set at c: pixels with I(p) >= c next to some I(q) < c."""
+    topology.check_grid(grid)
     below = sublevel(grid, c)
     mask = neighbor_any(below, topology) & ~below
     return LevelCurveSet(int(c), mask)
@@ -201,10 +205,15 @@ def _merge_top_two(count, hi, lo, chunk_count, chunk_hi, chunk_lo):
 
 
 def _finalize_mask(count, hi, lo) -> DetectionMask:
+    """Zero the witnesses of unflagged pixels in place; the arrays must be the caller's own.
+
+    Multiplying by the flag is branch-free, unlike a masked copy, whose
+    cost grows with how unpredictably flags alternate.
+    """
     flagged = count >= 2
-    hi = np.where(flagged, hi, 0)
-    lo = np.where(flagged, lo, 0)
-    return DetectionMask(count.astype(np.int64), hi.astype(np.int64), lo.astype(np.int64))
+    np.multiply(hi, flagged, out=hi)
+    np.multiply(lo, flagged, out=lo)
+    return DetectionMask(count, hi, lo)
 
 
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
@@ -213,6 +222,7 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     The witness pair at a flagged pixel is the two largest member
     thresholds, so output is deterministic regardless of evaluation order.
     """
+    topology.check_grid(grid)
     values = grid.values
     levels = schedule.levels(grid.max_value)
     count = np.zeros(values.shape, dtype=np.int64)
@@ -267,17 +277,32 @@ def detect_pointwise(
     slower reference path. Both agree with :func:`detect_multilevel`
     on every input.
     """
+    topology.check_grid(grid)
     values = grid.values
     fill = grid.max_value + 2  # beyond every admissible threshold
     m = neighbor_min(values, topology, fill)
     if method == "closed":
         inc, offset = schedule.increment, schedule.offset
-        upper = np.minimum(values, schedule.cap(grid.max_value))
-        k_hi = (upper - offset) // inc
-        k_lo = np.maximum(0, (m - offset) // inc + 1)
-        count = np.maximum(k_hi - k_lo + 1, 0)
-        hi = offset + inc * k_hi
-        lo = hi - inc
+        cap = schedule.cap(grid.max_value)
+        # with b = max(fill, |cap|, |offset| + inc), every intermediate below
+        # lies within 4 * b + 2 of zero
+        dtype = signed_dtype(4 * max(fill, abs(cap), abs(offset) + inc) + 2)
+        # k_hi: largest k with offset + k * inc <= min(I(p), cap)
+        k_hi = np.minimum(values, cap, dtype=dtype)
+        k_hi -= offset
+        k_hi //= inc
+        # k_lo = max(0, q + 1), q the largest k with offset + k * inc <= m, and
+        # count = max(k_hi - k_lo + 1, 0) = max(k_hi - max(q, -1), 0)
+        count = np.subtract(m, offset, dtype=dtype)
+        del m  # release it before the next full-size allocation
+        count //= inc
+        np.maximum(count, -1, out=count)
+        np.subtract(k_hi, count, out=count)
+        np.maximum(count, 0, out=count)
+        hi = k_hi
+        hi *= inc
+        hi += offset
+        lo = np.subtract(hi, inc)
         return _finalize_mask(count, hi, lo)
     if method == "enumerate":
         count = np.zeros(values.shape, dtype=np.int64)

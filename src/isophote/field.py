@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import level_curve_set
-from .raster import IntensityGrid, PixelCoord, Topology
+from .raster import IntensityGrid, PixelCoord, Topology, signed_dtype
 
 __all__ = [
     "VectorFieldGrid",
@@ -60,37 +60,56 @@ class VectorFieldGrid:
         return int(self.hx[y, x]), int(self.hy[y, x])
 
 
-def _doubled_diff(v: np.ndarray, axis: int) -> np.ndarray:
-    """Doubled central difference along an axis, doubled one-sided at the borders."""
-    out = np.zeros_like(v)
-    n = v.shape[axis]
-    if n < 2:
+def _axis_slicer(ndim: int, axis: int):
+    return lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(ndim))
+
+
+def _doubled_diff(v: np.ndarray, axis: int, dtype) -> np.ndarray:
+    """Doubled central difference along an axis, doubled one-sided at the borders.
+
+    Differences are taken in the signed dtype, never in the (possibly
+    unsigned) dtype of v.
+    """
+    out = np.zeros(v.shape, dtype=dtype)
+    if v.shape[axis] < 2:
         return out
-    sl = lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(v.ndim))
-    out[sl(1, -1)] = v[sl(2, None)] - v[sl(None, -2)]
-    out[sl(0, 1)] = 2 * (v[sl(1, 2)] - v[sl(0, 1)])
-    out[sl(-1, None)] = 2 * (v[sl(-1, None)] - v[sl(-2, -1)])
+    sl = _axis_slicer(v.ndim, axis)
+    np.subtract(v[sl(2, None)], v[sl(None, -2)], out=out[sl(1, -1)], dtype=dtype)
+    for dst, a, b in ((sl(0, 1), sl(1, 2), sl(0, 1)), (sl(-1, None), sl(-1, None), sl(-2, -1))):
+        edge = out[dst]
+        np.subtract(v[a], v[b], out=edge, dtype=dtype)
+        edge *= 2
     return out
 
 
 def discrete_gradient(grid: IntensityGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(gx, gy) with gx = I(x+1,y) - I(x-1,y), gy = I(x,y+1) - I(x,y-1) in the interior."""
-    gx = _doubled_diff(grid.values, axis=1)
-    gy = _doubled_diff(grid.values, axis=0)
+    """(gx, gy) with gx = I(x+1,y) - I(x-1,y), gy = I(x,y+1) - I(x,y-1) in the interior.
+
+    Both are int32, or int64 when max_value is too large for that. Widen
+    them before multiplying two of them together.
+    """
+    # |hx| + |hy| in zero_mask reaches 4 * max_value; int32 at least keeps
+    # products of two components exact on 8-bit grids
+    dtype = np.promote_types(signed_dtype(4 * grid.max_value), np.int32)
+    gx = _doubled_diff(grid.values, 1, dtype)
+    gy = _doubled_diff(grid.values, 0, dtype)
     return gx, gy
 
 
 def hamiltonian(grid: IntensityGrid) -> VectorFieldGrid:
     """The rotated gradient (-gy, gx); orthogonal to the gradient by construction."""
     gx, gy = discrete_gradient(grid)
-    return VectorFieldGrid(-gy, gx)
+    np.negative(gy, out=gy)
+    return VectorFieldGrid(gy, gx)
 
 
 def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
     """Pixels where |hx| + |hy| <= tolerance; exact integer zeros at tolerance 0."""
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    return np.abs(field.hx) + np.abs(field.hy) <= tolerance
+    total = np.abs(field.hx)
+    total += np.abs(field.hy)
+    return total <= tolerance
 
 
 def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
@@ -107,12 +126,14 @@ def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
         raise ValueError(f"unknown operator {op!r}, expected identity, dx or dy")
     v = grid.values
     axis = 1 if op == "dx" else 0
-    raw = np.zeros_like(v)
+    dtype = signed_dtype(2 * grid.max_value)
+    raw = np.zeros(v.shape, dtype=dtype)
     if v.shape[axis] >= 2:
-        sl = lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(2))
-        raw[sl(None, -1)] = v[sl(1, None)] - v[sl(None, -1)]
-        raw[sl(-1, None)] = v[sl(-1, None)] - v[sl(-2, -1)]
-    return IntensityGrid(raw + grid.max_value, 2 * grid.max_value)
+        sl = _axis_slicer(2, axis)
+        np.subtract(v[sl(1, None)], v[sl(None, -1)], out=raw[sl(None, -1)], dtype=dtype)
+        np.subtract(v[sl(-1, None)], v[sl(-2, -1)], out=raw[sl(-1, None)], dtype=dtype)
+    raw += grid.max_value
+    return IntensityGrid(raw, 2 * grid.max_value)
 
 
 @dataclass(frozen=True)

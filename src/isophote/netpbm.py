@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import IntensityGrid
+from .raster import IntensityGrid, storage_dtype
 
 __all__ = [
     "NetpbmError",
@@ -96,14 +96,19 @@ class _Scanner:
         self.pos += 1
         return c - 0x30
 
+    def require(self, count: int, what: str) -> None:
+        """Fail before allocating unless count more bytes remain; guards declared sizes."""
+        avail = len(self.data) - self.pos
+        if avail < count:
+            message = f"raster truncated: {what} need at least {count} bytes, have {avail}"
+            self.fail(message, at=len(self.data))
+
     def raster_bytes(self, count: int) -> bytes:
         # binary rasters start after exactly one whitespace byte
         if self.pos >= len(self.data) or self.data[self.pos] not in _WS:
             self.fail("expected single whitespace before binary raster")
         self.pos += 1
-        avail = len(self.data) - self.pos
-        if avail < count:
-            self.fail(f"raster truncated: need {count} bytes, have {avail}", at=len(self.data))
+        self.require(count, "binary samples")
         out = self.data[self.pos : self.pos + count]
         self.pos += count
         return out
@@ -113,8 +118,11 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     """Read any supported Netpbm file.
 
     Returns (values, maxval, kind) where kind is "pbm", "pgm" or "ppm";
-    values has shape (h, w) or (h, w, 3). PBM files yield 0/1 with
-    maxval 1 (1 = black, following the format).
+    values has shape (h, w) or (h, w, 3) and dtype uint8, or uint16 when
+    maxval exceeds 255. PBM files yield 0/1 with maxval 1 (1 = black,
+    following the format). Binary 8-bit values are a read-only view of
+    the file's bytes. The declared size is checked against the bytes that
+    remain before anything of that size is allocated.
     """
     data = Path(path).read_bytes()
     sc = _Scanner(data, str(path))
@@ -129,25 +137,26 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
 
     if magic in (b"P1", b"P4"):
         if magic == b"P1":
-            flat = np.fromiter((sc.bit() for _ in range(width * height)), dtype=np.int64, count=width * height)
-            bits = flat.reshape(height, width)
+            n = width * height
+            sc.require(n, f"{n} ASCII bits")  # at least one byte per bit
+            bits = np.fromiter((sc.bit() for _ in range(n)), dtype=np.uint8, count=n)
+            bits = bits.reshape(height, width)
         else:
             rowbytes = (width + 7) // 8
             raw = np.frombuffer(sc.raster_bytes(rowbytes * height), dtype=np.uint8)
-            rows = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
-            bits = rows.astype(np.int64)
+            bits = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
         return bits, 1, "pbm"
 
     maxval = sc.uint("maxval", 65535)
     channels = 3 if magic in (b"P3", b"P6") else 1
     n = width * height * channels
     if magic in (b"P2", b"P3"):
-        flat = np.fromiter((sc.sample(maxval) for _ in range(n)), dtype=np.int64, count=n)
+        sc.require(2 * n, f"{n} ASCII samples")  # each is a separator and a digit at least
+        flat = np.fromiter((sc.sample(maxval) for _ in range(n)), dtype=storage_dtype(maxval), count=n)
+    elif maxval < 256:
+        flat = np.frombuffer(sc.raster_bytes(n), dtype=np.uint8)
     else:
-        if maxval < 256:
-            flat = np.frombuffer(sc.raster_bytes(n), dtype=np.uint8).astype(np.int64)
-        else:
-            flat = np.frombuffer(sc.raster_bytes(2 * n), dtype=">u2").astype(np.int64)
+        flat = np.frombuffer(sc.raster_bytes(2 * n), dtype=">u2").astype(np.uint16)
     if channels == 3:
         return flat.reshape(height, width, 3), maxval, "ppm"
     return flat.reshape(height, width), maxval, "pgm"
@@ -155,8 +164,9 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
 
 def _extract_channel(rgb: np.ndarray, channel: str) -> np.ndarray:
     if channel == "gray":
-        r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-        return (77 * r + 150 * g + 29 * b) >> 8
+        # widen first: the weighted sum of unsigned samples would wrap
+        r, g, b = (rgb[..., i].astype(np.int32) for i in range(3))
+        return ((77 * r + 150 * g + 29 * b) >> 8).astype(rgb.dtype)
     return rgb[..., "rgb".index(channel)]
 
 

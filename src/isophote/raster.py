@@ -1,7 +1,10 @@
 """Raster image model: integer intensity grids, frame stacks and neighbor topologies.
 
 Grids are immutable after construction and safe to share between threads.
-Every function in this module is a pure function of its arguments.
+They keep the integer dtype they are given when it holds [0, max_value]
+and otherwise store :func:`storage_dtype`; the decoder hands them uint8 or
+uint16, so arithmetic that can go negative must widen first. Every
+function in this module is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "neighbors",
     "neighbor_any",
     "neighbor_min",
+    "signed_dtype",
+    "storage_dtype",
 ]
 
 
@@ -65,6 +70,16 @@ class Topology(enum.Enum):
     def temporal(self) -> bool:
         return self is Topology.N4T
 
+    def check_grid(self, grid) -> None:
+        """Raise ValueError unless grid can carry this topology.
+
+        N4T needs a frame stack; N4 and N8 act on every frame of a stack
+        alone. Every entry point checks this before any work, so all
+        routes reject the same inputs with the same error.
+        """
+        if self.temporal and grid.values.ndim != 3:
+            raise ValueError("N4T topology requires a frame stack")
+
 
 # N, W, E, S for N4; row-major NW..SE for N8. The order is part of the
 # public contract: neighbor lists and traced contours depend on it.
@@ -79,11 +94,34 @@ _SPATIAL_OFFSETS: dict[Topology, tuple[tuple[int, int], ...]] = {
 }
 
 
+def storage_dtype(max_value: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and int64 that holds every value in [0, max_value]."""
+    if max_value < 1 << 8:
+        return np.dtype(np.uint8)
+    if max_value < 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int64)
+
+
+def signed_dtype(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every value in [-bound, bound]."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
+    """A validated read-only copy of values.
+
+    The copy keeps an integer dtype that holds [0, max_value], so a grid
+    never widens what it is given and the caller's arithmetic on
+    ``values`` behaves as on their own array; booleans and dtypes too
+    narrow for max_value become :func:`storage_dtype`.
+    """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iub":
         raise ValueError(f"intensities must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if arr.size == 0:
@@ -93,13 +131,22 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
     lo, hi = int(arr.min()), int(arr.max())
     if lo < 0 or hi > max_value:
         raise ValueError(f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]")
+    holds = arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= max_value
+    arr = arr.astype(arr.dtype if holds else storage_dtype(max_value))
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class IntensityGrid:
-    """A height x width raster of exact integer intensities in [0, max_value]."""
+    """A height x width raster of exact integer intensities in [0, max_value].
+
+    ``values`` is a read-only copy of the input. It keeps the input's
+    integer dtype when that holds max_value, else it is the smallest one
+    that does (uint8, uint16, or int64 above 65535). Images read from
+    files arrive as uint8 or uint16, and unsigned differences wrap
+    silently: do arithmetic on ``values`` only after ``astype(np.int64)``.
+    """
 
     values: np.ndarray
     max_value: int = 255
@@ -188,9 +235,8 @@ def neighbors(p, grid: Grid, topology: Topology):
     Out-of-grid targets are dropped, never padded, and p itself is
     never included.
     """
+    topology.check_grid(grid)
     values = grid.values
-    if topology.temporal and values.ndim != 3:
-        raise ValueError("N4T topology requires a frame stack")
     if values.ndim == 3:
         if len(p) != 3:
             raise ValueError(f"stack coordinates need (x, y, t), got {p!r}")
@@ -237,22 +283,33 @@ def _trailing_offsets(topology: Topology, ndim: int):
     return [(dy, dx) for dx, dy in topology.spatial_offsets]
 
 
-def _take_shifted(arr: np.ndarray, delta: tuple[int, ...], fill) -> np.ndarray:
-    """Array whose entry at p equals arr[p + delta], with fill outside the grid."""
-    out = np.full_like(arr, fill)
-    k = len(delta)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    for i, d in enumerate(delta):
-        ax = arr.ndim - k + i
-        n = arr.shape[ax]
-        lo, hi = max(0, -d), min(n, n - d)
-        if lo >= hi:
-            return out
-        dst[ax] = slice(lo, hi)
-        src[ax] = slice(lo + d, hi + d)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
+def _fold_neighbors(values: np.ndarray, topology: Topology, fill, op, dtype) -> np.ndarray:
+    """Fold op over every topology-neighbor's value, starting from fill at each pixel.
+
+    The trailing axes the topology acts on are copied once into a buffer
+    padded with fill by one cell at the high end of each axis, then
+    flattened. Every neighbor offset is then a single shift of that flat
+    buffer: a neighbor past an edge lands on a pad cell (one step below
+    zero wraps to the pad of the previous row or frame), so each offset
+    costs one contiguous pass into a slice view of one output buffer.
+    Returns a view of the output without the pads.
+    """
+    offsets = _trailing_offsets(topology, values.ndim)
+    k = len(offsets[0])
+    lead, trail = values.shape[:-k], values.shape[-k:]
+    inner = (...,) + tuple(slice(0, n) for n in trail)
+    padded = np.full(lead + tuple(n + 1 for n in trail), fill, dtype=dtype)
+    padded[inner] = values
+    steps = [st // padded.itemsize for st in padded.strides[-k:]]
+    src = padded.reshape(lead + (-1,))
+    out = np.full_like(src, fill)
+    n = src.shape[-1]
+    for delta in offsets:
+        shift = sum(d * st for d, st in zip(delta, steps))
+        lo, hi = max(0, -shift), n - max(0, shift)
+        view = out[..., lo:hi]
+        op(view, src[..., lo + shift : hi + shift], out=view)
+    return out.reshape(padded.shape)[inner]
 
 
 def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:
@@ -261,19 +318,15 @@ def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:
     Agrees pixel-for-pixel with :func:`neighbors`: out-of-grid targets
     contribute nothing.
     """
-    out = np.zeros_like(mask)
-    for delta in _trailing_offsets(topology, mask.ndim):
-        out |= _take_shifted(mask, delta, False)
-    return out
+    return _fold_neighbors(mask, topology, False, np.logical_or, bool)
 
 
 def neighbor_min(values: np.ndarray, topology: Topology, fill: int) -> np.ndarray:
     """Per-pixel minimum over topology-neighbors; fill where a pixel has none.
 
     fill must exceed every intensity that matters to the caller, so that
-    missing neighbors never win the minimum.
+    missing neighbors never win the minimum. The result keeps the dtype
+    of values when that holds fill, else the narrowest one that holds both.
     """
-    out = np.full_like(values, fill)
-    for delta in _trailing_offsets(topology, values.ndim):
-        np.minimum(out, _take_shifted(values, delta, fill), out=out)
-    return out
+    dtype = np.promote_types(values.dtype, np.min_scalar_type(fill))
+    return _fold_neighbors(values, topology, fill, np.minimum, dtype)

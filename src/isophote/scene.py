@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .raster import IntensityGrid, Topology, _take_shifted, _trailing_offsets
+from .raster import IntensityGrid, Topology, neighbor_min
 
 __all__ = [
     "FocalPlaneError",
@@ -225,11 +225,9 @@ def _hit_distances(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
 
 
 def _identity_changes(ids: np.ndarray, topology: Topology) -> np.ndarray:
-    changed = np.zeros(ids.shape, dtype=bool)
-    for delta in _trailing_offsets(topology, ids.ndim):
-        sh = _take_shifted(ids, delta, -2)  # -2 marks off-grid, compared with nothing
-        changed |= (sh != -2) & (sh != ids)
-    return changed
+    """True where some neighbor's id is smaller or larger than the pixel's own."""
+    darker = neighbor_min(ids, topology, int(ids.max()) + 1) < ids
+    return darker | (neighbor_min(-ids, topology, int(-ids.min()) + 1) < -ids)
 
 
 def render(spec: SceneSpec, topology: Topology = Topology.N4) -> tuple[IntensityGrid, GroundTruth]:

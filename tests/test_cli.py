@@ -18,7 +18,7 @@ from isophote import (
     write_pgm,
     write_ppm,
 )
-from isophote.cli import main
+from isophote.cli import build_parser, main
 
 
 @pytest.fixture
@@ -108,6 +108,22 @@ class TestDetect:
         code = main(["detect", str(bad), str(tmp_path / "out.pbm")])
         assert code == 2
         assert "byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P1\n65536 65536\n0 1\n", b"P2\n65536 65536\n255\n0 0\n", b"P3\n65536 65536\n255\n0 0 0\n"],
+    )
+    def test_hostile_ascii_header_exits_2_naming_offset(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.pnm"
+        bad.write_bytes(data)
+        assert main(["detect", str(bad), str(tmp_path / "out.pbm")]) == 2
+        assert "at byte" in capsys.readouterr().err
+
+    def test_pointwise_is_the_default_mode(self):
+        parser = build_parser()
+        assert parser.parse_args(["detect", "in.pgm", "out.pbm"]).mode == "pointwise"
+        argv = ["detect-temporal", "--out-pattern", "m{i}.pbm", "a.pgm", "b.pgm"]
+        assert parser.parse_args(argv).mode == "pointwise"
 
 
 class TestTrace:

@@ -23,6 +23,7 @@ from isophote import (
     neighbors,
     sublevel,
 )
+from isophote.raster import storage_dtype
 
 N4, N8 = Topology.N4, Topology.N8
 
@@ -32,6 +33,31 @@ schedules = st.builds(
     offset=st.one_of(st.none(), st.integers(-5, 8)),
     ceiling=st.one_of(st.none(), st.integers(0, 14)),
 )
+
+
+@st.composite
+def dtype_boundary_cases(draw):
+    """Grids whose max_value sits at a storage width boundary, with schedules of few levels.
+
+    Values cluster at both ends of [0, max_value], so the neighbor minimum's
+    fill (max_value + 2) and thresholds at the top of the range all matter.
+    """
+    mv = draw(st.sampled_from([255, 256, 65535, 65536]))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.integers(0, 3), st.integers(mv - 40, mv))
+    rows = draw(st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h))
+    near_top = st.builds(
+        ThresholdSchedule,
+        st.sampled_from([1, 2, 3, 17]),
+        offset=st.integers(mv - 40, mv + 1),
+        ceiling=st.one_of(st.none(), st.integers(mv - 40, mv + 3)),
+    )
+    coarse = st.builds(
+        ThresholdSchedule,
+        st.integers(mv // 32 + 1, mv + 2),
+        offset=st.one_of(st.none(), st.integers(-3, 3)),
+    )
+    return rows, mv, draw(st.one_of(near_top, coarse))
 
 
 def constant(v, w=3, h=3, mv=12):
@@ -234,6 +260,31 @@ class TestDetectPointwise:
         # members of (0, 9] are {2, 4, 6, 8}
         assert mask.count_at((0, 0)) == 4
         assert mask.witnesses_at((0, 0)) == (6, 8)
+
+    def test_routes_reject_n4t_on_a_single_grid_alike(self):
+        g = IntensityGrid(np.random.default_rng(5).integers(0, 256, size=(6, 6)), 255)
+        messages = set()
+        for route in (detect_multilevel, detect_pointwise):
+            with pytest.raises(ValueError) as err:
+                route(g, ThresholdSchedule(8), Topology.N4T)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    @given(dtype_boundary_cases(), topologies)
+    @settings(max_examples=120)
+    def test_routes_and_brute_agree_at_dtype_boundaries(self, case, topology):
+        rows, mv, sch = case
+        g = IntensityGrid(np.array(rows, dtype=storage_dtype(mv)), mv)
+        assert g.values.dtype == storage_dtype(mv)
+        point = detect_pointwise(g, sch, topology)
+        assert point == detect_multilevel(g, sch, topology)
+        members = brute_member_levels(rows, sch.levels(mv).tolist(), topology)
+        for y in range(g.height):
+            for x in range(g.width):
+                levels = members.get((x, y), [])
+                assert point.count_at((x, y)) == len(levels)
+                expect = (levels[-2], levels[-1]) if len(levels) >= 2 else None
+                assert point.witnesses_at((x, y)) == expect
 
     def test_single_pixel_grid_never_flagged(self):
         g = IntensityGrid.from_rows([[7]], max_value=10)

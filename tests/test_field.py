@@ -100,6 +100,38 @@ class TestZeroMask:
             zero_mask(hamiltonian(ramp_x()), -1)
 
 
+class TestUnsignedStorage:
+    """uint8 storage must not leak into differences: results equal int64 arithmetic."""
+
+    @staticmethod
+    def descending_ramp():
+        yy, xx = np.mgrid[0:10, 0:9]
+        return np.maximum(0, 255 - 40 * xx - 30 * yy)  # steps down, flat zero corner
+
+    def test_apply_operator_matches_int64(self):
+        v = self.descending_ramp()
+        g = IntensityGrid(v.astype(np.uint8), 255)
+        assert g.values.dtype == np.uint8
+        for op, axis in (("dx", 1), ("dy", 0)):
+            d = np.diff(v, axis=axis)
+            expect = np.concatenate([d, d.take([-1], axis=axis)], axis=axis) + 255
+            assert np.array_equal(apply_operator(g, op).values, expect)
+
+    def test_field_and_zero_mask_match_int64(self):
+        v = self.descending_ramp()
+        g = IntensityGrid(v.astype(np.uint8), 255)
+        # np.gradient: central differences inside, one-sided at the borders
+        gx, gy = 2 * np.gradient(v, axis=1), 2 * np.gradient(v, axis=0)
+        got_gx, got_gy = discrete_gradient(g)
+        assert np.array_equal(got_gx, gx) and np.array_equal(got_gy, gy)
+        f = hamiltonian(g)
+        assert np.array_equal(f.hx, -gy) and np.array_equal(f.hy, gx)
+        for tolerance in (0, 2, 80, 140):
+            expect = np.abs(gy) + np.abs(gx) <= tolerance
+            assert np.array_equal(zero_mask(f, tolerance), expect)
+        assert zero_mask(f, 0).any() and not zero_mask(f, 0).all()
+
+
 class TestApplyOperator:
     def test_identity(self):
         g = ramp_x()

@@ -24,6 +24,7 @@ def test_pgm_roundtrip(tmp_path, binary, maxval):
     back = read_grid(path)
     assert np.array_equal(back.values, grid.values)
     assert back.max_value == maxval
+    assert read_image(path)[0].dtype == (np.uint8 if maxval < 256 else np.uint16)
 
 
 def test_pgm_sixteen_bit_is_big_endian(tmp_path):
@@ -62,6 +63,28 @@ def test_ppm_channels(tmp_path, binary):
     assert read_grid(path, channel="b").values.tolist() == [[0, 0, 255, 30]]
     # integer luma (77 R + 150 G + 29 B) >> 8
     assert read_grid(path, channel="gray").values.tolist() == [[76, 149, 28, 18]]
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_gray_luma_does_not_wrap_at_full_scale(tmp_path, maxval):
+    rgb = np.array([[[maxval] * 3, [maxval, maxval, 0], [0, maxval, maxval], [maxval, 0, 0]]])
+    path = tmp_path / "img.ppm"
+    write_ppm(path, rgb, maxval=maxval)
+    expect = [[(77 * int(r) + 150 * int(g) + 29 * int(b)) >> 8 for r, g, b in rgb[0]]]
+    assert expect[0][0] == maxval
+    assert read_grid(path, channel="gray").values.tolist() == expect
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P1\n65536 65536\n0 1\n", b"P2\n65536 65536\n255\n0 0\n", b"P3\n65536 65536\n255\n0 0 0\n"],
+)
+def test_ascii_header_larger_than_the_file_is_rejected_before_allocating(tmp_path, data):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(data)
+    with pytest.raises(NetpbmError, match="truncated") as err:
+        read_image(path)
+    assert err.value.offset == len(data)
 
 
 def test_header_comments_and_whitespace(tmp_path):

@@ -49,6 +49,30 @@ class TestIntensityGrid:
         with pytest.raises(ValueError):
             g.values[0, 0] = 7
 
+    def test_values_are_a_read_only_copy(self):
+        src = np.array([[1, 2], [3, 4]], dtype=np.uint8)
+        g = IntensityGrid(src, 255)
+        assert not g.values.flags.writeable
+        assert not np.shares_memory(g.values, src)
+        src[0, 0] = 9
+        assert g.value_at((0, 0)) == 1
+
+    @pytest.mark.parametrize(
+        "given, max_value, stored",
+        [
+            (np.uint8, 255, np.uint8),
+            (np.uint16, 65535, np.uint16),
+            (np.int64, 255, np.int64),  # never widened, never narrowed
+            (np.uint8, 256, np.uint16),  # too narrow for max_value
+            (np.uint16, 65536, np.int64),
+            (bool, 1, np.uint8),
+        ],
+    )
+    def test_values_keep_a_dtype_that_holds_max_value(self, given, max_value, stored):
+        g = IntensityGrid(np.array([[0, 1]], dtype=given), max_value)
+        assert g.values.dtype == stored
+        assert g.values.tolist() == [[0, 1]]
+
 
 class TestNeighbors:
     def test_corner_clipping_n4(self):
@@ -181,6 +205,26 @@ class TestVectorizedHelpers:
                 for x in range(2):
                     qs = neighbors((x, y, t), stack, Topology.N4T)
                     assert got[t, y, x] == min(stack.value_at(q) for q in qs)
+
+    def test_neighbor_min_holds_a_fill_wider_than_the_values(self):
+        lone = np.array([[7]], dtype=np.uint8)  # no neighbors at all
+        assert neighbor_min(lone, Topology.N4, 257).tolist() == [[257]]
+        row = np.array([[200, 3, 255]], dtype=np.uint8)
+        assert neighbor_min(row, Topology.N8, 257).tolist() == [[3, 200, 3]]
+
+    @given(st.integers(2, 3), st.integers(1, 4), st.integers(1, 4), st.sampled_from(list(Topology)), st.data())
+    def test_neighbor_ops_on_batched_stacks_match_definition(self, frames, h, w, topology, data):
+        # two batches of a stack: no neighbor may leak across a frame, row or batch edge
+        n = 2 * frames * h * w
+        vals = np.array(data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+        vals = vals.reshape(2, frames, h, w)
+        stack = FrameStack(vals[0], 8)
+        got_min = neighbor_min(vals, topology, 10)
+        got_any = neighbor_any(vals < 4, topology)
+        for b, t, y, x in np.ndindex(vals.shape):
+            qs = [vals[b, q.t, q.y, q.x] for q in neighbors((x, y, t), stack, topology)]
+            assert got_min[b, t, y, x] == min(qs, default=10)
+            assert got_any[b, t, y, x] == any(v < 4 for v in qs)
 
     def test_offsets_match_brute_tables(self):
         for topology, offs in BRUTE_OFFSETS.items():
