@@ -267,54 +267,39 @@ def detect_pointwise(
     grid: Grid,
     schedule: ThresholdSchedule,
     topology: Topology,
-    method: str = "closed",
 ) -> DetectionMask:
     """Flag pixels whose membership interval contains two schedule thresholds.
 
-    method "closed" (default) counts schedule members inside
-    (min neighbor, I(p)] with integer closed-form arithmetic;
-    method "enumerate" walks the schedule explicitly and exists as the
-    slower reference path. Both agree with :func:`detect_multilevel`
-    on every input.
+    Counts schedule members inside (min neighbor, I(p)] with integer
+    closed-form arithmetic; agrees with :func:`detect_multilevel` on
+    every input.
     """
     topology.check_grid(grid)
     values = grid.values
     fill = grid.max_value + 2  # beyond every admissible threshold
     m = neighbor_min(values, topology, fill)
-    if method == "closed":
-        inc, offset = schedule.increment, schedule.offset
-        cap = schedule.cap(grid.max_value)
-        # with b = max(fill, |cap|, |offset| + inc), every intermediate below
-        # lies within 4 * b + 2 of zero
-        dtype = signed_dtype(4 * max(fill, abs(cap), abs(offset) + inc) + 2)
-        # k_hi: largest k with offset + k * inc <= min(I(p), cap)
-        k_hi = np.minimum(values, cap, dtype=dtype)
-        k_hi -= offset
-        k_hi //= inc
-        # k_lo = max(0, q + 1), q the largest k with offset + k * inc <= m, and
-        # count = max(k_hi - k_lo + 1, 0) = max(k_hi - max(q, -1), 0)
-        count = np.subtract(m, offset, dtype=dtype)
-        del m  # release it before the next full-size allocation
-        count //= inc
-        np.maximum(count, -1, out=count)
-        np.subtract(k_hi, count, out=count)
-        np.maximum(count, 0, out=count)
-        hi = k_hi
-        hi *= inc
-        hi += offset
-        lo = np.subtract(hi, inc)
-        return _finalize_mask(count, hi, lo)
-    if method == "enumerate":
-        count = np.zeros(values.shape, dtype=np.int64)
-        hi = np.zeros(values.shape, dtype=np.int64)
-        lo = np.zeros(values.shape, dtype=np.int64)
-        for c in schedule.levels(grid.max_value):
-            member = (m < c) & (values >= c)
-            lo = np.where(member, hi, lo)
-            hi = np.where(member, c, hi)
-            count += member
-        return _finalize_mask(count, hi, lo)
-    raise ValueError(f"unknown method {method!r}, expected 'closed' or 'enumerate'")
+    inc, offset = schedule.increment, schedule.offset
+    cap = schedule.cap(grid.max_value)
+    # with b = max(fill, |cap|, |offset| + inc), every intermediate below
+    # lies within 4 * b + 2 of zero
+    dtype = signed_dtype(4 * max(fill, abs(cap), abs(offset) + inc) + 2)
+    # k_hi: largest k with offset + k * inc <= min(I(p), cap)
+    k_hi = np.minimum(values, cap, dtype=dtype)
+    k_hi -= offset
+    k_hi //= inc
+    # k_lo = max(0, q + 1), q the largest k with offset + k * inc <= m, and
+    # count = max(k_hi - k_lo + 1, 0) = max(k_hi - max(q, -1), 0)
+    count = np.subtract(m, offset, dtype=dtype)
+    del m  # release it before the next full-size allocation
+    count //= inc
+    np.maximum(count, -1, out=count)
+    np.subtract(k_hi, count, out=count)
+    np.maximum(count, 0, out=count)
+    hi = k_hi
+    hi *= inc
+    hi += offset
+    lo = np.subtract(hi, inc)
+    return _finalize_mask(count, hi, lo)
 
 
 def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Topology) -> bool:

@@ -114,6 +114,49 @@ class _Scanner:
         return out
 
 
+def _plain_raster(data: bytes, start: int, n: int, maxval: int | None) -> np.ndarray | None:
+    """The first n plain samples of data[start:], decoded with array operations, or None.
+
+    maxval None reads P1 bits: the first n non-whitespace bytes, each 0 or
+    1, which may run together. Otherwise samples are runs of digits split
+    by whitespace, returned in :func:`storage_dtype` of maxval. Returns
+    None, leaving the file to the byte-by-byte scanner and its exact error
+    messages, on any byte other than a digit or whitespace (a comment, a
+    sign), fewer than n samples, a sample above maxval, or a token longer
+    than 5 digits. What follows the n-th sample is ignored, as the scanner
+    ignores it.
+    """
+    # a space on each side, so that every digit run has both of its edges
+    raw = np.full(len(data) - start + 2, ord(" "), dtype=np.uint8)
+    raw[1:-1] = np.frombuffer(data, dtype=np.uint8, offset=start)
+    digit = raw - np.uint8(ord("0"))  # non-digits wrap above 9
+    is_digit = digit < 10
+    is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
+    if not (is_digit | is_space).all():
+        return None
+    if maxval is None:
+        bits = digit[is_digit][:n]
+        return bits if bits.size == n and bits.max() <= 1 else None
+    # alternately the index before a run's first digit and its last digit
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])[: 2 * n]
+    if edges.size < 2 * n:
+        return None
+    last = edges[1::2]
+    lengths = last - edges[0::2]
+    width = int(lengths.max())
+    if width > 5:
+        return None
+    values = digit[last].astype(np.uint32)
+    for k in range(1, width):
+        place = digit[last - k].astype(np.uint32)
+        place *= lengths > k  # left of a shorter run's first digit, or wrapped below 0
+        place *= 10**k
+        values += place
+    if values.max() > maxval:
+        return None
+    return values.astype(storage_dtype(maxval))
+
+
 def read_image(path) -> tuple[np.ndarray, int, str]:
     """Read any supported Netpbm file.
 
@@ -122,7 +165,8 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     maxval exceeds 255. PBM files yield 0/1 with maxval 1 (1 = black,
     following the format). Binary 8-bit values are a read-only view of
     the file's bytes. The declared size is checked against the bytes that
-    remain before anything of that size is allocated.
+    remain before anything of that size is allocated, and a sample above
+    maxval fails with its byte offset in every format.
     """
     data = Path(path).read_bytes()
     sc = _Scanner(data, str(path))
@@ -139,7 +183,9 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
         if magic == b"P1":
             n = width * height
             sc.require(n, f"{n} ASCII bits")  # at least one byte per bit
-            bits = np.fromiter((sc.bit() for _ in range(n)), dtype=np.uint8, count=n)
+            bits = _plain_raster(data, sc.pos, n, None)
+            if bits is None:
+                bits = np.fromiter((sc.bit() for _ in range(n)), dtype=np.uint8, count=n)
             bits = bits.reshape(height, width)
         else:
             rowbytes = (width + 7) // 8
@@ -152,11 +198,20 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     n = width * height * channels
     if magic in (b"P2", b"P3"):
         sc.require(2 * n, f"{n} ASCII samples")  # each is a separator and a digit at least
-        flat = np.fromiter((sc.sample(maxval) for _ in range(n)), dtype=storage_dtype(maxval), count=n)
-    elif maxval < 256:
-        flat = np.frombuffer(sc.raster_bytes(n), dtype=np.uint8)
+        flat = _plain_raster(data, sc.pos, n, maxval)
+        if flat is None:
+            flat = np.fromiter((sc.sample(maxval) for _ in range(n)), dtype=storage_dtype(maxval), count=n)
     else:
-        flat = np.frombuffer(sc.raster_bytes(2 * n), dtype=">u2").astype(np.uint16)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        flat = np.frombuffer(sc.raster_bytes(dtype.itemsize * n), dtype=dtype)
+        if maxval not in (255, 65535):  # at full scale every sample fits
+            over = flat > maxval
+            if over.any():
+                i = int(over.argmax())
+                start = sc.pos - flat.nbytes
+                sc.fail(f"sample value {flat[i]} exceeds maxval {maxval}", at=start + i * dtype.itemsize)
+        if maxval > 255:
+            flat = flat.astype(np.uint16)
     if channels == 3:
         return flat.reshape(height, width, 3), maxval, "ppm"
     return flat.reshape(height, width), maxval, "pgm"
@@ -194,6 +249,30 @@ def read_pbm(path) -> np.ndarray:
     return values.astype(bool)
 
 
+def _plain_rows(values: np.ndarray) -> bytes:
+    """Each row of a 2D array of non-negative integers in decimal, joined
+    by spaces and ended by a newline.
+    """
+    h, m = values.shape
+    if values.size == 0:
+        return b"\n" * h
+    top = int(values.max())
+    flat = values.ravel().astype(np.min_scalar_type(top), copy=False)  # narrow: cheaper digits
+    width = len(str(top))
+    # one fixed-width cell per value: its digits, then its separator; the
+    # places left of a value's leading digit hold NUL, deleted at the end
+    cells = np.empty((flat.size, width + 1), dtype=np.uint8)
+    cells[:, width] = ord(" ")
+    cells[m - 1 :: m, width] = ord("\n")
+    rest = flat
+    for j in range(width - 1, -1, -1):
+        cells[:, j] = rest % 10 + ord("0")
+        rest = rest // 10
+    for j in range(width - 1):
+        cells[:, j] *= flat >= 10 ** (width - 1 - j)
+    return cells.tobytes().replace(b"\0", b"")
+
+
 def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
     """Write a grid as PGM; P5 (binary) by default, P2 with binary=False."""
     maxval = max(1, grid.max_value)
@@ -206,8 +285,7 @@ def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
             dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
             fh.write(grid.values.astype(dtype).tobytes())
         else:
-            for row in grid.values:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+            fh.write(_plain_rows(grid.values))
 
 
 def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
@@ -222,8 +300,7 @@ def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
         if binary:
             fh.write(np.packbits(mask, axis=1).tobytes())
         else:
-            for row in mask:
-                fh.write((" ".join("1" if v else "0" for v in row) + "\n").encode("ascii"))
+            fh.write(_plain_rows(mask.view(np.uint8)))
 
 
 def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
@@ -241,5 +318,4 @@ def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> 
             dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
             fh.write(rgb.astype(dtype).tobytes())
         else:
-            for row in rgb:
-                fh.write((" ".join(str(int(v)) for v in row.ravel()) + "\n").encode("ascii"))
+            fh.write(_plain_rows(rgb.reshape(h, 3 * w)))

@@ -1,10 +1,16 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import isophote
 from isophote import (
     IntensityGrid,
     ThresholdSchedule,
@@ -119,11 +125,78 @@ class TestDetect:
         assert main(["detect", str(bad), str(tmp_path / "out.pbm")]) == 2
         assert "at byte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, channel",
+        [(b"P5\n2 1\n9\n\x05\xc8", "gray"), (b"P5\n2 1\n300\n\x00\x05\x01\x2d", "gray"),
+         (b"P6\n1 1\n9\n\x01\x02\xff", "r")],
+        ids=["p5-8bit", "p5-16bit", "p6-red"],
+    )
+    def test_binary_sample_above_maxval_exits_2_naming_offset(self, tmp_path, capsys, data, channel):
+        bad = tmp_path / "bad.pnm"
+        bad.write_bytes(data)
+        assert main(["detect", "--channel", channel, str(bad), str(tmp_path / "out.pbm")]) == 2
+        assert "at byte" in capsys.readouterr().err
+
     def test_pointwise_is_the_default_mode(self):
         parser = build_parser()
         assert parser.parse_args(["detect", "in.pgm", "out.pbm"]).mode == "pointwise"
         argv = ["detect-temporal", "--out-pattern", "m{i}.pbm", "a.pgm", "b.pgm"]
         assert parser.parse_args(argv).mode == "pointwise"
+
+
+def encode_netpbm(magic: int, w: int, h: int, maxval: int, samples: list[int]) -> bytes:
+    header = f"P{magic}\n{w} {h}\n" + ("" if magic in (1, 4) else f"{maxval}\n")
+    if magic in (1, 2, 3):
+        body = " ".join(map(str, samples)).encode() + b"\n"
+    elif magic == 4:
+        body = np.packbits(np.array(samples, dtype=np.uint8).reshape(h, w), axis=1).tobytes()
+    else:
+        body = np.array(samples).astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    return header.encode() + body
+
+
+@st.composite
+def netpbm_files(draw):
+    """Small valid P1-P6 files."""
+    magic = draw(st.integers(1, 6))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    maxval = 1 if magic in (1, 4) else draw(st.sampled_from([1, 9, 255, 256, 65535]))
+    n = w * h * (3 if magic in (3, 6) else 1)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=n, max_size=n))
+    return encode_netpbm(magic, w, h, maxval, samples)
+
+
+@st.composite
+def hostile_netpbm_files(draw):
+    """A valid file up to twice truncated, with bytes overwritten or
+    inserted, or with a header number replaced by a large or zero one."""
+    data = bytearray(draw(netpbm_files()))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "inflate"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "overwrite" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "inflate":
+            numbers = list(re.finditer(rb"[0-9]+", bytes(data[:16])))
+            if numbers:
+                m = draw(st.sampled_from(numbers))
+                big = draw(st.sampled_from([b"0", b"65536", b"1073741824", b"99999999999"]))
+                data[m.start() : m.end()] = big
+    return bytes(data)
+
+
+@given(hostile_netpbm_files(), st.sampled_from(["gray", "gray", "r"]), st.booleans())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_netpbm_never_exits_1(tmp_path, data, channel, ascii):
+    src = tmp_path / "in.pnm"
+    src.write_bytes(data)
+    argv = ["detect", "--channel", channel, "--levels-out", str(tmp_path / "levels.pgm")]
+    argv += ["--ascii"] * ascii + [str(src), str(tmp_path / "out.pbm")]
+    assert main(argv) in (0, 2)
 
 
 class TestTrace:
@@ -240,8 +313,14 @@ class TestDetectTemporal:
 
 
 def test_module_entrypoint_smoke():
+    # the child imports the same package as this process, however it was found
+    src = str(Path(isophote.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "isophote", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "isophote", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "detect" in proc.stdout

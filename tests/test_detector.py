@@ -233,18 +233,6 @@ class TestDetectPointwise:
         g = IntensityGrid.from_rows(rows, mv)
         assert detect_pointwise(g, sch, topology) == detect_multilevel(g, sch, topology)
 
-    @given(grid_rows(), schedules, topologies)
-    def test_closed_form_agrees_with_enumeration(self, rows_mv, sch, topology):
-        rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
-        closed = detect_pointwise(g, sch, topology, method="closed")
-        enum = detect_pointwise(g, sch, topology, method="enumerate")
-        assert closed == enum
-
-    def test_unknown_method_rejected(self, ring_grid):
-        with pytest.raises(ValueError):
-            detect_pointwise(ring_grid, ThresholdSchedule(1), N4, method="fast")
-
     def test_coinciding_neighbors_still_flag(self):
         # a single darker neighbor supplies both witnesses when the drop
         # spans two schedule values

@@ -1,5 +1,9 @@
+import re
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from isophote import (
     IntensityGrid,
@@ -44,6 +48,28 @@ def test_pbm_roundtrip(tmp_path, binary, width):
     assert np.array_equal(read_pbm(path), mask)
 
 
+def old_plain_rows(rows) -> bytes:
+    """The plain writers' former per-row formula, kept as the reference."""
+    return b"".join((" ".join(str(int(v)) for v in row) + "\n").encode("ascii") for row in rows)
+
+
+@pytest.mark.parametrize("maxval", [1, 9, 255, 256, 65535])
+@pytest.mark.parametrize("width", [1, 2, 17])
+def test_plain_writers_match_row_join(tmp_path, width, maxval):
+    rng = np.random.default_rng([width, maxval])
+    values = rng.integers(0, maxval + 1, size=(3, width))
+    values[0, 0] = maxval
+    path = tmp_path / "img.pnm"
+    write_pgm(path, IntensityGrid(values, maxval), binary=False)
+    assert path.read_bytes() == f"P2\n{width} 3\n{maxval}\n".encode() + old_plain_rows(values)
+    rgb = rng.integers(0, maxval + 1, size=(2, width, 3))
+    write_ppm(path, rgb, maxval=maxval, binary=False)
+    assert path.read_bytes() == f"P3\n{width} 2\n{maxval}\n".encode() + old_plain_rows(rgb.reshape(2, -1))
+    mask = values % 2 == 1
+    write_pbm(path, mask, binary=False)
+    assert path.read_bytes() == f"P1\n{width} 3\n".encode() + old_plain_rows(mask)
+
+
 def test_pbm_reads_as_grid(tmp_path):
     mask = np.array([[True, False], [False, True]])
     path = tmp_path / "mask.pbm"
@@ -85,6 +111,89 @@ def test_ascii_header_larger_than_the_file_is_rejected_before_allocating(tmp_pat
     with pytest.raises(NetpbmError, match="truncated") as err:
         read_image(path)
     assert err.value.offset == len(data)
+
+
+_SPACE = b" \t\r\n\x0b\x0c"
+
+
+def reference_samples(body: bytes, n: int, bits: bool) -> list[int]:
+    """The first n samples of a plain raster, one token at a time."""
+    text = re.sub(rb"#[^\r\n]*", b" ", body)  # a comment runs to the end of its line
+    if bits:
+        return [int(chr(c)) for c in [c for c in text if c not in _SPACE][:n]]
+    return [int(token) for token in text.split()[:n]]
+
+
+@st.composite
+def plain_files(draw):
+    """Plain P1/P2/P3 files with every kind of whitespace, leading zeros,
+    comments between samples and arbitrary bytes after the last sample."""
+    magic = draw(st.sampled_from(["P1", "P2", "P3"]))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    maxval = 1 if magic == "P1" else draw(st.sampled_from([1, 9, 255, 256, 65535]))
+    n = w * h * (3 if magic == "P3" else 1)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=n, max_size=n))
+    space = st.binary(min_size=1, max_size=3).map(lambda b: bytes(_SPACE[c % 6] for c in b))
+    comment = st.binary(max_size=6).map(lambda b: b"#" + bytes(c for c in b if c not in b"\r\n"))
+    line_end = st.sampled_from([b"\n", b"\r"])
+    body = b""
+    for v in samples:
+        sep = draw(space)
+        if magic == "P1" and body and draw(st.booleans()):
+            sep = b""  # bits may run together
+        if draw(st.integers(0, 9)) == 0:
+            sep += draw(comment) + draw(line_end)
+        token = str(v)
+        if magic != "P1":
+            token = token.zfill(draw(st.integers(len(token), 5)))
+        body += sep + token.encode()
+    if draw(st.booleans()):
+        tail = st.one_of(st.binary(max_size=8), st.from_regex(rb"[0-9 \n]{0,16}", fullmatch=True))
+        body += draw(space) + draw(tail)
+    header = f"{magic}\n{w} {h}" + ("" if magic == "P1" else f"\n{maxval}")
+    return header.encode() + body, body, (h, w, 3) if magic == "P3" else (h, w), maxval
+
+
+@given(plain_files())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_plain_decode_matches_reference(tmp_path, case):
+    data, body, shape, maxval = case
+    path = tmp_path / "img.pnm"
+    path.write_bytes(data)
+    values, got_maxval, _ = read_image(path)
+    n = int(np.prod(shape))
+    expect = reference_samples(body, n, data.startswith(b"P1"))
+    assert values.shape == shape and values.ravel().tolist() == expect
+    assert got_maxval == maxval
+    assert values.dtype == (np.uint8 if maxval < 256 else np.uint16)
+
+
+# messages and offsets as the byte-by-byte scanner has always given them
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (b"P2\n2 1\n9\n3 -4\n", "expected sample value, found b'-4'", 11),
+        (b"P2\n2 1\n9\n3 +4\n", "expected sample value, found b'+4'", 11),
+        (b"P2\n2 1\n9\n3 4a\n", "expected sample value, found b'4a'", 11),
+        (b"P3\n1 1\n255\n1 x 3\n", "expected sample value, found b'x'", 13),
+        (b"P2\n2 1\n65535\n7 123456\n", "sample value 123456 exceeds maxval 65535", 15),
+        (b"P2\n2 1\n9\n3 10\n", "sample value 10 exceeds maxval 9", 11),
+        (b"P3\n1 1\n300\n1 301 3\n", "sample value 301 exceeds maxval 300", 13),
+        (b"P2\n3 1\n9\n1 2  \n", "expected sample value, found end of file", 15),
+        (b"P1\n3 1\n0 1 x\n", "expected 0 or 1, found b'x'", 11),
+        (b"P1\n3 1\n0 1 2\n", "expected 0 or 1, found b'2'", 11),
+        (b"P1\n3 1\n01 \n", "expected bit, found end of file", 11),
+    ],
+    ids=["minus", "plus", "letter", "p3-letter", "six-digits", "above-maxval", "p3-above-maxval",
+         "truncated", "p1-letter", "p1-two", "p1-truncated"],
+)
+def test_malformed_plain_raster_error(tmp_path, data, message, offset):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(data)
+    with pytest.raises(NetpbmError) as err:
+        read_image(path)
+    assert str(err.value) == f"{path}: {message} at byte {offset}"
+    assert err.value.offset == offset
 
 
 def test_header_comments_and_whitespace(tmp_path):
@@ -138,6 +247,22 @@ class TestParseErrors:
         path.write_bytes(b"P2\n2 1\n9\n3 10\n")
         with pytest.raises(NetpbmError, match="exceeds maxval"):
             read_image(path)
+
+    @pytest.mark.parametrize(
+        "data, value, maxval, offset",
+        [
+            (b"P5\n2 1\n9\n\x05\xc8", 200, 9, 10),
+            (b"P5\n2 1\n300\n\x00\x05\x01\x2d", 301, 300, 13),
+            (b"P6\n1 1\n9\n\x01\x02\xff", 255, 9, 11),
+        ],
+        ids=["p5-8bit", "p5-16bit", "p6"],
+    )
+    def test_binary_sample_above_maxval(self, tmp_path, data, value, maxval, offset):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(data)
+        with pytest.raises(NetpbmError, match=f"sample value {value} exceeds maxval {maxval} at byte") as err:
+            read_image(path)
+        assert err.value.offset == offset
 
     def test_header_eof(self, tmp_path):
         path = tmp_path / "bad.pgm"
