@@ -13,8 +13,8 @@ integers: central differences in the interior, one-sided at the borders.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -151,84 +151,138 @@ _RINGS = {
 }
 
 
-def _components(mask: np.ndarray, ring) -> list[set]:
-    """Connected components in deterministic scan order of their first pixel."""
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    comps = []
-    for y, x in np.argwhere(mask):
-        if seen[y, x]:
-            continue
-        comp = set()
-        queue = deque([(int(x), int(y))])
-        seen[y, x] = True
-        while queue:
-            cx, cy = queue.popleft()
-            comp.add((cx, cy))
-            for dx, dy in ring:
-                nx, ny = cx + dx, cy + dy
-                if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    queue.append((nx, ny))
-        comps.append(comp)
-    return comps
+def _component_roots(members: np.ndarray, offsets) -> np.ndarray:
+    """Per member, the position in members of its component's first pixel.
 
-
-def _walk_chain(remaining: set, start, ring) -> list:
-    """Greedy clockwise boundary walk through unvisited pixels, right hand inward."""
-    n = len(ring)
-    path = [start]
-    remaining.discard(start)
-    cur = start
-    d_in = None
+    members holds the sorted flat indices of a padded mask; offsets are
+    flat neighbor offsets. Min-label hooking: every edge between two roots
+    points the larger root at the smaller, then pointer jumping flattens
+    the trees, until no edge joins two roots. Parents only ever decrease,
+    so each root is the smallest, i.e. first in scan order, of its component.
+    """
+    n = members.size
+    u_parts, v_parts = [], []
+    for off in offsets:
+        if off > 0:  # one direction of every undirected edge
+            target = members + off
+            v = np.searchsorted(members, target)
+            hit = members[np.minimum(v, n - 1)] == target
+            u_parts.append(np.flatnonzero(hit))
+            v_parts.append(v[hit])
+    u, v = np.concatenate(u_parts), np.concatenate(v_parts)
+    parent = np.arange(n)
     while True:
-        if d_in is None:
-            order = range(n)
-        else:
-            back = (d_in + n // 2) % n
-            order = [(back + 1 + i) % n for i in range(n)]
-        step = None
-        for di in order:
-            dx, dy = ring[di]
-            cand = (cur[0] + dx, cur[1] + dy)
-            if cand in remaining:
-                step = (cand, di)
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            return parent
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        parent[np.maximum(ru, rv)] = np.minimum(ru, rv)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
                 break
-        if step is None:
-            return path
-        cur, d_in = step
-        remaining.discard(cur)
+            parent = grand
+
+
+def _walk_chains(starts, interior, remaining: bytearray, ring) -> tuple[np.ndarray, list, list]:
+    """Walk a chain from every start that is still unvisited when the cursor reaches it.
+
+    starts lists the members grouped by component, in scan order inside
+    each; interior flags a start whose component stays off the image
+    border; remaining holds 1 at members not visited yet. Returns the flat
+    indices of every chain, one chain after another, with each chain's
+    end in that array and whether it is closed.
+    """
+    n = len(ring)
+    first_turn = tuple(zip(ring, range(n)))
+    # after arriving in direction d, search clockwise from just past the way back
+    past = [(d + n // 2 + 1) % n for d in range(n)]
+    turns = [first_turn[k:] + first_turn[:k] for k in past]
+    adjacent = frozenset(ring)
+    path, ends, closed = [], [], []
+    # walks never leave a component, so all earlier components are used up
+    # by the time the cursor reaches a pixel: an unvisited one starts a chain
+    for start, inside in zip(starts, interior):
+        if not remaining[start]:
+            continue
+        cur = start
+        remaining[cur] = 0
         path.append(cur)
+        steps = first_turn
+        while True:
+            for off, d in steps:
+                if remaining[cur + off]:
+                    break
+            else:
+                break
+            cur += off
+            remaining[cur] = 0
+            path.append(cur)
+            steps = turns[d]
+        ends.append(len(path))
+        closed.append(inside and (cur == start or cur - start in adjacent))
+    return np.array(path), ends, closed
 
 
 def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> list[Contour]:
     """Partition the level curve set at c into ordered pixel chains.
 
-    Each connected component is walked clockwise starting from its
-    topmost-leftmost pixel. A chain that would revisit a pixel stops
-    instead, and leftover pixels of the same component start further
-    chains, so the chains always partition the level curve set exactly.
-    A chain is closed when its component never touches the image border
-    and its endpoints are adjacent; no curve completion is attempted.
+    Components come in scan order of their first pixel. Each is walked
+    clockwise starting from its topmost-leftmost pixel. A chain that would
+    revisit a pixel stops instead, and the topmost-leftmost unvisited pixel
+    of the same component starts the next chain, so the chains always
+    partition the level curve set exactly. A chain is closed when its
+    component never touches the image border and its endpoints are
+    adjacent; no curve completion is attempted. The cost is linear in the
+    size of the level curve set, apart from sorting it by component.
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
     mask = level_curve_set(grid, c, topology).mask
-    ring = _RINGS[topology]
     h, w = mask.shape
+    stride = w + 2
+    # padding by one cell makes every neighbor of a member a valid flat index
+    padded = np.zeros((h + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    members = np.flatnonzero(padded)
+    if not members.size:
+        return []
+    ring = tuple(dy * stride + dx for dx, dy in _RINGS[topology])
+    roots = _component_roots(members, ring)
+    row, col = np.divmod(members, stride)
+    # set at each component's root when any of its members lies on the image border
+    touches = np.zeros(members.size, dtype=bool)
+    touches[roots[(row == 1) | (row == h) | (col == 1) | (col == w)]] = True
+    # grouped by component in scan order of first pixels, scan order inside each
+    by_component = np.argsort(roots, kind="stable")
+    path, ends, closed = _walk_chains(
+        members[by_component].tolist(),
+        (~touches[roots[by_component]]).tolist(),
+        bytearray(padded),
+        ring,
+    )
+    row, col = np.divmod(path - (stride + 1), stride)
+    # tuple.__new__ builds each PixelCoord without a Python-level call
+    pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(col.tolist(), row.tolist())))
     contours = []
-    for comp in _components(mask, ring):
-        interior = all(0 < x < w - 1 and 0 < y < h - 1 for x, y in comp)
-        remaining = set(comp)
-        while remaining:
-            start = min(remaining, key=lambda p: (p[1], p[0]))
-            path = _walk_chain(remaining, start, ring)
-            first, last = path[0], path[-1]
-            wraps = len(path) == 1 or (last[0] - first[0], last[1] - first[1]) in ring
-            contours.append(
-                Contour(tuple(PixelCoord(x, y) for x, y in path), closed=interior and wraps)
-            )
+    begin = 0
+    for end, is_closed in zip(ends, closed):
+        contours.append(Contour(pixels[begin:end], is_closed))
+        begin = end
     return contours
+
+
+class _FormatTable(dict):
+    """Coordinate -> string table that formats each coordinate once, on first use."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, v):
+        s = self[v] = self.fmt(v)
+        return s
 
 
 def contours_to_svg(contours, width: int, height: int) -> str:
@@ -237,8 +291,9 @@ def contours_to_svg(contours, width: int, height: int) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
+    center = _FormatTable(lambda v: f"{v + 0.5:g}")
     for contour in contours:
-        pts = " ".join(f"{p.x + 0.5:g},{p.y + 0.5:g}" for p in contour.pixels)
+        pts = " ".join([f"{center[x]},{center[y]}" for x, y in contour.pixels])
         tag = "polygon" if contour.closed else "polyline"
         lines.append(f'<{tag} points="{pts}" fill="none" stroke="black" stroke-width="0.25"/>')
     lines.append("</svg>")
@@ -247,9 +302,10 @@ def contours_to_svg(contours, width: int, height: int) -> str:
 
 def contours_to_text(contours) -> str:
     """One contour per line as x,y pairs; closed chains end with a Z marker."""
+    plain = _FormatTable(lambda v: f"{v}")
     out = []
     for contour in contours:
-        line = " ".join(f"{p.x},{p.y}" for p in contour.pixels)
+        line = " ".join([f"{plain[x]},{plain[y]}" for x, y in contour.pixels])
         if contour.closed:
             line += " Z"
         out.append(line)

@@ -308,6 +308,8 @@ def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> 
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {rgb.shape}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"PPM maxval must lie in [1, 65535], got {maxval}")
     if rgb.min() < 0 or rgb.max() > maxval:
         raise ValueError(f"samples must lie in [0, {maxval}]")
     h, w = rgb.shape[:2]

@@ -1,10 +1,18 @@
+import time
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from conftest import grid_rows, topologies
 from hypothesis import given
+from reference_trace import (
+    reference_contours_to_svg,
+    reference_contours_to_text,
+    reference_trace_level_contours,
+)
 
 from isophote import (
+    Contour,
     IntensityGrid,
     PixelCoord,
     Topology,
@@ -227,7 +235,85 @@ class TestTraceLevelContours:
                 )
 
 
+@st.composite
+def trace_grids(draw):
+    """Grids of a few levels, so components grow large; single rows and columns included."""
+    shape = draw(st.sampled_from(["row", "column", "block"]))
+    if shape == "block":
+        h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    else:
+        n = draw(st.integers(1, 30))
+        h, w = (1, n) if shape == "row" else (n, 1)
+    values = draw(st.lists(st.integers(0, 3), min_size=h * w, max_size=h * w))
+    return IntensityGrid(np.array(values, dtype=np.int64).reshape(h, w), 3)
+
+
+def seeded_noise(side, seed=7):
+    return IntensityGrid(np.random.default_rng(seed).integers(0, 256, size=(side, side)), 255)
+
+
+class TestTraceMatchesReference:
+    """The flat-index tracer returns what the set-based reference tracer returns."""
+
+    @given(trace_grids(), st.integers(0, 4), topologies)
+    def test_random_grids(self, grid, c, topology):
+        got = trace_level_contours(grid, c, topology)
+        assert got == reference_trace_level_contours(grid, c, topology)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[9]],  # no level curve at all
+            [[0, 9, 0, 9, 0]],  # single row of single-pixel chains on the border
+            [[0], [9], [9], [0], [9]],  # single column
+            [[0, 0, 0, 0, 0], [0, 9, 0, 9, 0], [0, 0, 0, 0, 0]],  # interior single pixels
+            [[9, 9, 9, 0], [9, 0, 9, 0], [9, 9, 9, 0], [0, 0, 0, 0]],  # ring on the border
+            [[0, 0, 0, 0, 0], [0, 9, 9, 9, 0], [0, 9, 0, 9, 0], [0, 9, 9, 9, 0], [0, 0, 0, 0, 0]],
+        ],
+    )
+    @pytest.mark.parametrize("topology", [N4, N8])
+    def test_small_cases(self, rows, topology):
+        grid = IntensityGrid.from_rows(rows, 9)
+        got = trace_level_contours(grid, 5, topology)
+        assert got == reference_trace_level_contours(grid, 5, topology)
+
+    @pytest.mark.parametrize("topology", [N4, N8])
+    def test_seeded_noise(self, topology):
+        grid = seeded_noise(128)
+        got = trace_level_contours(grid, 128, topology)
+        assert got == reference_trace_level_contours(grid, 128, topology)
+        assert any(len(c.pixels) == 1 for c in got) and any(len(c.pixels) > 20 for c in got)
+
+    def test_n8_noise_is_not_quadratic(self):
+        # N8 joins noise into one large component of thousands of chains, so a
+        # tracer that scans the component for each chain start is quadratic here
+        small = seeded_noise(64)
+        assert trace_level_contours(small, 128, N8) == reference_trace_level_contours(small, 128, N8)
+        grid = seeded_noise(256)
+        start = time.perf_counter()
+        contours = trace_level_contours(grid, 128, N8)
+        assert time.perf_counter() - start < 5.0
+        assert sum(len(c.pixels) for c in contours) == level_curve_set(grid, 128, N8).mask.sum()
+
+
+@st.composite
+def contour_lists(draw):
+    """Random contours on a non-square image, with coordinates on its edges and up to 4095."""
+    w = draw(st.one_of(st.just(4096), st.integers(1, 4096)))
+    h = draw(st.one_of(st.just(4096), st.integers(1, 4096)).filter(lambda v: v != w))
+    xs = st.one_of(st.sampled_from([0, w - 1]), st.integers(0, w - 1))
+    ys = st.one_of(st.sampled_from([0, h - 1]), st.integers(0, h - 1))
+    pixels = st.lists(st.builds(PixelCoord, xs, ys), max_size=12).map(tuple)
+    return draw(st.lists(st.builds(Contour, pixels, st.booleans()), max_size=6)), w, h
+
+
 class TestExports:
+    @given(contour_lists())
+    def test_match_per_point_formulas(self, case):
+        contours, w, h = case
+        assert contours_to_svg(contours, w, h) == reference_contours_to_svg(contours, w, h)
+        assert contours_to_text(contours) == reference_contours_to_text(contours)
+
     def test_svg_golden(self):
         contours = trace_level_contours(block_grid(), 5, N4)
         svg = contours_to_svg(contours, 5, 5)

@@ -283,6 +283,13 @@ class TestWriterLimits:
         with pytest.raises(ValueError, match="65535"):
             write_pgm(tmp_path / "img.pgm", grid)
 
+    @pytest.mark.parametrize("maxval", [0, 70000])
+    def test_ppm_maxval_limit(self, tmp_path, maxval):
+        path = tmp_path / "img.ppm"
+        with pytest.raises(ValueError, match="65535"):
+            write_ppm(path, np.zeros((1, 1, 3), dtype=np.int64), maxval=maxval)
+        assert not path.exists()
+
     def test_pbm_needs_2d(self, tmp_path):
         with pytest.raises(ValueError, match="2D"):
             write_pbm(tmp_path / "m.pbm", np.zeros(4, dtype=bool))
