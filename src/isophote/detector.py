@@ -48,9 +48,12 @@ __all__ = [
     "check_necessary_condition",
 ]
 
-# Levels are processed in batches to bound the (levels, height, width)
-# boolean stack while keeping per-level Python overhead negligible.
-_LEVEL_CHUNK = 64
+# detect_multilevel evaluates levels in chunks of _LEVEL_BUDGET // pixels
+# levels, so its (levels, *shape) one-byte stacks hold about this many
+# bytes whatever the image size or schedule length; at most three such
+# stacks are alive at once. Chunks are clamped to [1, 255] levels because
+# a chunk ranks its levels 1..n in uint8, and 0 marks "not a member".
+_LEVEL_BUDGET = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -195,15 +198,6 @@ def level_curve_set(grid: Grid, c: int, topology: Topology) -> LevelCurveSet:
     return LevelCurveSet(int(c), mask)
 
 
-def _merge_top_two(count, hi, lo, chunk_count, chunk_hi, chunk_lo):
-    """Fold one ascending chunk's member statistics into the running totals."""
-    two = chunk_count >= 2
-    one = chunk_count == 1
-    lo = np.where(two, chunk_lo, np.where(one, hi, lo))
-    hi = np.where(two | one, chunk_hi, hi)
-    return count + chunk_count, hi, lo
-
-
 def _finalize_mask(count, hi, lo) -> DetectionMask:
     """Zero the witnesses of unflagged pixels in place; the arrays must be the caller's own.
 
@@ -221,28 +215,53 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
 
     The witness pair at a flagged pixel is the two largest member
     thresholds, so output is deterministic regardless of evaluation order.
+    Time grows as levels x pixels; transient memory is bounded by three
+    times a fixed byte budget plus a fixed number of bytes per pixel.
     """
     topology.check_grid(grid)
     values = grid.values
     levels = schedule.levels(grid.max_value)
-    count = np.zeros(values.shape, dtype=np.int64)
-    hi = np.zeros(values.shape, dtype=np.int64)
-    lo = np.zeros(values.shape, dtype=np.int64)
+    bound = max(abs(int(levels[0])), abs(int(levels[-1]))) if levels.size else 0
+    level_dtype = signed_dtype(bound)
+    count = np.zeros(values.shape, dtype=signed_dtype(levels.size))
+    hi = np.zeros(values.shape, dtype=level_dtype)
+    lo = np.zeros(values.shape, dtype=level_dtype)
+    # compare in a dtype that holds every level and every value
+    thresholds = levels.astype(np.promote_types(values.dtype, level_dtype))
+    step = max(min(_LEVEL_BUDGET // values.size, 255, levels.size), 1)
     shape = (-1,) + (1,) * values.ndim
-    for start in range(0, levels.size, _LEVEL_CHUNK):
-        ls = levels[start : start + _LEVEL_CHUNK]
-        below = values[None, ...] < ls.reshape(shape)
-        members = neighbor_any(below, topology) & ~below
-        chunk_count = members.sum(axis=0)
-        # indices of the two largest member levels within this chunk
-        rev = members[::-1]
-        first = np.argmax(rev, axis=0)
-        rest = rev.copy()
-        np.put_along_axis(rest, first[None, ...], False, axis=0)
-        second = np.argmax(rest, axis=0)
-        chunk_hi = ls[ls.size - 1 - first]
-        chunk_lo = ls[ls.size - 1 - second]
-        count, hi, lo = _merge_top_two(count, hi, lo, chunk_count, chunk_hi, chunk_lo)
+    # one buffer for every chunk's sublevel sets, which become its ranks
+    stack = np.empty((step,) + values.shape, dtype=bool)
+    for start in range(0, levels.size, step):
+        ls = thresholds[start : start + step]
+        below = np.less(values, ls.reshape(shape), out=stack[: ls.size])
+        nearby = neighbor_any(below, topology)
+        members = np.invert(below, out=below)
+        members &= nearby  # neighbor_any(below) & ~below
+        del nearby  # before the next chunk's dilation allocates
+        rank = members.view(np.uint8)
+        chunk_count = rank.sum(axis=0, dtype=np.uint8)
+        rank *= np.arange(1, ls.size + 1, dtype=np.uint8).reshape(shape)
+        first = rank.max(axis=0)
+        # Subtracting first (mod 256) sends its own slab to 0 and lifts every
+        # smaller rank r to 256 - first + r, above non-members at 256 - first,
+        # so the next max is second - first (mod 256). That max is 0 at a
+        # member only in a one-level chunk, where it gives back first: zero it.
+        rank -= first
+        second = rank.max(axis=0)
+        second += first
+        second *= second < first
+        # A member threshold is at least 1 (the pixel has a neighbor below
+        # it, and intensities are nonnegative), so level 0 stands for "none".
+        # Every member of this chunk lies above all earlier ones, so the top
+        # two of the union are max(hi, f) and max(lo, min(hi, f), s).
+        table = np.concatenate(([0], ls)).astype(level_dtype)
+        f, s = table.take(first), table.take(second)
+        np.maximum(lo, s, out=lo)
+        np.minimum(f, hi, out=s)
+        np.maximum(lo, s, out=lo)
+        np.maximum(hi, f, out=hi)
+        count += chunk_count
     return _finalize_mask(count, hi, lo)
 
 

@@ -58,6 +58,27 @@ def brute_member_levels(rows, levels, topology):
     return members
 
 
+def brute_stack_member_levels(frames, levels):
+    """(x, y, t) -> ascending thresholds whose N4T level curve contains the pixel.
+
+    frames is a list of row lists; a pixel's neighbors are its N4 neighbors
+    in its own frame plus the same pixel in the previous and next frame.
+    """
+    n, h, w = len(frames), len(frames[0]), len(frames[0][0])
+    members = {}
+    for c in levels:
+        for t in range(n):
+            for y in range(h):
+                for x in range(w):
+                    if frames[t][y][x] < c:
+                        continue
+                    qs = [(qx, qy, t) for qx, qy in brute_neighbors((x, y), w, h, Topology.N4)]
+                    qs += [(x, y, s) for s in (t - 1, t + 1) if 0 <= s < n]
+                    if any(frames[s][qy][qx] < c for qx, qy, s in qs):
+                        members.setdefault((x, y, t), []).append(c)
+    return members
+
+
 def cheb_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev-ball dilation of a boolean mask by whole pixels."""
     out = np.zeros_like(mask)

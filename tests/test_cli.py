@@ -56,11 +56,13 @@ class TestDetect:
         assert np.array_equal(read_pbm(out), expect)
 
     def test_modes_write_identical_bytes(self, tmp_path, step_image):
-        a = tmp_path / "a.pbm"
-        b = tmp_path / "b.pbm"
-        assert main(["detect", "--mode", "multilevel", str(step_image), str(a)]) == 0
-        assert main(["detect", "--mode", "pointwise", str(step_image), str(b)]) == 0
+        a, a_levels = tmp_path / "a.pbm", tmp_path / "a.pgm"
+        b, b_levels = tmp_path / "b.pbm", tmp_path / "b.pgm"
+        for mode, out, levels in (("multilevel", a, a_levels), ("pointwise", b, b_levels)):
+            argv = ["detect", "--mode", mode, "--levels-out", str(levels), str(step_image), str(out)]
+            assert main(argv) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert a_levels.read_bytes() == b_levels.read_bytes()
 
     def test_levels_out(self, tmp_path, step_image):
         out = tmp_path / "mask.pbm"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -5,12 +7,14 @@ from conftest import (
     brute_level_curve,
     brute_member_levels,
     brute_neighbors,
+    brute_stack_member_levels,
     grid_rows,
     topologies,
 )
 from hypothesis import given, settings
 
 from isophote import (
+    FrameStack,
     IntensityGrid,
     ThresholdSchedule,
     Topology,
@@ -23,6 +27,7 @@ from isophote import (
     neighbors,
     sublevel,
 )
+from isophote import detector
 from isophote.raster import storage_dtype
 
 N4, N8 = Topology.N4, Topology.N8
@@ -58,6 +63,29 @@ def dtype_boundary_cases(draw):
         offset=st.one_of(st.none(), st.integers(-3, 3)),
     )
     return rows, mv, draw(st.one_of(near_top, coarse))
+
+
+@st.composite
+def chunk_cases(draw):
+    """A grid at N4/N8 or a stack at N4T, a schedule of 0, 1, 2 or many levels, a chunk of 1-3 levels."""
+    mv = 12
+    topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    frame = st.lists(st.lists(st.integers(0, mv), min_size=w, max_size=w), min_size=h, max_size=h)
+    if topology is Topology.N4T:
+        rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))]
+        grid = FrameStack(np.array(rows), mv)
+    else:
+        rows = draw(frame)
+        grid = IntensityGrid.from_rows(rows, mv)
+    offset = draw(st.integers(-3, 6))
+    n = draw(st.sampled_from([None, 2, 1, 0]))  # None: many levels
+    if n is None:
+        schedule = ThresholdSchedule(draw(st.integers(1, 2)), offset=offset)
+    else:
+        inc = draw(st.integers(1, 4))
+        schedule = ThresholdSchedule(inc, offset=offset, ceiling=offset + (n - 1) * inc)
+    return rows, grid, schedule, topology, draw(st.integers(1, 3))
 
 
 def constant(v, w=3, h=3, mv=12):
@@ -207,6 +235,44 @@ class TestDetectMultilevel:
                 assert mask.level_count[y, x] == len(levels)
                 if len(levels) >= 2:
                     assert mask.witnesses_at((x, y)) == (levels[-2], levels[-1])
+
+    @given(chunk_cases())
+    @settings(max_examples=200)
+    def test_chunk_boundaries_match_pointwise_and_brute(self, case):
+        # chunks of 1-3 levels make witnesses cross chunk boundaries, which
+        # the small grids elsewhere never do: all their levels fit one chunk
+        rows, grid, sch, topology, chunk = case
+        levels = sch.levels(grid.max_value).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_LEVEL_BUDGET", chunk * grid.values.size)
+            mask = detect_multilevel(grid, sch, topology)
+        assert mask == detect_pointwise(grid, sch, topology)
+        if topology is Topology.N4T:
+            members = brute_stack_member_levels(rows, levels)
+        else:
+            members = brute_member_levels(rows, levels, topology)
+        for idx in np.ndindex(grid.values.shape):
+            p = tuple(reversed(idx))
+            found = members.get(p, [])
+            assert mask.count_at(p) == len(found)
+            expect = (found[-2], found[-1]) if len(found) >= 2 else None
+            assert mask.witnesses_at(p) == expect
+
+    def test_transient_memory_is_bounded_by_the_level_budget(self):
+        # 256 levels on 1024^2: at most three budget-sized stacks (the
+        # sublevel sets and the dilation's padded input and output) are
+        # alive at once, plus arrays of a few bytes per pixel
+        rng = np.random.default_rng(3)
+        g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
+        sch = ThresholdSchedule(1)
+        assert sch.levels(255).size == 256
+        tracemalloc.start()
+        try:
+            detect_multilevel(g, sch, N4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * detector._LEVEL_BUDGET + 32 * g.values.size
 
     @given(grid_rows(), schedules, topologies)
     def test_level_count_matches_brute_enumeration(self, rows_mv, sch, topology):
