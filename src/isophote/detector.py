@@ -210,6 +210,22 @@ def _finalize_mask(count, hi, lo) -> DetectionMask:
     return DetectionMask(count, hi, lo)
 
 
+def _check_range(grid: Grid, schedule: ThresholdSchedule) -> int:
+    """A bound on every intermediate of either route; ValueError unless it fits int64.
+
+    Both routes call this before any work, so they reject the same grid
+    and schedule with the same error.
+    """
+    inc, offset = schedule.increment, schedule.offset
+    bound = 4 * max(grid.max_value + 2, abs(schedule.cap(grid.max_value)), abs(offset) + inc) + 2
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"max_value {grid.max_value} with offset {offset} and increment {inc} is out of range: "
+            "4 * max(max_value + 2, |cap|, |offset| + increment) + 2 must fit in int64"
+        )
+    return bound
+
+
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
@@ -219,7 +235,10 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     times a fixed byte budget plus a fixed number of bytes per pixel.
     """
     topology.check_grid(grid)
+    _check_range(grid, schedule)
     values = grid.values
+    if values.dtype == np.uint64:  # it would promote with int64 levels to float64
+        values = values.astype(np.int64)
     levels = schedule.levels(grid.max_value)
     bound = max(abs(int(levels[0])), abs(int(levels[-1]))) if levels.size else 0
     level_dtype = signed_dtype(bound)
@@ -294,14 +313,13 @@ def detect_pointwise(
     every input.
     """
     topology.check_grid(grid)
+    # every intermediate below lies within this bound of zero
+    dtype = signed_dtype(_check_range(grid, schedule))
     values = grid.values
     fill = grid.max_value + 2  # beyond every admissible threshold
     m = neighbor_min(values, topology, fill)
     inc, offset = schedule.increment, schedule.offset
     cap = schedule.cap(grid.max_value)
-    # with b = max(fill, |cap|, |offset| + inc), every intermediate below
-    # lies within 4 * b + 2 of zero
-    dtype = signed_dtype(4 * max(fill, abs(cap), abs(offset) + inc) + 2)
     # k_hi: largest k with offset + k * inc <= min(I(p), cap)
     k_hi = np.minimum(values, cap, dtype=dtype)
     k_hi -= offset

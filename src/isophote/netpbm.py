@@ -71,31 +71,6 @@ class _Scanner:
             self.fail(f"{what} {value} out of range [1, {limit}]", at=start)
         return value
 
-    def sample(self, maxval: int) -> int:
-        self.skip_space()
-        if self.pos >= len(self.data):
-            self.fail("expected sample value, found end of file")
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in _WS:
-            self.pos += 1
-        token = self.data[start : self.pos]
-        if not token.isdigit():
-            self.fail(f"expected sample value, found {token[:16]!r}", at=start)
-        value = int(token)
-        if value > maxval:
-            self.fail(f"sample value {value} exceeds maxval {maxval}", at=start)
-        return value
-
-    def bit(self) -> int:
-        self.skip_space()
-        if self.pos >= len(self.data):
-            self.fail("expected bit, found end of file")
-        c = self.data[self.pos]
-        if c not in b"01":
-            self.fail(f"expected 0 or 1, found {bytes([c])!r}")
-        self.pos += 1
-        return c - 0x30
-
     def require(self, count: int, what: str) -> None:
         """Fail before allocating unless count more bytes remain; guards declared sizes."""
         avail = len(self.data) - self.pos
@@ -114,46 +89,76 @@ class _Scanner:
         return out
 
 
-def _plain_raster(data: bytes, start: int, n: int, maxval: int | None) -> np.ndarray | None:
-    """The first n plain samples of data[start:], decoded with array operations, or None.
+def _comments(raw: np.ndarray, is_space: np.ndarray, bits: bool) -> None:
+    """Mark in is_space every comment in raw, from its '#' up to its line end."""
+    opens = np.flatnonzero(raw == ord("#"))
+    if not bits:
+        opens = opens[is_space[opens - 1]]  # in a sample, '#' is part of the sample
+    eols = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
+    ends = np.append(eols, raw.size - 1)[np.searchsorted(eols, opens)]
+    first = np.flatnonzero(np.diff(ends, prepend=-1))  # one range per commented line
+    if first.size:
+        lo, hi = opens[first[0]], ends[-1]
+        inside = np.zeros(hi - lo, dtype=np.int8)
+        inside[opens[first] - lo] = 1
+        inside[ends[first[:-1]] - lo] = -1
+        is_space[lo:hi] |= np.cumsum(inside, dtype=np.int8, out=inside).view(bool)
+
+
+def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
+    """The first n plain samples from sc.pos on, decoded with array operations.
 
     maxval None reads P1 bits: the first n non-whitespace bytes, each 0 or
     1, which may run together. Otherwise samples are runs of digits split
-    by whitespace, returned in :func:`storage_dtype` of maxval. Returns
-    None, leaving the file to the byte-by-byte scanner and its exact error
-    messages, on any byte other than a digit or whitespace (a comment, a
-    sign), fewer than n samples, a sample above maxval, or a token longer
-    than 5 digits. What follows the n-th sample is ignored, as the scanner
-    ignores it.
+    by whitespace, returned in :func:`storage_dtype` of maxval. Comments
+    run from '#' to the line end; a '#' opens one after whitespace, or
+    anywhere in P1 (in a P2/P3 sample, it is part of the sample). What
+    follows the n-th sample is ignored; the first bad sample, or the end
+    of a raster of fewer than n, fails with its byte offset.
     """
-    # a space on each side, so that every digit run has both of its edges
+    data, start = sc.data, sc.pos
+    # a space on each side, so that every token has both of its edges
     raw = np.full(len(data) - start + 2, ord(" "), dtype=np.uint8)
     raw[1:-1] = np.frombuffer(data, dtype=np.uint8, offset=start)
-    digit = raw - np.uint8(ord("0"))  # non-digits wrap above 9
-    is_digit = digit < 10
     is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
-    if not (is_digit | is_space).all():
-        return None
+    if data.find(b"#", start) >= 0:
+        _comments(raw, is_space, maxval is None)
     if maxval is None:
-        bits = digit[is_digit][:n]
-        return bits if bits.size == n and bits.max() <= 1 else None
-    # alternately the index before a run's first digit and its last digit
-    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])[: 2 * n]
-    if edges.size < 2 * n:
-        return None
+        bits = raw[~is_space][:n] - np.uint8(ord("0"))
+        if (bits > 1).any():
+            at = int(np.flatnonzero(~is_space)[(bits > 1).argmax()])
+            sc.fail(f"expected 0 or 1, found {bytes([raw[at]])!r}", at=start + at - 1)
+        if bits.size < n:
+            sc.fail("expected bit, found end of file", at=len(data))
+        return bits
+    digit = raw - np.uint8(ord("0"))  # non-digits wrap above 9
+    # alternately the index before a token's first byte and its last byte
+    edges = np.flatnonzero(is_space[1:] != is_space[:-1])[: 2 * n]
     last = edges[1::2]
-    lengths = last - edges[0::2]
-    width = int(lengths.max())
-    if width > 5:
-        return None
+    stop = last[-1] + 1 if last.size else 0
+    # is_space is not read again: its memory holds where bytes are digits or whitespace
+    ok = np.logical_or(digit[:stop] < 10, is_space[:stop], out=is_space[:stop])
+    if not ok.all():  # keep the tokens before the first that is not all digits
+        last = last[: np.searchsorted(last, ok.argmin())]
+    lengths = last - edges[: 2 * last.size : 2]
     values = digit[last].astype(np.uint32)
-    for k in range(1, width):
+    for k in range(1, min(int(lengths.max(initial=0)), 5)):
         place = digit[last - k].astype(np.uint32)
         place *= lengths > k  # left of a shorter run's first digit, or wrapped below 0
         place *= 10**k
         values += place
-    if values.max() > maxval:
-        return None
+    over = values > maxval
+    long = np.flatnonzero(lengths > 5)  # above maxval unless every digit left of its last five is 0
+    prefix = np.stack([last[long] - lengths[long] + 1, last[long] - 4], axis=1)
+    over[long] |= np.logical_or.reduceat(digit, prefix.ravel())[::2]
+    k = int(over.argmax()) if over.any() else last.size
+    if k < edges.size // 2:
+        at, end = (start + edges[2 * k : 2 * k + 2]).tolist()
+        if k < last.size:
+            sc.fail(f"sample value {int(data[at:end])} exceeds maxval {maxval}", at=at)
+        sc.fail(f"expected sample value, found {data[at:end][:16]!r}", at=at)
+    if last.size < n:
+        sc.fail("expected sample value, found end of file", at=len(data))
     return values.astype(storage_dtype(maxval))
 
 
@@ -183,10 +188,7 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
         if magic == b"P1":
             n = width * height
             sc.require(n, f"{n} ASCII bits")  # at least one byte per bit
-            bits = _plain_raster(data, sc.pos, n, None)
-            if bits is None:
-                bits = np.fromiter((sc.bit() for _ in range(n)), dtype=np.uint8, count=n)
-            bits = bits.reshape(height, width)
+            bits = _plain_raster(sc, n, None).reshape(height, width)
         else:
             rowbytes = (width + 7) // 8
             raw = np.frombuffer(sc.raster_bytes(rowbytes * height), dtype=np.uint8)
@@ -198,9 +200,7 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     n = width * height * channels
     if magic in (b"P2", b"P3"):
         sc.require(2 * n, f"{n} ASCII samples")  # each is a separator and a digit at least
-        flat = _plain_raster(data, sc.pos, n, maxval)
-        if flat is None:
-            flat = np.fromiter((sc.sample(maxval) for _ in range(n)), dtype=storage_dtype(maxval), count=n)
+        flat = _plain_raster(sc, n, maxval)
     else:
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         flat = np.frombuffer(sc.raster_bytes(dtype.itemsize * n), dtype=dtype)

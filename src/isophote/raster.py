@@ -328,5 +328,7 @@ def neighbor_min(values: np.ndarray, topology: Topology, fill: int) -> np.ndarra
     missing neighbors never win the minimum. The result keeps the dtype
     of values when that holds fill, else the narrowest one that holds both.
     """
-    dtype = np.promote_types(values.dtype, np.min_scalar_type(fill))
+    dtype = values.dtype
+    if fill > np.iinfo(dtype).max:
+        dtype = np.promote_types(dtype, signed_dtype(fill))
     return _fold_neighbors(values, topology, fill, np.minimum, dtype)

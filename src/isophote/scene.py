@@ -186,8 +186,8 @@ class GroundTruth:
 
     occluding_mask marks pixels whose ray grazes a sphere within about
     half a pixel; discontinuity_mask marks pixels whose nearest-hit
-    object differs from a neighbor's (background counts as an object of
-    its own); depth_map holds nearest hit distances, +inf where the ray
+    object differs from an N4 neighbor's (background counts as an object
+    of its own); depth_map holds nearest hit distances, +inf where the ray
     escapes; object_ids holds the nearest object index, -1 for background.
     """
 
@@ -224,13 +224,13 @@ def _hit_distances(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
     return np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
 
 
-def _identity_changes(ids: np.ndarray, topology: Topology) -> np.ndarray:
-    """True where some neighbor's id is smaller or larger than the pixel's own."""
-    darker = neighbor_min(ids, topology, int(ids.max()) + 1) < ids
-    return darker | (neighbor_min(-ids, topology, int(-ids.min()) + 1) < -ids)
+def _identity_changes(ids: np.ndarray) -> np.ndarray:
+    """True where some N4 neighbor's id is smaller or larger than the pixel's own."""
+    darker = neighbor_min(ids, Topology.N4, int(ids.max()) + 1) < ids
+    return darker | (neighbor_min(-ids, Topology.N4, int(-ids.min()) + 1) < -ids)
 
 
-def render(spec: SceneSpec, topology: Topology = Topology.N4) -> tuple[IntensityGrid, GroundTruth]:
+def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
     """Ray-cast the scene onto an integer image plus analytic ground truth.
 
     Each pixel's ray is intersected with every object; the nearest hit is
@@ -283,7 +283,7 @@ def render(spec: SceneSpec, topology: Topology = Topology.N4) -> tuple[Intensity
 
     truth = GroundTruth(
         occluding_mask=occluding,
-        discontinuity_mask=_identity_changes(ids, topology),
+        discontinuity_mask=_identity_changes(ids),
         depth_map=depth,
         object_ids=ids,
     )
@@ -297,10 +297,7 @@ def _displace(obj: SceneObject, shift: np.ndarray) -> SceneObject:
 
 
 def render_sequence(
-    spec: SceneSpec,
-    motion: Sequence[float],
-    frames: int,
-    topology: Topology = Topology.N4,
+    spec: SceneSpec, motion: Sequence[float], frames: int
 ) -> tuple[list[IntensityGrid], list[GroundTruth]]:
     """Render `frames` images, translating every object by `motion` per frame."""
     if frames < 2:
@@ -311,7 +308,7 @@ def render_sequence(
     grids, truths = [], []
     for i in range(frames):
         moved = dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
-        grid, truth = render(moved, topology)
+        grid, truth = render(moved)
         grids.append(grid)
         truths.append(truth)
     return grids, truths

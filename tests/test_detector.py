@@ -92,6 +92,25 @@ def constant(v, w=3, h=3, mv=12):
     return IntensityGrid(np.full((h, w), v, dtype=np.int64), mv)
 
 
+@st.composite
+def extreme_range_cases(draw):
+    """6x6 grids with a max_value far beyond any image format's, and
+    schedules whose offsets lie near 0, near +-2**60 or near +-2**62.
+
+    Increments keep every schedule to at most about 300 levels: a schedule
+    of billions would make the multilevel route allocate its levels first,
+    which is its documented levels x pixels cost, not a disagreement.
+    """
+    mv = draw(st.sampled_from([2**31 - 1, 2**32 - 3, 2**32 - 2, 2**40, 2**62, 2**63 - 1]))
+    value = st.one_of(st.integers(0, 3), st.integers(mv - 3, mv), st.integers(0, mv))
+    values = np.array(draw(st.lists(value, min_size=36, max_size=36)), dtype=np.uint64).reshape(6, 6)
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    offset = draw(st.sampled_from([0, 2**60, -(2**60), 2**62, -(2**62)])) + draw(st.integers(-3, 3))
+    least = max((mv + 1 - offset) // 300, 1)
+    inc = draw(st.integers(least, max(least, mv)))
+    return IntensityGrid(values.astype(dtype), mv), ThresholdSchedule(inc, offset=offset)
+
+
 class TestThresholdSchedule:
     def test_levels_are_the_arithmetic_sequence(self):
         sch = ThresholdSchedule(2, offset=1)
@@ -339,6 +358,24 @@ class TestDetectPointwise:
                 assert point.count_at((x, y)) == len(levels)
                 expect = (levels[-2], levels[-1]) if len(levels) >= 2 else None
                 assert point.witnesses_at((x, y)) == expect
+
+    @given(extreme_range_cases(), topologies)
+    @settings(max_examples=120)
+    def test_routes_agree_or_reject_alike_at_every_max_value(self, case, topology):
+        g, sch = case
+        outcomes = []
+        for route in (detect_multilevel, detect_pointwise):
+            try:
+                outcomes.append(route(g, sch, topology))
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            assert "int64" in outcomes[0]
+            return
+        members = brute_member_levels(g.values.tolist(), sch.levels(g.max_value).tolist(), topology)
+        for (x, y), levels in members.items():
+            assert outcomes[0].count_at((x, y)) == len(levels)
 
     def test_single_pixel_grid_never_flagged(self):
         g = IntensityGrid.from_rows([[7]], max_value=10)
