@@ -9,103 +9,14 @@ filtering), a synthetic pinhole-camera renderer that manufactures ground
 truth for end-to-end checks, and a Netpbm-based CLI.
 """
 
-from .detector import (
-    DetectionMask,
-    LevelCurveSet,
-    ThresholdSchedule,
-    check_necessary_condition,
-    detect_multilevel,
-    detect_pointwise,
-    level_curve_set,
-    membership_interval,
-    sublevel,
-)
-from .field import (
-    Contour,
-    VectorFieldGrid,
-    apply_operator,
-    contours_to_svg,
-    contours_to_text,
-    discrete_gradient,
-    hamiltonian,
-    trace_level_contours,
-    zero_mask,
-)
-from .netpbm import NetpbmError, read_grid, read_image, read_pbm, write_pbm, write_pgm, write_ppm
-from .raster import (
-    FrameStack,
-    IntensityGrid,
-    PixelCoord,
-    StackCoord,
-    Topology,
-    frame_stack,
-    neighbor_any,
-    neighbor_min,
-    neighbors,
-)
-from .scene import (
-    FocalPlaneError,
-    GroundTruth,
-    Plane,
-    SceneError,
-    SceneSpec,
-    Sphere,
-    differential,
-    is_occluding,
-    load_scene,
-    project,
-    render,
-    render_sequence,
-)
+from . import detector, field, netpbm, raster, scene
+from .detector import *  # noqa: F401,F403
+from .field import *  # noqa: F401,F403
+from .netpbm import *  # noqa: F401,F403
+from .raster import *  # noqa: F401,F403
+from .scene import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DetectionMask",
-    "LevelCurveSet",
-    "ThresholdSchedule",
-    "check_necessary_condition",
-    "detect_multilevel",
-    "detect_pointwise",
-    "level_curve_set",
-    "membership_interval",
-    "sublevel",
-    "Contour",
-    "VectorFieldGrid",
-    "apply_operator",
-    "contours_to_svg",
-    "contours_to_text",
-    "discrete_gradient",
-    "hamiltonian",
-    "trace_level_contours",
-    "zero_mask",
-    "NetpbmError",
-    "read_grid",
-    "read_image",
-    "read_pbm",
-    "write_pbm",
-    "write_pgm",
-    "write_ppm",
-    "FrameStack",
-    "IntensityGrid",
-    "PixelCoord",
-    "StackCoord",
-    "Topology",
-    "frame_stack",
-    "neighbor_any",
-    "neighbor_min",
-    "neighbors",
-    "FocalPlaneError",
-    "GroundTruth",
-    "Plane",
-    "SceneError",
-    "SceneSpec",
-    "Sphere",
-    "differential",
-    "is_occluding",
-    "load_scene",
-    "project",
-    "render",
-    "render_sequence",
-    "__version__",
-]
+# Each module's __all__ is its public surface; the package re-exports exactly those names.
+__all__ = [*detector.__all__, *field.__all__, *netpbm.__all__, *raster.__all__, *scene.__all__, "__version__"]

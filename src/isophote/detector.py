@@ -27,9 +27,9 @@ import numpy as np
 
 from .raster import (
     Grid,
-    PixelCoord,
-    StackCoord,
     Topology,
+    array_index,
+    coordinate,
     neighbor_any,
     neighbor_min,
     neighbors,
@@ -112,16 +112,10 @@ class LevelCurveSet:
     @property
     def members(self) -> frozenset:
         """Member coordinates as PixelCoord (grids) or StackCoord (stacks)."""
-        if self.mask.ndim == 3:
-            return frozenset(StackCoord(int(x), int(y), int(t)) for t, y, x in np.argwhere(self.mask))
-        return frozenset(PixelCoord(int(x), int(y)) for y, x in np.argwhere(self.mask))
+        return frozenset(map(coordinate, np.argwhere(self.mask)))
 
     def __contains__(self, p) -> bool:
-        if self.mask.ndim == 3:
-            x, y, t = p
-            return bool(self.mask[t, y, x])
-        x, y = p
-        return bool(self.mask[y, x])
+        return bool(self.mask[array_index(p, self.mask.ndim)])
 
     def __len__(self) -> int:
         return int(self.mask.sum())
@@ -163,11 +157,11 @@ class DetectionMask:
         return self.level_count.shape[-2]
 
     def count_at(self, p) -> int:
-        return int(self.level_count[tuple(reversed(p))])
+        return int(self.level_count[array_index(p, self.level_count.ndim)])
 
     def witnesses_at(self, p) -> Optional[tuple[int, int]]:
         """(c, c') with c < c' for a flagged pixel, None otherwise."""
-        idx = tuple(reversed(p))
+        idx = array_index(p, self.level_count.ndim)
         if self.level_count[idx] < 2:
             return None
         return int(self.witness_lo[idx]), int(self.witness_hi[idx])

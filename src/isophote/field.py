@@ -55,10 +55,6 @@ class VectorFieldGrid:
     def height(self) -> int:
         return self.hx.shape[0]
 
-    def vector_at(self, p) -> tuple[int, int]:
-        x, y = p
-        return int(self.hx[y, x]), int(self.hy[y, x])
-
 
 def _axis_slicer(ndim: int, axis: int):
     return lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(ndim))

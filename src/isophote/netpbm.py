@@ -66,10 +66,11 @@ class _Scanner:
         token = self.data[start : self.pos]
         if not token.isdigit():
             self.fail(f"expected {what}, found {token[:16]!r}", at=start)
-        value = int(token)
-        if not 1 <= value <= limit:
-            self.fail(f"{what} {value} out of range [1, {limit}]", at=start)
-        return value
+        # the length decides first: int() refuses tokens above 4300 digits
+        digits = token.lstrip(b"0") or b"0"
+        if len(digits) > len(str(limit)) or not 1 <= int(digits) <= limit:
+            self.fail(f"{what} {digits.decode()} out of range [1, {limit}]", at=start)
+        return int(digits)
 
     def require(self, count: int, what: str) -> None:
         """Fail before allocating unless count more bytes remain; guards declared sizes."""
@@ -155,7 +156,7 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     if k < edges.size // 2:
         at, end = (start + edges[2 * k : 2 * k + 2]).tolist()
         if k < last.size:
-            sc.fail(f"sample value {int(data[at:end])} exceeds maxval {maxval}", at=at)
+            sc.fail(f"sample value {data[at:end].lstrip(b'0').decode()} exceeds maxval {maxval}", at=at)
         sc.fail(f"expected sample value, found {data[at:end][:16]!r}", at=at)
     if last.size < n:
         sc.fail("expected sample value, found end of file", at=len(data))

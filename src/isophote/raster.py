@@ -25,8 +25,6 @@ __all__ = [
     "neighbors",
     "neighbor_any",
     "neighbor_min",
-    "signed_dtype",
-    "storage_dtype",
 ]
 
 
@@ -83,15 +81,32 @@ class Topology(enum.Enum):
 
 # N, W, E, S for N4; row-major NW..SE for N8. The order is part of the
 # public contract: neighbor lists and traced contours depend on it.
+_N4 = ((0, -1), (-1, 0), (1, 0), (0, 1))
 _SPATIAL_OFFSETS: dict[Topology, tuple[tuple[int, int], ...]] = {
-    Topology.N4: ((0, -1), (-1, 0), (1, 0), (0, 1)),
+    Topology.N4: _N4,
     Topology.N8: (
         (-1, -1), (0, -1), (1, -1),
         (-1, 0), (1, 0),
         (-1, 1), (0, 1), (1, 1),
     ),
-    Topology.N4T: ((0, -1), (-1, 0), (1, 0), (0, 1)),
+    Topology.N4T: _N4,
 }
+
+# Per array ndim: the coordinate type, and the nouns for it and its raster in errors.
+_COORDS = {2: (PixelCoord, "pixel", "grid"), 3: (StackCoord, "stack", "stack")}
+
+
+def array_index(p, ndim: int) -> tuple:
+    """The array index of coordinate p: (x, y) reads [y, x] and (x, y, t) reads [t, y, x]."""
+    if len(p) != ndim:
+        coord, noun, _ = _COORDS[ndim]
+        raise ValueError(f"{noun} coordinates need ({', '.join(coord._fields)}), got {p!r}")
+    return tuple(reversed(p))
+
+
+def coordinate(index) -> Union[PixelCoord, StackCoord]:
+    """The coordinate of an array index: the index reversed, as PixelCoord or StackCoord."""
+    return _COORDS[len(index)][0](*(int(i) for i in reversed(index)))
 
 
 def storage_dtype(max_value: int) -> np.dtype:
@@ -138,7 +153,35 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class IntensityGrid:
+class _FrozenRaster:
+    """The body IntensityGrid and FrameStack share: a frozen array of _NDIM axes.
+
+    Coordinates are the reversed array index, so x is the last axis, y the
+    one before it and t, on a stack, the leading one.
+    """
+
+    values: np.ndarray
+    max_value: int = 255
+    _NDIM = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _freeze_values(self.values, self.max_value, self._NDIM))
+        object.__setattr__(self, "max_value", int(self.max_value))
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[-1]
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[-2]
+
+    def value_at(self, p) -> int:
+        return int(self.values[array_index(p, self._NDIM)])
+
+
+@dataclass(frozen=True, eq=False)
+class IntensityGrid(_FrozenRaster):
     """A height x width raster of exact integer intensities in [0, max_value].
 
     ``values`` is a read-only copy of the input. It keeps the input's
@@ -148,65 +191,30 @@ class IntensityGrid:
     silently: do arithmetic on ``values`` only after ``astype(np.int64)``.
     """
 
-    values: np.ndarray
-    max_value: int = 255
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze_values(self.values, self.max_value, 2))
-        object.__setattr__(self, "max_value", int(self.max_value))
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], max_value: int = 255) -> "IntensityGrid":
         return cls(np.asarray(rows, dtype=np.int64), max_value)
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def value_at(self, p) -> int:
-        x, y = p
-        return int(self.values[y, x])
-
 
 @dataclass(frozen=True, eq=False)
-class FrameStack:
+class FrameStack(_FrozenRaster):
     """Frames stacked along a leading time axis; values has shape (frames, height, width).
 
-    N4T topology additionally links (x, y, t) to (x, y, t-1) and (x, y, t+1),
-    so the detector treats time exactly like another spatial direction.
+    ``values`` follows IntensityGrid's dtype rule. N4T topology additionally
+    links (x, y, t) to (x, y, t-1) and (x, y, t+1), so the detector treats
+    time exactly like another spatial direction.
     """
 
-    values: np.ndarray
-    max_value: int = 255
+    _NDIM = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze_values(self.values, self.max_value, 3))
-        object.__setattr__(self, "max_value", int(self.max_value))
+        _FrozenRaster.__post_init__(self)
         if self.values.shape[0] < 2:
             raise ValueError("a frame stack needs at least two frames")
 
     @property
     def frames(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    def frame(self, t: int) -> IntensityGrid:
-        return IntensityGrid(self.values[t], self.max_value)
-
-    def value_at(self, p) -> int:
-        x, y, t = p
-        return int(self.values[t, y, x])
 
 
 def frame_stack(frames: Sequence[IntensityGrid]) -> FrameStack:
@@ -236,33 +244,21 @@ def neighbors(p, grid: Grid, topology: Topology):
     never included.
     """
     topology.check_grid(grid)
-    values = grid.values
-    if values.ndim == 3:
-        if len(p) != 3:
-            raise ValueError(f"stack coordinates need (x, y, t), got {p!r}")
-        x, y, t = p
-        nframes, h, w = values.shape
-        if not (0 <= x < w and 0 <= y < h and 0 <= t < nframes):
-            raise ValueError(f"{p!r} lies outside a {w}x{h}x{nframes} stack")
-        out = [
-            StackCoord(x + dx, y + dy, t)
-            for dx, dy in topology.spatial_offsets
-            if 0 <= x + dx < w and 0 <= y + dy < h
-        ]
-        if topology.temporal:
-            out.extend(StackCoord(x, y, t + dt) for dt in (-1, 1) if 0 <= t + dt < nframes)
-        return out
-    if len(p) != 2:
-        raise ValueError(f"pixel coordinates need (x, y), got {p!r}")
-    x, y = p
-    h, w = values.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise ValueError(f"{p!r} lies outside a {w}x{h} grid")
-    return [
-        PixelCoord(x + dx, y + dy)
-        for dx, dy in topology.spatial_offsets
-        if 0 <= x + dx < w and 0 <= y + dy < h
-    ]
+    shape = grid.values.shape
+    index = array_index(p, len(shape))
+    if not _inside(index, shape):
+        size = "x".join(map(str, reversed(shape)))
+        raise ValueError(f"{p!r} lies outside a {size} {_COORDS[len(shape)][2]}")
+    out = []
+    for delta in _trailing_offsets(topology, len(shape)):
+        q = tuple(i + d for i, d in zip(index, (0,) * (len(shape) - len(delta)) + delta))
+        if _inside(q, shape):
+            out.append(coordinate(q))
+    return out
+
+
+def _inside(index: tuple, shape: tuple) -> bool:
+    return all(0 <= i < n for i, n in zip(index, shape))
 
 
 def _trailing_offsets(topology: Topology, ndim: int):

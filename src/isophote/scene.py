@@ -240,17 +240,11 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
     the image, so they can grade any detector.
     """
     dirs = spec.pixel_rays()
-    h, w = spec.height, spec.width
-    shape = (h, w)
-    if spec.objects:
-        taus = np.stack([_hit_distances(dirs, obj) for obj in spec.objects])
-        nearest = np.argmin(taus, axis=0)
-        depth = np.take_along_axis(taus, nearest[None], axis=0)[0]
-        ids = np.where(np.isfinite(depth), nearest, -1).astype(np.int64)
-    else:
-        taus = np.empty((0, h, w))
-        depth = np.full(shape, np.inf)
-        ids = np.full(shape, -1, dtype=np.int64)
+    shape = (spec.height, spec.width)
+    # row 0 is the background: a miss everywhere, which argmin picks only where every object misses
+    taus = np.stack([np.full(shape, np.inf)] + [_hit_distances(dirs, obj) for obj in spec.objects])
+    ids = np.argmin(taus, axis=0) - 1
+    depth = taus.min(axis=0)
 
     image = np.zeros(shape, dtype=np.int64)
     light = spec.light_direction
@@ -277,8 +271,7 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
         b, disc = _sphere_quadratic(dirs, obj)
         gy, gx = np.gradient(disc)
         near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
-        others = np.delete(taus, i, axis=0)
-        blocked = others.min(axis=0) < b - _RAY_EPS if others.size else np.zeros(shape, dtype=bool)
+        blocked = np.delete(taus, i + 1, axis=0).min(axis=0) < b - _RAY_EPS
         occluding |= near & (b > 0) & hit_any & ~blocked
 
     truth = GroundTruth(

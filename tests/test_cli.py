@@ -8,6 +8,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import LONG_TOKEN_FILES
 from hypothesis import HealthCheck, given, settings
 
 import isophote
@@ -138,6 +139,14 @@ class TestDetect:
         bad.write_bytes(data)
         assert main(["detect", "--channel", channel, str(bad), str(tmp_path / "out.pbm")]) == 2
         assert "at byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(LONG_TOKEN_FILES))
+    def test_token_too_long_for_int_exits_2_naming_offset(self, tmp_path, capsys, case):
+        data, message, offset = LONG_TOKEN_FILES[case]
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(data)
+        assert main(["detect", str(bad), str(tmp_path / "out.pbm")]) == 2
+        assert f"{message} at byte {offset}" in capsys.readouterr().err
 
     def test_pointwise_is_the_default_mode(self):
         parser = build_parser()

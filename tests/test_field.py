@@ -79,7 +79,7 @@ class TestHamiltonian:
 
     def test_vector_at(self):
         f = hamiltonian(ramp_x())
-        assert f.vector_at(PixelCoord(2, 2)) == (0, 2)
+        assert (f.hx[2, 2], f.hy[2, 2]) == (0, 2)  # (x, y) = (2, 2)
 
 
 class TestZeroMask:

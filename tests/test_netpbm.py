@@ -5,6 +5,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import LONG_TOKEN_FILES
 from hypothesis import HealthCheck, given, settings
 
 from isophote import (
@@ -364,6 +365,28 @@ class TestParseErrors:
         with pytest.raises(NetpbmError, match=f"sample value {value} exceeds maxval {maxval} at byte") as err:
             read_image(path)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("case", sorted(LONG_TOKEN_FILES))
+    def test_token_too_long_for_int_names_its_offset(self, tmp_path, case):
+        data, message, offset = LONG_TOKEN_FILES[case]
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(NetpbmError) as err:
+            read_image(path)
+        assert str(err.value) == f"{path}: {message} at byte {offset}"
+        assert err.value.offset == offset
+
+    def test_leading_zeros_leave_the_value_and_its_message(self, tmp_path):
+        zeros = b"0" * 5000
+        path = tmp_path / "padded.pgm"
+        path.write_bytes(b"P2\n" + zeros + b"2 1\n255\n1 " + zeros + b"7\n")
+        assert read_grid(path).values.tolist() == [[1, 7]]
+        path.write_bytes(b"P2\n2 1\n255\n1 " + zeros + b"300\n")
+        with pytest.raises(NetpbmError, match="sample value 300 exceeds maxval 255 at byte 13$"):
+            read_image(path)
+        path.write_bytes(b"P2\n2 1\n" + zeros + b"65536\n1 1\n")
+        with pytest.raises(NetpbmError, match=r"maxval 65536 out of range \[1, 65535\] at byte 7$"):
+            read_image(path)
 
     def test_header_eof(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -11,6 +11,7 @@ from isophote import (
     StackCoord,
     Topology,
     frame_stack,
+    level_curve_set,
     neighbor_any,
     neighbor_min,
     neighbors,
@@ -167,7 +168,66 @@ class TestFrameStack:
     def test_frame_roundtrip(self):
         frames = self.make_frames(1, 2)
         stack = frame_stack(frames)
-        assert np.array_equal(stack.frame(1).values, frames[1].values)
+        assert np.array_equal(stack.values[1], frames[1].values)
+
+
+@st.composite
+def rasters(draw):
+    """A random grid with N4 or N8, or a 2-3-frame stack with N4, N8 or N4T."""
+    frames = draw(st.sampled_from([None, 2, 3]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if frames is None:
+        make, topologies = IntensityGrid, [Topology.N4, Topology.N8]
+    else:
+        make, topologies, shape = FrameStack, list(Topology), (frames, *shape)
+    n = int(np.prod(shape))
+    vals = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    return make(np.array(vals).reshape(shape), 8), draw(st.sampled_from(topologies))
+
+
+class TestCoordinateRule:
+    """(x, y) and (x, y, t) are the reversed array index, for grids and stacks alike."""
+
+    @given(rasters(), st.integers(0, 9))
+    def test_coordinates_are_reversed_array_indices(self, raster_topology, c):
+        grid, topology = raster_topology
+        coord = StackCoord if grid.values.ndim == 3 else PixelCoord
+        lcs = level_curve_set(grid, c, topology)
+        assert lcs.members == {coord(*map(int, idx[::-1])) for idx in np.argwhere(lcs.mask)}
+        assert all(type(q) is coord for q in lcs.members)
+        for idx in np.ndindex(grid.values.shape):
+            p = idx[::-1]
+            assert grid.value_at(p) == grid.value_at(coord(*p)) == grid.values[idx]
+            assert (p in lcs) == bool(lcs.mask[idx])
+            for q in neighbors(p, grid, topology):
+                assert type(q) is coord and grid.value_at(q) == grid.values[q[::-1]]
+
+    @given(rasters())
+    def test_coordinate_errors_keep_their_wording(self, raster_topology):
+        grid, topology = raster_topology
+        lcs = level_curve_set(grid, 1, topology)
+        if grid.values.ndim == 3:
+            t, h, w = grid.values.shape
+            short, long, need, size = (0, 0), (0, 0, 0, 0), "stack coordinates need (x, y, t)", f"{w}x{h}x{t} stack"
+            outside = [(w, 0, 0), (0, h, 0), (0, 0, t), (0, 0, -1)]
+        else:
+            h, w = grid.values.shape
+            short, long, need, size = (0,), (0, 0, 0), "pixel coordinates need (x, y)", f"{w}x{h} grid"
+            outside = [(w, 0), (0, h), (-1, 0)]
+            with pytest.raises(ValueError, match=r"^N4T topology requires a frame stack$"):
+                neighbors((0, 0), grid, Topology.N4T)
+        for p in (short, long):
+            message = f"{need}, got {p!r}"
+            with pytest.raises(ValueError) as err:
+                neighbors(p, grid, topology)
+            assert str(err.value) == message
+            for probe in (grid.value_at, lcs.__contains__):
+                with pytest.raises(ValueError):
+                    probe(p)
+        for p in outside:
+            with pytest.raises(ValueError) as err:
+                neighbors(p, grid, topology)
+            assert str(err.value) == f"{p!r} lies outside a {size}"
 
 
 class TestVectorizedHelpers:
