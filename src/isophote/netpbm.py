@@ -26,6 +26,12 @@ __all__ = [
 _WS = b" \t\r\n\x0b\x0c"
 
 
+def _number(token: bytes) -> str:
+    """A digit token for a message: no leading zeros, cut to 16 digits like every quoted token."""
+    digits = token.lstrip(b"0") or b"0"
+    return digits[:16].decode() + ("..." if len(digits) > 16 else "")
+
+
 class NetpbmError(ValueError):
     """Malformed Netpbm data; the message names the byte offset."""
 
@@ -69,7 +75,7 @@ class _Scanner:
         # the length decides first: int() refuses tokens above 4300 digits
         digits = token.lstrip(b"0") or b"0"
         if len(digits) > len(str(limit)) or not 1 <= int(digits) <= limit:
-            self.fail(f"{what} {digits.decode()} out of range [1, {limit}]", at=start)
+            self.fail(f"{what} {_number(digits)} out of range [1, {limit}]", at=start)
         return int(digits)
 
     def require(self, count: int, what: str) -> None:
@@ -156,7 +162,7 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     if k < edges.size // 2:
         at, end = (start + edges[2 * k : 2 * k + 2]).tolist()
         if k < last.size:
-            sc.fail(f"sample value {data[at:end].lstrip(b'0').decode()} exceeds maxval {maxval}", at=at)
+            sc.fail(f"sample value {_number(data[at:end])} exceeds maxval {maxval}", at=at)
         sc.fail(f"expected sample value, found {data[at:end][:16]!r}", at=at)
     if last.size < n:
         sc.fail("expected sample value, found end of file", at=len(data))

@@ -201,27 +201,29 @@ class GroundTruth:
             a.setflags(write=False)
 
 
-def _sphere_quadratic(dirs: np.ndarray, sphere: Sphere) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel (b, disc) for |tau*d - c|^2 = r^2 with unit d: tau^2 - 2 b tau + (c.c - r^2)."""
-    b = dirs @ sphere.center
-    disc = b * b - (sphere.center @ sphere.center - sphere.radius**2)
-    return b, disc
+def _sphere_box(spec: SceneSpec, sphere: Sphere) -> tuple[slice, slice]:
+    """(rows, cols) of a box, maybe empty, holding every pixel where the sphere is hit or `near` holds.
 
-
-def _hit_distances(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
-    """Distance to the nearest intersection along each ray, +inf where none."""
-    if isinstance(obj, Sphere):
-        b, disc = _sphere_quadratic(dirs, obj)
-        root = np.sqrt(np.maximum(disc, 0.0))
-        near = b - root
-        far = b + root
-        tau = np.where(near > _RAY_EPS, near, np.where(far > _RAY_EPS, far, np.inf))
-        return np.where(disc >= 0.0, tau, np.inf)
-    denom = dirs @ obj.normal
-    offset = float(obj.point @ obj.normal)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = offset / denom
-    return np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
+    It bounds the cone about c whose half-angle exceeds the silhouette's by x,
+    sin x = 2 pitch + 1e-6. Adjacent rays are at most a pitch apart in angle
+    and -disc = |c|^2 sin^2(angle to c) - r^2, so past the cone the neighbors
+    of a pixel miss with at most 2.25 times its -disc, and central or one-sided
+    differences give |disc| > 0.5 |grad disc| (the 1e-6 outweighs rounding).
+    Per axis the tangent planes through the camera meet the retina at the
+    roots of t^2 (cz^2 - R^2) - 2 t cu cz + cu^2 - R^2, R = |c| sin(half-angle).
+    """
+    c, pitch = sphere.center, 2.0 * spec.fov / spec.width
+    sin0, sinx = sphere.radius / np.sqrt(c @ c), min(2.0 * pitch + 1e-6, 1.0)
+    cos0, cosx = np.sqrt(1.0 - sin0 * sin0), np.sqrt(1.0 - sinx * sinx)
+    radius = np.sqrt(c @ c) * (sin0 * cosx + cos0 * sinx)
+    a = c[2] * c[2] - radius * radius
+    if cos0 * cosx <= sin0 * sinx or a <= 0:  # the cone reaches 90 degrees from c or the focal plane
+        return slice(0, spec.height), slice(0, spec.width)
+    q = c[:2] * c[2] + np.copysign(radius * np.sqrt(c[:2] ** 2 + a), c[:2])  # roots q/a, product/q
+    roots = np.array([q / a, (c[:2] ** 2 - radius * radius) / q]) / pitch - 0.5 + spec.principal
+    lo = np.clip(np.floor(roots.min(axis=0)), 0, (spec.width, spec.height)).astype(int)
+    hi = np.clip(np.ceil(roots.max(axis=0)) + 1, lo, (spec.width, spec.height)).astype(int)
+    return slice(lo[1], hi[1]), slice(lo[0], hi[0])
 
 
 def _identity_changes(ids: np.ndarray) -> np.ndarray:
@@ -239,40 +241,67 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
     the tangency condition and nearest-object identity changes, not from
     the image, so they can grade any detector.
     """
-    dirs = spec.pixel_rays()
+    return _render(spec, spec.pixel_rays())
+
+
+def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
+    # `@` on a rectangular view of an (h, w, 3) array at least 2 columns wide (or all of a 1-wide
+    # image) rounds each pixel as over the whole image; one column may not. Shading widens its box
+    # to 2 columns; a sphere box is 1 column only at an image edge outside the cone, where no hit or
+    # `near` lands whatever the rounding.
     shape = (spec.height, spec.width)
-    # row 0 is the background: a miss everywhere, which argmin picks only where every object misses
-    taus = np.stack([np.full(shape, np.inf)] + [_hit_distances(dirs, obj) for obj in spec.objects])
-    ids = np.argmin(taus, axis=0) - 1
-    depth = taus.min(axis=0)
+    depth, second = np.full(shape, np.inf), np.full(shape, np.inf)  # second counts ties
+    ids = np.full(shape, -1, dtype=np.intp)
+    whole = (slice(0, spec.height), slice(0, spec.width))
+    boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in spec.objects]
+    spheres = []
+    for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
+        if isinstance(obj, Sphere):
+            b = dirs[box] @ obj.center  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
+            disc = b * b - (obj.center @ obj.center - obj.radius**2)
+            # the box's border lies outside the cone, where central, one-sided or (along an axis of
+            # length 1) zero differences all leave `near` false
+            gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
+            near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
+            spheres.append((i, box, b, near))
+            root = np.sqrt(np.maximum(disc, 0.0))
+            tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
+            tau = np.where(disc >= 0.0, tau, np.inf)
+        else:
+            denom = dirs @ obj.normal
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = float(obj.point @ obj.normal) / denom
+            tau = np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
+        # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
+        closer = tau < depth[box]
+        second[box] = np.where(closer, depth[box], np.minimum(second[box], tau))
+        depth[box] = np.minimum(depth[box], tau)
+        ids[box][closer] = i
 
     image = np.zeros(shape, dtype=np.int64)
-    light = spec.light_direction
-    points = dirs * np.where(np.isfinite(depth), depth, 0.0)[..., None]
-    for i, obj in enumerate(spec.objects):
-        sel = ids == i
-        if not sel.any():
+    for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
+        mine = ids[box] == i
+        rows, cols = np.flatnonzero(mine.any(axis=1)), np.flatnonzero(mine.any(axis=0))
+        if not rows.size:
             continue
+        # shade the box of the object's nearest pixels, at least 2 columns wide for `@`
+        c0 = min(box[1].start + cols[0], max(spec.width - 2, 0))
+        c1 = max(box[1].start + cols[-1] + 1, c0 + min(spec.width, 2))
+        win = (slice(box[0].start + rows[0], box[0].start + rows[-1] + 1), slice(c0, c1))
         if isinstance(obj, Sphere):
+            points = dirs[win] * np.where(np.isfinite(depth[win]), depth[win], 0.0)[..., None]
             normals = (points - obj.center) / obj.radius
         else:
-            flip = -np.sign(dirs @ obj.normal)
-            normals = flip[..., None] * obj.normal
-        lam = np.maximum(0.0, normals @ light)
+            normals = -np.sign(dirs[win] @ obj.normal)[..., None] * obj.normal
+        lam = np.maximum(0.0, normals @ spec.light_direction)
         value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * lam
         shade = np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
-        image[sel] = shade[sel]
+        image[win] = np.where(ids[win] == i, shade, image[win])
 
     occluding = np.zeros(shape, dtype=bool)
-    hit_any = ids >= 0
-    for i, obj in enumerate(spec.objects):
-        if not isinstance(obj, Sphere):
-            continue
-        b, disc = _sphere_quadratic(dirs, obj)
-        gy, gx = np.gradient(disc)
-        near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
-        blocked = np.delete(taus, i + 1, axis=0).min(axis=0) < b - _RAY_EPS
-        occluding |= near & (b > 0) & hit_any & ~blocked
+    for i, box, b, near in spheres:
+        others = np.where(ids[box] == i, second[box], depth[box])  # the nearest hit of another object
+        occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
 
     truth = GroundTruth(
         occluding_mask=occluding,
@@ -298,10 +327,11 @@ def render_sequence(
     shift = np.asarray(motion, dtype=float)
     if shift.shape != (3,):
         raise SceneError("motion must have 3 components")
+    dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
     grids, truths = [], []
     for i in range(frames):
         moved = dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
-        grid, truth = render(moved)
+        grid, truth = _render(moved, dirs)
         grids.append(grid)
         truths.append(truth)
     return grids, truths

@@ -112,13 +112,14 @@ def grid_rows(draw, max_side=6, max_value=12):
 topologies = st.sampled_from([Topology.N4, Topology.N8])
 
 # Plain files whose one bad token is longer than the 4300 digits int() accepts:
-# (data, the error text before " at byte", the token's offset).
+# (data, the error text before " at byte", the token's offset). Messages quote 16 digits.
 _HUGE = b"9" * 5000
+_CUT = "9" * 16 + "..."
 LONG_TOKEN_FILES = {
-    "sample": (b"P2\n2 1\n255\n1 " + _HUGE + b"\n", f"sample value {_HUGE.decode()} exceeds maxval 255", 13),
-    "width": (b"P2\n" + _HUGE + b" 1\n255\n1 1\n", f"width {_HUGE.decode()} out of range [1, 1073741824]", 3),
-    "height": (b"P2\n2 " + _HUGE + b"\n255\n1 1\n", f"height {_HUGE.decode()} out of range [1, 1073741824]", 5),
-    "maxval": (b"P2\n2 1\n" + _HUGE + b"\n1 1\n", f"maxval {_HUGE.decode()} out of range [1, 65535]", 7),
+    "sample": (b"P2\n2 1\n255\n1 " + _HUGE + b"\n", f"sample value {_CUT} exceeds maxval 255", 13),
+    "width": (b"P2\n" + _HUGE + b" 1\n255\n1 1\n", f"width {_CUT} out of range [1, 1073741824]", 3),
+    "height": (b"P2\n2 " + _HUGE + b"\n255\n1 1\n", f"height {_CUT} out of range [1, 1073741824]", 5),
+    "maxval": (b"P2\n2 1\n" + _HUGE + b"\n1 1\n", f"maxval {_CUT} out of range [1, 65535]", 7),
 }
 
 

@@ -19,6 +19,7 @@ from isophote import (
     apply_operator,
     detect_multilevel,
     frame_stack,
+    load_scene,
     read_grid,
     read_pbm,
     render,
@@ -238,6 +239,20 @@ class TestRender:
         assert code == 0
         from isophote import load_scene
 
+        grid, gt = render(load_scene(scene))
+        assert np.array_equal(read_grid(out).values, grid.values)
+        assert np.array_equal(read_pbm(truth), gt.discontinuity_mask)
+        assert np.array_equal(read_pbm(occ), gt.occluding_mask)
+
+    @pytest.mark.parametrize("width, height", [(40, 1), (1, 40), (1, 1)])
+    def test_thin_image_with_a_sphere(self, tmp_path, width, height):
+        cfg = {"image": {"width": width, "height": height, "fov": 0.25},
+               "objects": [{"type": "sphere", "center": [0, 0, 5], "radius": 1}]}
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        out, truth, occ = tmp_path / "img.pgm", tmp_path / "truth.pbm", tmp_path / "occ.pbm"
+        assert main(["render", "--scene", str(scene), "--out", str(out),
+                     "--truth", str(truth), "--occluding", str(occ)]) == 0
         grid, gt = render(load_scene(scene))
         assert np.array_equal(read_grid(out).values, grid.values)
         assert np.array_equal(read_pbm(truth), gt.discontinuity_mask)

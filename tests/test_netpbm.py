@@ -388,6 +388,23 @@ class TestParseErrors:
         with pytest.raises(NetpbmError, match=r"maxval 65536 out of range \[1, 65535\] at byte 7$"):
             read_image(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n2 1\n255\n1 00" + b"9" * 16 + b"\n", "sample value " + "9" * 16 + " exceeds maxval 255"),
+            (b"P2\n2 1\n255\n1 00" + b"9" * 17 + b"\n", "sample value " + "9" * 16 + "... exceeds maxval 255"),
+            (b"P2\n" + b"1" * 16 + b" 1\n255\n1 1\n", "width " + "1" * 16 + " out of range [1, 1073741824]"),
+            (b"P2\n" + b"1" * 17 + b" 1\n255\n1 1\n", "width " + "1" * 16 + "... out of range [1, 1073741824]"),
+        ],
+        ids=["sample-16", "sample-17", "width-16", "width-17"],
+    )
+    def test_messages_quote_at_most_16_digits(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(NetpbmError) as err:
+            read_image(path)
+        assert str(err.value) == f"{path}: {message} at byte {err.value.offset}"
+
     def test_header_eof(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2")

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import reference_scene
 from conftest import BRUTE_OFFSETS, cheb_dilate
+from hypothesis import example, given, settings
 
 from isophote import (
     FocalPlaneError,
@@ -257,6 +261,123 @@ class TestRender:
         a, _ = render(sphere_scene())
         b, _ = render(sphere_scene())
         assert np.array_equal(a.values, b.values)
+
+
+def assert_same_render(got, want):
+    """Image values, both masks, depth and ids equal, with equal dtypes."""
+    (grid, truth), (ref_grid, ref_truth) = got, want
+    assert grid.max_value == ref_grid.max_value
+    pairs = [(grid.values, ref_grid.values)]
+    pairs += [(getattr(truth, f), getattr(ref_truth, f)) for f in ("occluding_mask", "discontinuity_mask",
+                                                                   "depth_map", "object_ids")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def nonzero(v):
+    return math.hypot(*v) > 1e-3
+
+
+@st.composite
+def scenes(draw):
+    """Scene configs from 2x2 up: spheres from sub-pixel size up, some 0-5 px outside the
+    view or duplicated (exact depth ties), planes including edge-on ones through the camera,
+    fov 0.05-2, principal points up to ten image sizes off center, max_value 1/255/65535."""
+    w, h = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    fov = draw(st.floats(0.05, 2.0))
+    off = st.tuples(st.floats(-10.0 * w, 11.0 * w), st.floats(-10.0 * h, 11.0 * h))
+    principal = draw(st.one_of(st.none(), st.tuples(st.floats(0, w), st.floats(0, h)), off))
+    cx, cy = principal if principal is not None else (w / 2.0, h / 2.0)
+    pitch = 2.0 * fov / w
+    coord = st.floats(-3.0, 3.0)
+    objects = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["sphere", "sphere", "outside", "copy", "plane", "edge-on"]))
+        albedo = draw(st.floats(0.0, 1.0))
+        if kind == "copy" and objects:
+            objects.append(dataclasses.replace(draw(st.sampled_from(objects)), albedo=albedo))
+        elif kind in ("sphere", "outside", "copy"):
+            z = draw(st.floats(1.0, 20.0))
+            radius = draw(st.one_of(st.floats(0.001, 0.01), st.floats(0.001, 0.9 * z)))
+            x, y = draw(st.floats(-5.0, w + 5.0)), draw(st.floats(-5.0, h + 5.0))
+            if kind == "outside":  # the silhouette ends 0-5 px left of or above the view
+                gap = draw(st.floats(0.0, 5.0)) + radius / math.sqrt(z * z - radius * radius) / pitch
+                x, y = draw(st.sampled_from([(-0.5 - gap, y), (x, -0.5 - gap)]))
+            center = ((x + 0.5 - cx) * pitch * z, (y + 0.5 - cy) * pitch * z, z)
+            objects.append(Sphere(center=center, radius=radius, albedo=albedo))
+        else:
+            normal = draw(st.tuples(coord, coord, st.one_of(st.just(0.0), coord)).filter(nonzero))
+            point = (0.0, 0.0, 0.0) if kind == "edge-on" else draw(st.tuples(coord, coord, coord))
+            objects.append(Plane(point=point, normal=normal, albedo=albedo))
+    light = draw(st.tuples(coord, coord, coord).filter(nonzero))
+    ambient = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    max_value = draw(st.sampled_from([1, 255, 65535]))
+    return SceneSpec(w, h, tuple(objects), light, ambient, fov, max_value, principal)
+
+
+# On this wide-angle view `near` holds up to 26 px past the sphere's silhouette.
+WIDE_ANGLE = SceneSpec(
+    5, 38,
+    (Sphere((-68.54278283519734, 488.8629972217323, 8.457343744239067), 0.03403408162719329),
+     Plane((-137.08556567039468, 977.7259944434646, 16.914687488478134),
+           (68.54278283519734, -488.8629972217323, -8.457343744239067))),
+    (0.0, 0.0, -1.0), 0.2, 1.8469983706337296, 255, (8.339761526842583, -40.313298912561024),
+)
+# A plane nearest in one column of two, with n.l within an ulp of 0.5 at max_value 1: shaded from a
+# 1-column view, `normals @ light` can round to the other side of rint's tie.
+ONE_COLUMN = SceneSpec(
+    2, 3,
+    (Plane((0.9942201753498913, 0.10573810701203151, -0.018592892533001504),
+           (0.9942201753498913, 0.10573810701203151, -0.018592892533001504)),),
+    (-0.4290312480189637, -0.7759408668529136, -0.4624369788099126), 0.0, 1.0, 1,
+)
+
+
+class TestRenderIdentity:
+    """render and render_sequence against the whole-image renderer they replaced."""
+
+    @given(scenes())
+    @example(WIDE_ANGLE)
+    @example(ONE_COLUMN)
+    @settings(max_examples=300, deadline=None)
+    def test_render_matches_reference(self, spec):
+        assert_same_render(render(spec), reference_scene.render(spec))
+
+    @given(scenes(), st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+           st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_render_sequence_matches_reference(self, spec, motion, frames):
+        try:
+            want = reference_scene.render_sequence(spec, motion, frames)
+        except SceneError:  # a moved sphere reached the camera
+            with pytest.raises(SceneError):
+                render_sequence(spec, motion, frames)
+            return
+        got = render_sequence(spec, motion, frames)
+        for pair in zip(zip(*got), zip(*want)):
+            assert_same_render(*pair)
+
+
+class TestThinImages:
+    """1x1, 1xN and Nx1 views of a sphere; the derivative along an axis of length 1 is 0."""
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (40, 1), (1, 40), (2, 1), (1, 2)])
+    def test_sphere_masks_follow_the_definition(self, width, height):
+        # a pitch of 1/80 retina units: the 40-px axis shows the whole silhouette and some background
+        spec = SceneSpec(width, height, (Sphere((0.05, -0.02, 5.0), 1.0),), fov=width / 160)
+        grid, truth = render(spec)
+        c = spec.objects[0].center
+        b = spec.pixel_rays() @ c
+        disc = b * b - (c @ c - 1.0)
+        grads = [np.gradient(disc, axis=k) if disc.shape[k] > 1 else np.zeros_like(disc) for k in (0, 1)]
+        hit = disc >= 0
+        assert np.array_equal(truth.object_ids, np.where(hit, 0, -1))
+        assert np.array_equal(truth.occluding_mask, hit & (np.abs(disc) <= 0.5 * np.hypot(*grads)))
+        assert (grid.values[hit] > 0).all() and not grid.values[~hit].any()
+        assert hit.any()
+        if max(width, height) == 40:
+            assert not hit.all()
 
 
 class TestRenderSequence:
