@@ -20,7 +20,7 @@ from .field import (
     zero_mask,
 )
 from .netpbm import NetpbmError, read_grid, write_pbm, write_pgm
-from .raster import IntensityGrid, Topology, frame_stack
+from .raster import IntensityGrid, Topology, frame_stack, storage_dtype
 from .scene import SceneError, load_scene, render, render_sequence
 
 _TOPOLOGIES = {"4": Topology.N4, "8": Topology.N8}
@@ -119,12 +119,13 @@ def cmd_detect(args) -> int:
     mask = _DETECTORS[args.mode](grid, schedule, _TOPOLOGIES[args.topology])
     flagged = mask.flagged
     if args.filter_occluding:
-        flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
+        flagged &= ~zero_mask(hamiltonian(grid, where=flagged), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
         counts = mask.level_count
         ceiling = max(1, int(counts.max()))
-        write_pgm(args.levels_out, IntensityGrid(counts, ceiling), binary=not args.ascii)
+        narrow = counts.astype(storage_dtype(ceiling))
+        write_pgm(args.levels_out, IntensityGrid(narrow, ceiling), binary=not args.ascii)
     return 0
 
 

@@ -310,8 +310,9 @@ def detect_pointwise(
     # every intermediate below lies within this bound of zero
     dtype = signed_dtype(_check_range(grid, schedule))
     values = grid.values
-    fill = grid.max_value + 2  # beyond every admissible threshold
-    m = neighbor_min(values, topology, fill)
+    # a pixel without neighbors gets m = max_value >= I(p), an empty
+    # interval; the fill fits the grid's dtype, so m keeps it
+    m = neighbor_min(values, topology, grid.max_value)
     inc, offset = schedule.increment, schedule.offset
     cap = schedule.cap(grid.max_value)
     # k_hi: largest k with offset + k * inc <= min(I(p), cap)

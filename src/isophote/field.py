@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
@@ -36,24 +37,37 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class VectorFieldGrid:
-    """Per-pixel integer 2-vectors (hx, hy), same shape as the source grid."""
+    """Per-pixel integer 2-vectors (hx, hy) on the source grid.
+
+    Without a support the components have the grid's shape. With one, a
+    boolean mask of the grid's shape, they hold the vectors at its True
+    pixels only, in scan order, and the field is undefined elsewhere.
+    """
 
     hx: np.ndarray
     hy: np.ndarray
+    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.hx.shape != self.hy.shape:
             raise ValueError("component arrays must share a shape")
-        self.hx.setflags(write=False)
-        self.hy.setflags(write=False)
+        if self.support is not None and self.hx.shape != (np.count_nonzero(self.support),):
+            raise ValueError("components on a support hold one value per supported pixel")
+        for a in (self.hx, self.hy, self.support):
+            if a is not None:
+                a.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.hx.shape if self.support is None else self.support.shape
 
     @property
     def width(self) -> int:
-        return self.hx.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.hx.shape[0]
+        return self.shape[0]
 
 
 def _axis_slicer(ndim: int, axis: int):
@@ -78,34 +92,78 @@ def _doubled_diff(v: np.ndarray, axis: int, dtype) -> np.ndarray:
     return out
 
 
+def _field_dtype(grid: IntensityGrid) -> np.dtype:
+    # |hx| + |hy| in zero_mask reaches 4 * max_value; int32 at least keeps
+    # products of two components exact on 8-bit grids
+    return np.promote_types(signed_dtype(4 * grid.max_value), np.int32)
+
+
 def discrete_gradient(grid: IntensityGrid) -> tuple[np.ndarray, np.ndarray]:
     """(gx, gy) with gx = I(x+1,y) - I(x-1,y), gy = I(x,y+1) - I(x,y-1) in the interior.
 
     Both are int32, or int64 when max_value is too large for that. Widen
     them before multiplying two of them together.
     """
-    # |hx| + |hy| in zero_mask reaches 4 * max_value; int32 at least keeps
-    # products of two components exact on 8-bit grids
-    dtype = np.promote_types(signed_dtype(4 * grid.max_value), np.int32)
+    dtype = _field_dtype(grid)
     gx = _doubled_diff(grid.values, 1, dtype)
     gy = _doubled_diff(grid.values, 0, dtype)
     return gx, gy
 
 
-def hamiltonian(grid: IntensityGrid) -> VectorFieldGrid:
-    """The rotated gradient (-gy, gx); orthogonal to the gradient by construction."""
-    gx, gy = discrete_gradient(grid)
+def _gathered_diff(flat, index, pos, n: int, step: int, dtype) -> np.ndarray:
+    """The differences of _doubled_diff at the given flat indices only.
+
+    pos is each index's place along the axis, n the axis length and step
+    its flat stride. A border pixel pairs with itself on its missing side
+    and its difference is doubled; on an axis of length 1 both sides are
+    the pixel itself, so the result is 0.
+    """
+    inner_hi, inner_lo = pos < n - 1, pos > 0
+    hi = index + step * inner_hi
+    lo = index - step * inner_lo
+    out = np.subtract(flat.take(hi), flat.take(lo), dtype=dtype)
+    out <<= ~(inner_hi & inner_lo)  # doubles the one-sided differences
+    return out
+
+
+def hamiltonian(grid: IntensityGrid, where: Optional[np.ndarray] = None) -> VectorFieldGrid:
+    """The rotated gradient (-gy, gx); orthogonal to the gradient by construction.
+
+    With ``where``, a boolean mask of the grid's shape, the field is
+    evaluated only at its True pixels and carries it as its support; each
+    vector equals the whole-image one at that pixel.
+    """
+    if where is None:
+        gx, gy = discrete_gradient(grid)
+        np.negative(gy, out=gy)
+        return VectorFieldGrid(gy, gx)
+    support = np.array(where, dtype=bool)
+    if support.shape != grid.values.shape:
+        raise ValueError(f"where has shape {support.shape}, the grid {grid.values.shape}")
+    h, w = support.shape
+    index = np.flatnonzero(support)
+    row, col = np.divmod(index, w)
+    flat, dtype = grid.values.ravel(), _field_dtype(grid)
+    gx = _gathered_diff(flat, index, col, w, 1, dtype)
+    gy = _gathered_diff(flat, index, row, h, w, dtype)
     np.negative(gy, out=gy)
-    return VectorFieldGrid(gy, gx)
+    return VectorFieldGrid(gy, gx, support)
 
 
 def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
-    """Pixels where |hx| + |hy| <= tolerance; exact integer zeros at tolerance 0."""
+    """Pixels where |hx| + |hy| <= tolerance; exact integer zeros at tolerance 0.
+
+    On a field with a support the mask is False outside it.
+    """
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
     total = np.abs(field.hx)
     total += np.abs(field.hy)
-    return total <= tolerance
+    if field.support is None:
+        return total <= tolerance
+    out = np.zeros(field.shape, dtype=bool)
+    out[field.support] = total <= tolerance
+    return out
 
 
 def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:

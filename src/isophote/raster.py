@@ -320,9 +320,9 @@ def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:
 def neighbor_min(values: np.ndarray, topology: Topology, fill: int) -> np.ndarray:
     """Per-pixel minimum over topology-neighbors; fill where a pixel has none.
 
-    fill must exceed every intensity that matters to the caller, so that
-    missing neighbors never win the minimum. The result keeps the dtype
-    of values when that holds fill, else the narrowest one that holds both.
+    fill must be at least every intensity that matters to the caller, so
+    that a missing neighbor never lowers the minimum. The result keeps the
+    dtype of values when that holds fill, else the narrowest one that holds both.
     """
     dtype = values.dtype
     if fill > np.iinfo(dtype).max:

@@ -19,12 +19,15 @@ from isophote import (
     apply_operator,
     detect_multilevel,
     frame_stack,
+    hamiltonian,
     load_scene,
     read_grid,
     read_pbm,
     render,
+    write_pbm,
     write_pgm,
     write_ppm,
+    zero_mask,
 )
 from isophote.cli import build_parser, main
 
@@ -106,6 +109,53 @@ class TestDetect:
         assert main(["detect", str(step_image), str(plain)]) == 0
         assert main(["detect", "--filter-occluding", str(step_image), str(filt)]) == 0
         assert not (read_pbm(filt) & ~read_pbm(plain)).any()
+
+    @pytest.mark.parametrize("tolerance", [0, 3])
+    @pytest.mark.parametrize("flag, topology", [("4", Topology.N4), ("8", Topology.N8)])
+    def test_filter_occluding_equals_the_whole_image_filter(self, tmp_path, tolerance, flag, topology):
+        rng = np.random.default_rng(11)
+        vals = rng.choice([0, 100, 200], size=(23, 31)) + rng.integers(0, 2, size=(23, 31))
+        src = tmp_path / "in.pgm"
+        write_pgm(src, IntensityGrid(vals, 255))
+        out = tmp_path / "mask.pbm"
+        argv = ["detect", str(src), str(out), "--topology", flag, "--increment", "16",
+                "--filter-occluding", "--filter-tolerance", str(tolerance)]
+        assert main(argv) == 0
+        grid = read_grid(src)
+        flagged = detect_multilevel(grid, ThresholdSchedule(16), topology).flagged
+        kept = flagged & ~zero_mask(hamiltonian(grid), tolerance)
+        assert kept.any() and (flagged & ~kept).any()  # the filter keeps some flags and drops some
+        expect = tmp_path / "expect.pbm"
+        write_pbm(expect, kept)
+        assert out.read_bytes() == expect.read_bytes()
+
+    @pytest.mark.parametrize("ascii", [False, True])
+    @pytest.mark.parametrize("rows, max_value, ceiling", [
+        ([[7, 7], [7, 7]], 255, 1),  # no pixel is counted at all
+        ([[0, 1, 1]], 255, 1),
+        ([[0, 255], [255, 3]], 255, 255),  # P5 8-bit
+        ([[0, 256], [256, 9]], 300, 256),  # P5 16-bit
+    ])
+    def test_levels_out_bytes_at_ceilings(self, tmp_path, ascii, rows, max_value, ceiling):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, IntensityGrid.from_rows(rows, max_value))
+        levels = tmp_path / "levels.pgm"
+        argv = ["detect", str(src), str(tmp_path / "mask.pbm"), "--increment", "1",
+                "--levels-out", str(levels)] + (["--ascii"] if ascii else [])
+        assert main(argv) == 0
+        counts = detect_multilevel(read_grid(src), ThresholdSchedule(1), Topology.N4).level_count
+        assert max(1, int(counts.max())) == ceiling
+        expect = tmp_path / "expect.pgm"
+        write_pgm(expect, IntensityGrid(counts, ceiling), binary=not ascii)
+        assert levels.read_bytes() == expect.read_bytes()
+
+    def test_levels_out_above_pgm_range_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, IntensityGrid.from_rows([[0, 65535, 0]], 65535))
+        argv = ["detect", str(src), str(tmp_path / "mask.pbm"), "--increment", "1",
+                "--preprocess", "dx", "--levels-out", str(tmp_path / "levels.pgm")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "isophote: error: PGM maxval limit is 65535, grid has 131070\n"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pbm")])

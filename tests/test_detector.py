@@ -45,11 +45,18 @@ def dtype_boundary_cases(draw):
     """Grids whose max_value sits at a storage width boundary, with schedules of few levels.
 
     Values cluster at both ends of [0, max_value], so the neighbor minimum's
-    fill (max_value + 2) and thresholds at the top of the range all matter.
+    fill (max_value) and thresholds at the top of the range all matter.
+    Thin grids have pixels with no neighbor along an axis, and a 1x1 grid
+    has one with none at all.
     """
-    mv = draw(st.sampled_from([255, 256, 65535, 65536]))
-    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    value = st.one_of(st.integers(0, 3), st.integers(mv - 40, mv))
+    mv = draw(st.sampled_from([0, 1, 255, 256, 65535, 65536]))
+    w, h = draw(st.one_of(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        st.sampled_from([(1, 1)]),
+        st.tuples(st.just(1), st.integers(2, 9)),
+        st.tuples(st.integers(2, 9), st.just(1)),
+    ))
+    value = st.one_of(st.integers(0, min(3, mv)), st.integers(max(mv - 40, 0), mv))
     rows = draw(st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h))
     near_top = st.builds(
         ThresholdSchedule,
@@ -62,7 +69,14 @@ def dtype_boundary_cases(draw):
         st.integers(mv // 32 + 1, mv + 2),
         offset=st.one_of(st.none(), st.integers(-3, 3)),
     )
-    return rows, mv, draw(st.one_of(near_top, coarse))
+    # offsets <= 0 and a ceiling below max_value + 1, the default cap
+    low = st.builds(
+        ThresholdSchedule,
+        st.integers(max(1, (mv + 7) // 32), mv + 2),
+        offset=st.integers(-6, 0),
+        ceiling=st.one_of(st.none(), st.integers(-2, mv)),
+    )
+    return rows, mv, draw(st.one_of(near_top, coarse, low))
 
 
 @st.composite
@@ -344,7 +358,7 @@ class TestDetectPointwise:
         assert len(messages) == 1
 
     @given(dtype_boundary_cases(), topologies)
-    @settings(max_examples=120)
+    @settings(max_examples=300)
     def test_routes_and_brute_agree_at_dtype_boundaries(self, case, topology):
         rows, mv, sch = case
         g = IntensityGrid(np.array(rows, dtype=storage_dtype(mv)), mv)

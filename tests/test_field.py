@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from conftest import grid_rows, topologies
-from hypothesis import given
+from hypothesis import given, settings
 from reference_trace import (
     reference_contours_to_svg,
     reference_contours_to_text,
@@ -106,6 +106,43 @@ class TestZeroMask:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             zero_mask(hamiltonian(ramp_x()), -1)
+
+
+@st.composite
+def supported_fields(draw):
+    """A grid (thin shapes included; 8-bit, 16-bit or after dx) and a random mask of its shape."""
+    h, w = draw(st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.sampled_from([(1, 1)]),
+        st.tuples(st.just(1), st.integers(2, 9)),
+        st.tuples(st.integers(2, 9), st.just(1)),
+    ))
+    mv = draw(st.sampled_from([255, 65535]))
+    value = st.one_of(st.integers(0, mv), st.sampled_from([0, 1, mv - 1, mv]))
+    rows = draw(st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h))
+    grid = IntensityGrid(np.array(rows), mv)
+    if draw(st.booleans()):
+        grid = apply_operator(grid, "dx")  # max_value 510 or 131070
+    bits = st.lists(st.lists(st.booleans(), min_size=w, max_size=w), min_size=h, max_size=h)
+    return grid, np.array(draw(bits), dtype=bool)
+
+
+class TestSupport:
+    """hamiltonian(grid, where=mask) is the whole-image field at the mask's pixels."""
+
+    @given(supported_fields(), st.sampled_from([0, 1, 7]))
+    @settings(max_examples=200)
+    def test_equals_the_whole_image_field_at_the_mask(self, case, tolerance):
+        grid, mask = case
+        whole, part = hamiltonian(grid), hamiltonian(grid, where=mask)
+        assert np.array_equal(part.hx, whole.hx[mask]) and np.array_equal(part.hy, whole.hy[mask])
+        assert (part.width, part.height) == (grid.width, grid.height)
+        expect = mask & zero_mask(whole, tolerance)
+        assert np.array_equal(zero_mask(part, tolerance), expect)
+
+    def test_mask_of_another_shape_rejected(self):
+        with pytest.raises(ValueError):
+            hamiltonian(ramp_x(6, 5), where=np.ones((6, 5), dtype=bool))
 
 
 class TestUnsignedStorage:
