@@ -23,7 +23,6 @@ from .netpbm import NetpbmError, read_grid, write_pbm, write_pgm
 from .raster import IntensityGrid, Topology, frame_stack, storage_dtype
 from .scene import SceneError, load_scene, render, render_sequence
 
-_TOPOLOGIES = {"4": Topology.N4, "8": Topology.N8}
 _DETECTORS = {"multilevel": detect_multilevel, "pointwise": detect_pointwise}
 
 
@@ -116,7 +115,7 @@ def _load_preprocessed(path, channel: str, preprocess: str) -> IntensityGrid:
 def cmd_detect(args) -> int:
     grid = _load_preprocessed(args.input, args.channel, args.preprocess)
     schedule = ThresholdSchedule(args.increment, args.offset)
-    mask = _DETECTORS[args.mode](grid, schedule, _TOPOLOGIES[args.topology])
+    mask = _DETECTORS[args.mode](grid, schedule, Topology(args.topology))
     flagged = mask.flagged
     if args.filter_occluding:
         flagged &= ~zero_mask(hamiltonian(grid, where=flagged), args.filter_tolerance)
@@ -131,7 +130,7 @@ def cmd_detect(args) -> int:
 
 def cmd_trace(args) -> int:
     grid = read_grid(args.input, channel=args.channel)
-    contours = trace_level_contours(grid, args.threshold, _TOPOLOGIES[args.topology])
+    contours = trace_level_contours(grid, args.threshold, Topology(args.topology))
     fmt = args.format or ("svg" if str(args.output).lower().endswith(".svg") else "text")
     if fmt == "svg":
         text = contours_to_svg(contours, grid.width, grid.height)

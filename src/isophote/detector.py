@@ -50,9 +50,10 @@ __all__ = [
 
 # detect_multilevel evaluates levels in chunks of _LEVEL_BUDGET // pixels
 # levels, so its (levels, *shape) one-byte stacks hold about this many
-# bytes whatever the image size or schedule length; at most three such
-# stacks are alive at once. Chunks are clamped to [1, 255] levels because
-# a chunk ranks its levels 1..n in uint8, and 0 marks "not a member".
+# bytes whatever the image size or schedule length; at most two such
+# stacks (the sublevel sets and their dilation) are alive at once. Chunks
+# are clamped to [1, 255] levels because a chunk ranks its levels 1..n in
+# uint8, and 0 marks "not a member".
 _LEVEL_BUDGET = 32 << 20
 
 
@@ -225,7 +226,7 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
 
     The witness pair at a flagged pixel is the two largest member
     thresholds, so output is deterministic regardless of evaluation order.
-    Time grows as levels x pixels; transient memory is bounded by three
+    Time grows as levels x pixels; transient memory is bounded by two
     times a fixed byte budget plus a fixed number of bytes per pixel.
     """
     topology.check_grid(grid)

@@ -282,30 +282,19 @@ def _trailing_offsets(topology: Topology, ndim: int):
 def _fold_neighbors(values: np.ndarray, topology: Topology, fill, op, dtype) -> np.ndarray:
     """Fold op over every topology-neighbor's value, starting from fill at each pixel.
 
-    The trailing axes the topology acts on are copied once into a buffer
-    padded with fill by one cell at the high end of each axis, then
-    flattened. Every neighbor offset is then a single shift of that flat
-    buffer: a neighbor past an edge lands on a pad cell (one step below
-    zero wraps to the pad of the previous row or frame), so each offset
-    costs one contiguous pass into a slice view of one output buffer.
-    Returns a view of the output without the pads.
+    Each offset d is one op pass over two slices: along an axis of length
+    n, output pixels i in [max(0, -d), n - max(0, d)) take values[i + d].
+    These are the pixels whose neighbor lies inside the array; the others
+    keep what they hold, so an out-of-array neighbor never enters the fold.
     """
-    offsets = _trailing_offsets(topology, values.ndim)
-    k = len(offsets[0])
-    lead, trail = values.shape[:-k], values.shape[-k:]
-    inner = (...,) + tuple(slice(0, n) for n in trail)
-    padded = np.full(lead + tuple(n + 1 for n in trail), fill, dtype=dtype)
-    padded[inner] = values
-    steps = [st // padded.itemsize for st in padded.strides[-k:]]
-    src = padded.reshape(lead + (-1,))
-    out = np.full_like(src, fill)
-    n = src.shape[-1]
-    for delta in offsets:
-        shift = sum(d * st for d, st in zip(delta, steps))
-        lo, hi = max(0, -shift), n - max(0, shift)
-        view = out[..., lo:hi]
-        op(view, src[..., lo + shift : hi + shift], out=view)
-    return out.reshape(padded.shape)[inner]
+    out = np.full(values.shape, fill, dtype=dtype)
+    for delta in _trailing_offsets(topology, values.ndim):
+        trail = values.shape[-len(delta):]
+        at = (...,) + tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, trail))
+        by = (...,) + tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, trail))
+        view = out[at]
+        op(view, values[by], out=view)
+    return out
 
 
 def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:

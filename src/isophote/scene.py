@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -337,48 +338,86 @@ def render_sequence(
     return grids, truths
 
 
-def _require(mapping: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _vector(n: int):
+    def test(value) -> bool:
+        return isinstance(value, list) and len(value) == n and all(map(_is_number, value))
+
+    return test, f"a list of {n} numbers"
+
+
+# The JSON kinds a config value may have: a test and the words for it.
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBER = (_is_number, "a number")
+
+
+def _checked(value, kind, name: str):
+    """value, unless it fails kind's test: then a SceneError naming it."""
+    test, noun = kind
+    if not test(value):
+        raise SceneError(f"{name} must be {noun}, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(mapping: dict, key: str, where: str, kind, default=_REQUIRED):
+    """mapping[key] checked against kind; default when the key is absent, if there is one."""
     if key not in mapping:
-        raise SceneError(f"missing '{key}' in {where}")
-    return mapping[key]
+        if default is _REQUIRED:
+            raise SceneError(f"missing '{key}' in {where}")
+        return default
+    return _checked(mapping[key], kind, f"'{key}' in {where}")
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
-    """Build a SceneSpec from the documented JSON schema."""
-    if not isinstance(data, dict):
-        raise SceneError("scene config must be a JSON object")
-    image = _require(data, "image", "scene config")
-    light = data.get("light", {})
+    """Build a SceneSpec from the documented JSON schema.
+
+    Every value is type-checked here, at the JSON boundary, so a malformed
+    config raises SceneError naming the key at fault.
+    """
+    _checked(data, _OBJECT, "scene config")
+    image = _field(data, "image", "scene config", _OBJECT)
+    light = _field(data, "light", "scene config", _OBJECT, {})
     objects = []
-    for idx, entry in enumerate(data.get("objects", [])):
-        kind = _require(entry, "type", f"objects[{idx}]")
+    for idx, entry in enumerate(_field(data, "objects", "scene config", _LIST, [])):
+        where = f"objects[{idx}]"
+        _checked(entry, _OBJECT, where)
+        kind = _field(entry, "type", where, _STRING)
         if kind == "sphere":
             objects.append(
                 Sphere(
-                    center=_require(entry, "center", f"objects[{idx}]"),
-                    radius=_require(entry, "radius", f"objects[{idx}]"),
-                    albedo=entry.get("albedo", 1.0),
+                    center=_field(entry, "center", where, _vector(3)),
+                    radius=_field(entry, "radius", where, _NUMBER),
+                    albedo=_field(entry, "albedo", where, _NUMBER, 1.0),
                 )
             )
         elif kind == "plane":
             objects.append(
                 Plane(
-                    point=_require(entry, "point", f"objects[{idx}]"),
-                    normal=_require(entry, "normal", f"objects[{idx}]"),
-                    albedo=entry.get("albedo", 1.0),
+                    point=_field(entry, "point", where, _vector(3)),
+                    normal=_field(entry, "normal", where, _vector(3)),
+                    albedo=_field(entry, "albedo", where, _NUMBER, 1.0),
                 )
             )
         else:
-            raise SceneError(f"objects[{idx}] has unknown type {kind!r}")
-    principal = image.get("principal")
+            raise SceneError(f"{where} has unknown type {kind!r}")
+    principal = _field(image, "principal", "image", _vector(2), None)
     return SceneSpec(
-        width=_require(image, "width", "image"),
-        height=_require(image, "height", "image"),
+        width=_field(image, "width", "image", _INTEGER),
+        height=_field(image, "height", "image", _INTEGER),
         objects=tuple(objects),
-        light_direction=light.get("direction", (0.0, 0.0, -1.0)),
-        ambient=light.get("ambient", 0.2),
-        fov=image.get("fov", 1.0),
-        max_value=image.get("max_value", 255),
+        light_direction=_field(light, "direction", "light", _vector(3), (0.0, 0.0, -1.0)),
+        ambient=_field(light, "ambient", "light", _NUMBER, 0.2),
+        fov=_field(image, "fov", "image", _NUMBER, 1.0),
+        max_value=_field(image, "max_value", "image", _INTEGER, 255),
         principal=tuple(principal) if principal is not None else None,
     )
 

@@ -323,6 +323,29 @@ class TestRender:
         assert code == 2
         assert "image" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, edit", [
+        ("image", lambda cfg: cfg.update(image=5)),
+        ("objects", lambda cfg: cfg.update(objects=5)),
+        ("objects", lambda cfg: cfg.update(objects=[5])),
+        ("light", lambda cfg: cfg.update(light=[1])),
+        ("width", lambda cfg: cfg["image"].update(width="8")),
+        ("width", lambda cfg: cfg["image"].update(width=8.5)),
+        ("radius", lambda cfg: cfg["objects"][0].update(radius="x")),
+        ("principal", lambda cfg: cfg["image"].update(principal=3)),
+        ("fov", lambda cfg: cfg["image"].update(fov="a")),
+    ], ids=["image", "objects", "object-entry", "light", "width-str", "width-float",
+            "radius", "principal", "fov"])
+    def test_mistyped_scene_value_exits_2_naming_its_key(self, tmp_path, capsys, key, edit):
+        scene = scene_file(tmp_path)
+        cfg = json.loads(scene.read_text())
+        edit(cfg)
+        scene.write_text(json.dumps(cfg))
+        code = main(["render", "--scene", str(scene), "--out", str(tmp_path / "x.pgm")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("isophote: error:")
+        assert key in err
+
     def test_detect_on_rendered_scene_flags_near_truth(self, tmp_path):
         from conftest import cheb_dilate
 

@@ -291,21 +291,22 @@ class TestDetectMultilevel:
             expect = (found[-2], found[-1]) if len(found) >= 2 else None
             assert mask.witnesses_at(p) == expect
 
-    def test_transient_memory_is_bounded_by_the_level_budget(self):
-        # 256 levels on 1024^2: at most three budget-sized stacks (the
-        # sublevel sets and the dilation's padded input and output) are
-        # alive at once, plus arrays of a few bytes per pixel
+    @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
+    def test_transient_memory_is_bounded_by_the_level_budget(self, topology):
+        # 256 levels on 1024^2: at most two budget-sized stacks (the
+        # sublevel sets and their dilation) are alive at once, plus arrays
+        # of a few bytes per pixel
         rng = np.random.default_rng(3)
         g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
         sch = ThresholdSchedule(1)
         assert sch.levels(255).size == 256
         tracemalloc.start()
         try:
-            detect_multilevel(g, sch, N4)
+            detect_multilevel(g, sch, topology)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * detector._LEVEL_BUDGET + 32 * g.values.size
+        assert peak < 2 * detector._LEVEL_BUDGET + 32 * g.values.size
 
     @given(grid_rows(), schedules, topologies)
     def test_level_count_matches_brute_enumeration(self, rows_mv, sch, topology):
