@@ -19,7 +19,7 @@ from .field import (
     trace_level_contours,
     zero_mask,
 )
-from .netpbm import NetpbmError, read_grid, write_pbm, write_pgm
+from .netpbm import NetpbmError, pgm_maxval, read_grid, write_pbm, write_pgm
 from .raster import IntensityGrid, Topology, frame_stack, storage_dtype
 from .scene import SceneError, load_scene, render, render_sequence
 
@@ -116,14 +116,14 @@ def cmd_detect(args) -> int:
     grid = _load_preprocessed(args.input, args.channel, args.preprocess)
     schedule = ThresholdSchedule(args.increment, args.offset)
     mask = _DETECTORS[args.mode](grid, schedule, Topology(args.topology))
+    if args.levels_out:  # the PGM limit is checked before any file is written
+        ceiling = pgm_maxval(int(mask.level_count.max()))
     flagged = mask.flagged
     if args.filter_occluding:
         flagged &= ~zero_mask(hamiltonian(grid, where=flagged), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
-        counts = mask.level_count
-        ceiling = max(1, int(counts.max()))
-        narrow = counts.astype(storage_dtype(ceiling))
+        narrow = mask.level_count.astype(storage_dtype(ceiling))
         write_pgm(args.levels_out, IntensityGrid(narrow, ceiling), binary=not args.ascii)
     return 0
 
@@ -143,6 +143,7 @@ def cmd_trace(args) -> int:
 
 def cmd_render(args) -> int:
     spec = load_scene(args.scene)
+    pgm_maxval(spec.max_value)  # fail before rendering, not at the writer
     grid, truth = render(spec)
     write_pgm(args.out, grid, binary=not args.ascii)
     if args.truth:
@@ -161,6 +162,7 @@ def cmd_render_seq(args) -> int:
         raise ValueError(f"--motion needs dx,dy,dz, got {args.motion!r}")
     motion = tuple(float(v) for v in parts)
     spec = load_scene(args.scene)
+    pgm_maxval(spec.max_value)
     grids, truths = render_sequence(spec, motion, args.frames)
     for i, grid in enumerate(grids):
         write_pgm(args.out_pattern.format(i=i), grid, binary=not args.ascii)

@@ -280,11 +280,17 @@ def _plain_rows(values: np.ndarray) -> bytes:
     return cells.tobytes().replace(b"\0", b"")
 
 
-def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
-    """Write a grid as PGM; P5 (binary) by default, P2 with binary=False."""
-    maxval = max(1, grid.max_value)
+def pgm_maxval(max_value: int) -> int:
+    """The maxval a PGM of values up to max_value declares: at least 1, and ValueError above 65535."""
+    maxval = max(1, max_value)
     if maxval > 65535:
         raise ValueError(f"PGM maxval limit is 65535, grid has {maxval}")
+    return maxval
+
+
+def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
+    """Write a grid as PGM; P5 (binary) by default, P2 with binary=False."""
+    maxval = pgm_maxval(grid.max_value)
     header = f"{'P5' if binary else 'P2'}\n{grid.width} {grid.height}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .raster import IntensityGrid, Topology, neighbor_min
+from .raster import IntensityGrid
 
 __all__ = [
     "FocalPlaneError",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _RAY_EPS = 1e-9
+# The largest width * height a scene may declare (8192 x 8192); render peaks near 100 bytes per pixel.
+MAX_PIXELS = 1 << 26
 
 
 class FocalPlaneError(ValueError):
@@ -151,6 +154,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise SceneError("image must be at least 1x1")
+        if int(self.width) * int(self.height) > MAX_PIXELS:
+            raise SceneError(f"a {self.width}x{self.height} image exceeds the limit of {MAX_PIXELS} pixels")
         object.__setattr__(self, "objects", tuple(self.objects))
         light = np.asarray(self.light_direction, dtype=float)
         if light.shape != (3,):
@@ -176,9 +181,13 @@ class SceneSpec:
         cx, cy = self.principal
         ts = (np.arange(self.width) + 0.5 - cx) * pitch
         ss = (np.arange(self.height) + 0.5 - cy) * pitch
-        t, s = np.meshgrid(ts, ss)
-        dirs = np.stack([t, s, np.ones_like(t)], axis=-1)
-        return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+        # the rays (t, s, 1) are separable; (s^2 + t^2) + 1 rounds as a norm's (t^2 + s^2) + 1 does
+        norm = np.sqrt(np.add.outer(ss * ss, ts * ts) + 1.0)
+        dirs = np.empty((self.height, self.width, 3))
+        np.divide(ts, norm, out=dirs[..., 0])
+        np.divide(ss[:, None], norm, out=dirs[..., 1])
+        np.divide(1.0, norm, out=dirs[..., 2])
+        return dirs
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +237,21 @@ def _sphere_box(spec: SceneSpec, sphere: Sphere) -> tuple[slice, slice]:
 
 
 def _identity_changes(ids: np.ndarray) -> np.ndarray:
-    """True where some N4 neighbor's id is smaller or larger than the pixel's own."""
-    darker = neighbor_min(ids, Topology.N4, int(ids.max()) + 1) < ids
-    return darker | (neighbor_min(-ids, Topology.N4, int(-ids.min()) + 1) < -ids)
+    """True where some N4 neighbor's id differs from the pixel's own."""
+    changes = np.zeros(ids.shape, dtype=bool)
+    down, right = ids[1:] != ids[:-1], ids[:, 1:] != ids[:, :-1]
+    changes[1:] |= down
+    changes[:-1] |= down
+    changes[:, 1:] |= right
+    changes[:, :-1] |= right
+    return changes
+
+
+def _shade(spec: SceneSpec, obj: SceneObject, normals: np.ndarray) -> np.ndarray:
+    """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, n.l))) per normal."""
+    lam = np.maximum(0.0, normals @ spec.light_direction)
+    value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * lam
+    return np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
 
 
 def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
@@ -246,16 +267,17 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 
 
 def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
-    # `@` on a rectangular view of an (h, w, 3) array at least 2 columns wide (or all of a 1-wide
-    # image) rounds each pixel as over the whole image; one column may not. Shading widens its box
-    # to 2 columns; a sphere box is 1 column only at an image edge outside the cone, where no hit or
-    # `near` lands whatever the rounding.
+    # `@` on an (h, w, 3) array rounds each pixel as on any array of rows at least 2 columns wide (or
+    # 1 column for a 1-wide image); one column of a wider image may not. So a sphere is shaded over a
+    # box widened to 2 columns, and a plane, whose normal is -n or n at every pixel, from a table of
+    # both normals as wide as the image up to 2 columns. A sphere box is 1 column only at an image
+    # edge outside the cone, where no hit or `near` lands whatever the rounding.
     shape = (spec.height, spec.width)
     depth, second = np.full(shape, np.inf), np.full(shape, np.inf)  # second counts ties
     ids = np.full(shape, -1, dtype=np.intp)
     whole = (slice(0, spec.height), slice(0, spec.width))
     boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in spec.objects]
-    spheres = []
+    spheres, flipped = [], {}
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
         if isinstance(obj, Sphere):
             b = dirs[box] @ obj.center  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
@@ -270,34 +292,40 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
             tau = np.where(disc >= 0.0, tau, np.inf)
         else:
             denom = dirs @ obj.normal
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
                 tau = float(obj.point @ obj.normal) / denom
-            tau = np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
+            hit = tau > _RAY_EPS
+            hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
+            np.copyto(tau, np.inf, where=~hit)
+            # where the plane is nearest, |denom| > eps, so its shading normal -sign(denom) n is -n or n
+            flipped[i] = denom > 0
         # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
-        closer = tau < depth[box]
-        second[box] = np.where(closer, depth[box], np.minimum(second[box], tau))
-        depth[box] = np.minimum(depth[box], tau)
-        ids[box][closer] = i
+        near_depth, near_second = depth[box], second[box]
+        closer = tau < near_depth
+        np.minimum(near_second, tau, out=near_second)
+        np.copyto(near_second, near_depth, where=closer)
+        np.minimum(near_depth, tau, out=near_depth)
+        np.copyto(ids[box], i, where=closer)
 
     image = np.zeros(shape, dtype=np.int64)
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
+        if isinstance(obj, Plane):
+            table = np.stack([obj.normal, -obj.normal])[:, None].repeat(min(spec.width, 2), axis=1)
+            plus, minus = _shade(spec, obj, table)[:, 0]
+            mine = ids == i
+            np.copyto(image, plus, where=mine)
+            np.copyto(image, minus, where=mine & flipped[i])
+            continue
         mine = ids[box] == i
         rows, cols = np.flatnonzero(mine.any(axis=1)), np.flatnonzero(mine.any(axis=0))
         if not rows.size:
             continue
-        # shade the box of the object's nearest pixels, at least 2 columns wide for `@`
+        # shade the box of the sphere's nearest pixels, at least 2 columns wide for `@`
         c0 = min(box[1].start + cols[0], max(spec.width - 2, 0))
         c1 = max(box[1].start + cols[-1] + 1, c0 + min(spec.width, 2))
         win = (slice(box[0].start + rows[0], box[0].start + rows[-1] + 1), slice(c0, c1))
-        if isinstance(obj, Sphere):
-            points = dirs[win] * np.where(np.isfinite(depth[win]), depth[win], 0.0)[..., None]
-            normals = (points - obj.center) / obj.radius
-        else:
-            normals = -np.sign(dirs[win] @ obj.normal)[..., None] * obj.normal
-        lam = np.maximum(0.0, normals @ spec.light_direction)
-        value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * lam
-        shade = np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
-        image[win] = np.where(ids[win] == i, shade, image[win])
+        points = dirs[win] * np.where(np.isfinite(depth[win]), depth[win], 0.0)[..., None]
+        np.copyto(image[win], _shade(spec, obj, (points - obj.center) / obj.radius), where=ids[win] == i)
 
     occluding = np.zeros(shape, dtype=bool)
     for i, box, b, near in spheres:
@@ -328,6 +356,8 @@ def render_sequence(
     shift = np.asarray(motion, dtype=float)
     if shift.shape != (3,):
         raise SceneError("motion must have 3 components")
+    if not np.isfinite(shift).all():
+        raise SceneError(f"motion must be finite, got {tuple(motion)!r}")
     dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
     grids, truths = [], []
     for i in range(frames):
@@ -342,14 +372,20 @@ _REQUIRED = object()
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a finite int or float; bool, NaN, +-Infinity and ints beyond float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _vector(n: int):
     def test(value) -> bool:
         return isinstance(value, list) and len(value) == n and all(map(_is_number, value))
 
-    return test, f"a list of {n} numbers"
+    return test, f"a list of {n} finite numbers"
 
 
 # The JSON kinds a config value may have: a test and the words for it.
@@ -357,7 +393,7 @@ _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_NUMBER = (_is_number, "a number")
+_NUMBER = (_is_number, "a finite number")
 
 
 def _checked(value, kind, name: str):

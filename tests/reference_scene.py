@@ -1,11 +1,13 @@
 """The whole-image renderer that isophote.scene.render replaced.
 
-Kept as a test-only oracle: every object is intersected and shaded over
-the whole ray array, the hit distances are stacked into one
-(objects + 1, h, w) array, and each sphere's occlusion test takes the
-minimum of that stack without the sphere's own row. The production
-renderer must match it exactly: image values, both masks, depth and ids,
-with their dtypes.
+Kept as a test-only oracle: the rays are built as a meshgrid normalized
+by `np.linalg.norm`, every object is intersected and shaded over the
+whole ray array, the hit distances are stacked into one
+(objects + 1, h, w) array, each sphere's occlusion test takes the
+minimum of that stack without the sphere's own row, and identity changes
+come from two `neighbor_min` passes. It shares no code with the renderer
+it checks beyond the scene types. The production renderer must match it
+exactly: rays, image values, both masks, depth and ids, with their dtypes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,17 @@ import numpy as np
 from isophote import GroundTruth, IntensityGrid, SceneSpec, Sphere, Topology, neighbor_min
 
 _RAY_EPS = 1e-9
+
+
+def pixel_rays(spec: SceneSpec) -> np.ndarray:
+    """Unit ray directions through every pixel center, shape (height, width, 3)."""
+    pitch = 2.0 * spec.fov / spec.width
+    cx, cy = spec.principal
+    ts = (np.arange(spec.width) + 0.5 - cx) * pitch
+    ss = (np.arange(spec.height) + 0.5 - cy) * pitch
+    t, s = np.meshgrid(ts, ss)
+    dirs = np.stack([t, s, np.ones_like(t)], axis=-1)
+    return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 
 def _sphere_quadratic(dirs: np.ndarray, sphere: Sphere) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +63,7 @@ def _identity_changes(ids: np.ndarray) -> np.ndarray:
 
 
 def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
-    dirs = spec.pixel_rays()
+    dirs = pixel_rays(spec)
     shape = (spec.height, spec.width)
     # row 0 is the background: a miss everywhere, which argmin picks only where every object misses
     taus = np.stack([np.full(shape, np.inf)] + [_hit_distances(dirs, obj) for obj in spec.objects])

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -156,6 +159,16 @@ class TestDetect:
                 "--preprocess", "dx", "--levels-out", str(tmp_path / "levels.pgm")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "isophote: error: PGM maxval limit is 65535, grid has 131070\n"
+
+    def test_levels_out_above_pgm_range_writes_neither_file(self, tmp_path, capsys):
+        src = tmp_path / "noise.pgm"
+        write_pgm(src, IntensityGrid(np.random.default_rng(11).integers(0, 65536, (37, 53)), 65535))
+        mask, levels = tmp_path / "mask.pbm", tmp_path / "levels.pgm"
+        argv = ["detect", str(src), str(mask), "--preprocess", "dx", "--increment", "1",
+                "--levels-out", str(levels)]
+        assert main(argv) == 2
+        assert "PGM maxval limit is 65535" in capsys.readouterr().err
+        assert not mask.exists() and not levels.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pbm")])
@@ -346,6 +359,51 @@ class TestRender:
         assert err.startswith("isophote: error:")
         assert key in err
 
+    @pytest.mark.parametrize("key, edit", [
+        ("principal", lambda cfg: cfg["image"].update(principal=[math.nan, 0])),
+        ("fov", lambda cfg: cfg["image"].update(fov=math.inf)),
+        ("center", lambda cfg: cfg["objects"][0].update(center=[0, 0, math.inf])),
+        ("center", lambda cfg: cfg["objects"][0].update(center=[10**400, 0, 5])),
+        ("radius", lambda cfg: cfg["objects"][0].update(radius=-math.inf)),
+        ("point", lambda cfg: cfg["objects"].append({"type": "plane", "point": [0, math.nan, 0],
+                                                     "normal": [0, 1, 0]})),
+        ("ambient", lambda cfg: cfg["light"].update(ambient=math.nan)),
+        ("limit", lambda cfg: cfg["image"].update(width=100000, height=100000)),
+        ("limit", lambda cfg: cfg["image"].update(width=10**12, height=1)),
+        ("maxval", lambda cfg: cfg["image"].update(max_value=10**20)),
+    ], ids=["principal-nan", "fov-inf", "center-inf", "center-huge-int", "radius-inf", "point-nan",
+            "ambient-nan", "size", "width", "max_value"])
+    def test_unrenderable_scene_exits_2_writing_nothing(self, tmp_path, capsys, key, edit):
+        scene = scene_file(tmp_path)
+        cfg = json.loads(scene.read_text())
+        edit(cfg)
+        scene.write_text(json.dumps(cfg))
+        outs = [tmp_path / name for name in ("x.pgm", "t.pbm", "o.pbm")]
+        code = main(["render", "--scene", str(scene), "--out", str(outs[0]), "--truth", str(outs[1]),
+                     "--occluding", str(outs[2])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err
+        assert not any(path.exists() for path in outs)
+
+    def test_huge_image_is_refused_before_allocating(self, tmp_path, capsys):
+        # rendering this 10^5 x 10^5 scene would try to allocate 74.5 GiB for its rays alone
+        scene = scene_file(tmp_path)
+        cfg = json.loads(scene.read_text())
+        cfg["image"].update(width=100000, height=100000)
+        scene.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["render", "--scene", str(scene), "--out", str(tmp_path / "x.pgm")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert time.perf_counter() - start < 5.0
+
     def test_detect_on_rendered_scene_flags_near_truth(self, tmp_path):
         from conftest import cheb_dilate
 
@@ -385,6 +443,15 @@ class TestRenderSeq:
         code = main(["render-seq", "--scene", str(scene), "--frames", "2",
                      "--motion", "1,2", "--out-pattern", str(tmp_path / "f{i}.pgm")])
         assert code == 2
+
+    @pytest.mark.parametrize("motion", ["nan,0,0", "0,inf,0", "0,0,-inf", "0,0,NaN"])
+    def test_non_finite_motion_exits_2_writing_nothing(self, tmp_path, capsys, motion):
+        scene = scene_file(tmp_path)
+        code = main(["render-seq", "--scene", str(scene), "--frames", "2", "--motion", motion,
+                     "--out-pattern", str(tmp_path / "f{i}.pgm")])
+        assert code == 2
+        assert "motion must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*.pgm"))
 
 
 class TestDetectTemporal:

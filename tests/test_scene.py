@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from isophote import (
     render,
     render_sequence,
 )
+from isophote.scene import MAX_PIXELS, _identity_changes
 
 N4 = Topology.N4
 
@@ -141,6 +143,13 @@ class TestValidation:
     def test_principal_defaults_to_center(self):
         spec = SceneSpec(width=10, height=6)
         assert spec.principal == (5.0, 3.0)
+
+    def test_pixel_count_is_bounded(self):
+        SceneSpec(width=MAX_PIXELS, height=1)
+        with pytest.raises(SceneError, match="exceeds the limit"):
+            SceneSpec(width=MAX_PIXELS + 1, height=1)
+        with pytest.raises(SceneError, match="exceeds the limit"):
+            SceneSpec(width=100000, height=100000)
 
 
 class TestRender:
@@ -334,15 +343,93 @@ ONE_COLUMN = SceneSpec(
 )
 
 
+
+@st.composite
+def ray_specs(draw):
+    """Empty scenes from 1x1 to 64x64, fov 0.05-2, principal points up to ten image sizes off."""
+    w, h = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    off = st.tuples(st.floats(-10.0 * w, 11.0 * w), st.floats(-10.0 * h, 11.0 * h))
+    return SceneSpec(w, h, fov=draw(st.floats(0.05, 2.0)), principal=draw(st.one_of(st.none(), off)))
+
+
+def two_planes(width, height, front, back, light, fov):
+    """Planes through (0, 0, 5), one facing the camera and one seen from its back, each nearest
+    somewhere, with n.l within an ulp of rint's tie at max_value 1: the shading table must round
+    n.l as the image's own `@` does."""
+    return SceneSpec(width, height, (Plane((0.0, 0.0, 5.0), front), Plane((0.0, 0.0, 5.0), back)),
+                     light, 0.0, fov, 1)
+
+
+# Found by search; each fails when the table is 2 columns wide on a 1-wide image or 1 column on a
+# wider one.
+PLANES_1xN = two_planes(
+    1, 7, (0.7455233029790733, -0.44368907275300035, -0.4973278711622301),
+    (0.9311093592596903, 0.3037634892709334, 0.20189874612031766),
+    (-0.21286877913474544, -0.5591749709035018, -0.9432376166582426), 0.9436823373477532)
+PLANES_Nx1 = two_planes(
+    9, 1, (-0.1145334882264018, -0.9605425784845816, -0.25345617963049105),
+    (0.5718994395439037, -0.6597565354871426, 0.4874959947849534),
+    (-1.0852644166679513, -0.3895404695722252, -0.5760091942247645), 1.2826925035402905)
+PLANES_2xN = two_planes(
+    2, 6, (0.21003838668853514, -0.9395141524623423, -0.27054950275364387),
+    (-0.3053599191593658, 0.18299300737307717, 0.9344885654857111),
+    (-0.7908127299229528, -0.6358620862662755, -0.838065759597058), 1.436500244856092)
+PLANES_WIDE = two_planes(
+    40, 3, (-0.16085078184472867, 0.42495347753073787, -0.8908095014729424),
+    (-0.7256306108515231, 0.3925979357975424, 0.565090326764451),
+    (0.9454720863210502, 0.8067115564954996, -0.5483718876422244), 0.37420986217542207)
+# The floor y = 1 and an edge-on plane through the camera, both with normal (0, 1, 0): on the middle
+# row s = 0 exactly, so denom is exactly 0 (1/0 and 0/0), and a back wall is nearest there.
+EDGE_ON_ROW = SceneSpec(
+    5, 7,
+    (Plane((0.0, 1.0, 0.0), (0.0, 1.0, 0.0)), Plane((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+     Plane((0.0, 0.0, 10.0), (0.0, 0.0, -1.0), 0.5)),
+    (0.3, -0.5, -1.0), 0.2, 1.0, 255,
+)
+
+
 class TestRenderIdentity:
     """render and render_sequence against the whole-image renderer they replaced."""
 
     @given(scenes())
     @example(WIDE_ANGLE)
     @example(ONE_COLUMN)
+    @example(PLANES_1xN)
+    @example(PLANES_Nx1)
+    @example(PLANES_2xN)
+    @example(PLANES_WIDE)
+    @example(EDGE_ON_ROW)
     @settings(max_examples=300, deadline=None)
     def test_render_matches_reference(self, spec):
         assert_same_render(render(spec), reference_scene.render(spec))
+
+    def test_plane_examples_show_both_sides(self):
+        for spec in (PLANES_1xN, PLANES_Nx1, PLANES_2xN, PLANES_WIDE):
+            _, truth = render(spec)
+            facing = [spec.pixel_rays()[truth.object_ids == i] @ p.normal for i, p in enumerate(spec.objects)]
+            assert (facing[0] < 0).all() and (facing[1] > 0).all()
+            assert facing[0].size and facing[1].size
+        _, truth = render(EDGE_ON_ROW)
+        assert (EDGE_ON_ROW.pixel_rays()[3, :, 1] == 0).all()
+        assert (truth.object_ids[3] == 2).all() and (truth.object_ids[4:] == 0).all()
+
+    @given(ray_specs())
+    @example(SceneSpec(1, 1))
+    @example(SceneSpec(1, 64, fov=2.0, principal=(-10.0, 700.0)))
+    @example(SceneSpec(64, 1, fov=0.05))
+    @settings(max_examples=300, deadline=None)
+    def test_pixel_rays_match_reference(self, spec):
+        got, want = spec.pixel_rays(), reference_scene.pixel_rays(spec)
+        assert got.dtype == want.dtype and got.shape == want.shape == (spec.height, spec.width, 3)
+        assert got.tobytes() == want.tobytes()
+
+    @given(hnp.arrays(np.intp, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                      elements=st.one_of(st.integers(-1, 3), st.integers(-1, 2**40))))
+    @settings(max_examples=300, deadline=None)
+    def test_identity_changes_match_reference(self, ids):
+        got = _identity_changes(ids)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference_scene._identity_changes(ids))
 
     @given(scenes(), st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
            st.integers(2, 3))
