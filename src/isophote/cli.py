@@ -123,7 +123,7 @@ def cmd_detect(args) -> int:
         flagged &= ~zero_mask(hamiltonian(grid, where=flagged), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
-        narrow = mask.level_count.astype(storage_dtype(ceiling))
+        narrow = mask.level_count.astype(storage_dtype(ceiling), copy=False)
         write_pgm(args.levels_out, IntensityGrid(narrow, ceiling), binary=not args.ascii)
     return 0
 

@@ -34,6 +34,7 @@ from .raster import (
     neighbor_min,
     neighbors,
     signed_dtype,
+    storage_dtype,
 )
 
 __all__ = [
@@ -55,6 +56,12 @@ __all__ = [
 # are clamped to [1, 255] levels because a chunk ranks its levels 1..n in
 # uint8, and 0 marks "not a member".
 _LEVEL_BUDGET = 32 << 20
+
+# detect_pointwise runs its closed form on row strips of about this many
+# bytes of its arithmetic dtype (at least one row each), so the scratch
+# buffers the steps pass between them stay in L2 cache; only the mask it
+# returns is image-sized.
+_STRIP_BUDGET = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,13 @@ class ThresholdSchedule:
             cap = min(cap, self.ceiling)
         return cap
 
+    def size(self, max_value: int) -> int:
+        """Number of schedule members for a grid with the given max_value."""
+        return max((self.cap(max_value) - self.offset) // self.increment + 1, 0)
+
     def levels(self, max_value: int) -> np.ndarray:
         """All schedule members for a grid with the given max_value, ascending."""
-        cap = self.cap(max_value)
-        if cap < self.offset:
-            return np.empty(0, dtype=np.int64)
-        n = (cap - self.offset) // self.increment + 1
-        return self.offset + self.increment * np.arange(n, dtype=np.int64)
+        return self.offset + self.increment * np.arange(self.size(max_value), dtype=np.int64)
 
     def contains(self, c: int, max_value: int) -> bool:
         return self.offset <= c <= self.cap(max_value) and (c - self.offset) % self.increment == 0
@@ -128,9 +135,10 @@ class DetectionMask:
 
     A pixel is flagged when the count is at least two. witness_hi/witness_lo
     hold the two largest such thresholds at flagged pixels and are zero
-    elsewhere, which makes masks comparable bit-for-bit. The arrays are
-    signed integers whose width depends on the route and the grid;
-    equality and every accessor compare values, not dtypes.
+    elsewhere, which makes masks comparable bit-for-bit. Both routes store
+    the same dtypes: level_count the narrowest unsigned one that holds the
+    schedule's number of levels, and the witnesses the grid's storage
+    dtype, since a member threshold lies in [1, max_value].
     """
 
     level_count: np.ndarray
@@ -221,6 +229,14 @@ def _check_range(grid: Grid, schedule: ThresholdSchedule) -> int:
     return bound
 
 
+def _mask_dtypes(grid: Grid, schedule: ThresholdSchedule) -> tuple[np.dtype, np.dtype]:
+    """The dtypes of DetectionMask's level_count and witnesses; see its docstring.
+
+    Call it after _check_range, which bounds the number of levels.
+    """
+    return np.min_scalar_type(schedule.size(grid.max_value)), storage_dtype(grid.max_value)
+
+
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
@@ -236,12 +252,12 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
         values = values.astype(np.int64)
     levels = schedule.levels(grid.max_value)
     bound = max(abs(int(levels[0])), abs(int(levels[-1]))) if levels.size else 0
-    level_dtype = signed_dtype(bound)
-    count = np.zeros(values.shape, dtype=signed_dtype(levels.size))
-    hi = np.zeros(values.shape, dtype=level_dtype)
-    lo = np.zeros(values.shape, dtype=level_dtype)
+    count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
+    count = np.zeros(values.shape, dtype=count_dtype)
+    hi = np.zeros(values.shape, dtype=witness_dtype)
+    lo = np.zeros(values.shape, dtype=witness_dtype)
     # compare in a dtype that holds every level and every value
-    thresholds = levels.astype(np.promote_types(values.dtype, level_dtype))
+    thresholds = levels.astype(np.promote_types(values.dtype, signed_dtype(bound)))
     step = max(min(_LEVEL_BUDGET // values.size, 255, levels.size), 1)
     shape = (-1,) + (1,) * values.ndim
     # one buffer for every chunk's sublevel sets, which become its ranks
@@ -269,7 +285,9 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
         # it, and intensities are nonnegative), so level 0 stands for "none".
         # Every member of this chunk lies above all earlier ones, so the top
         # two of the union are max(hi, f) and max(lo, min(hi, f), s).
-        table = np.concatenate(([0], ls)).astype(level_dtype)
+        # Levels outside [1, max_value] may wrap in the witness dtype, but
+        # no pixel has them as members, so no rank reads them.
+        table = np.concatenate(([0], ls)).astype(witness_dtype)
         f, s = table.take(first), table.take(second)
         np.maximum(lo, s, out=lo)
         np.minimum(f, hi, out=s)
@@ -305,34 +323,63 @@ def detect_pointwise(
 
     Counts schedule members inside (min neighbor, I(p)] with integer
     closed-form arithmetic; agrees with :func:`detect_multilevel` on
-    every input.
+    every input. The work runs on row strips of every frame at once, so
+    transient memory is a few times _STRIP_BUDGET beyond the mask.
     """
     topology.check_grid(grid)
     # every intermediate below lies within this bound of zero
     dtype = signed_dtype(_check_range(grid, schedule))
+    count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
     values = grid.values
-    # a pixel without neighbors gets m = max_value >= I(p), an empty
-    # interval; the fill fits the grid's dtype, so m keeps it
-    m = neighbor_min(values, topology, grid.max_value)
+    count = np.empty(values.shape, dtype=count_dtype)
+    hi = np.empty(values.shape, dtype=witness_dtype)
+    lo = np.empty(values.shape, dtype=witness_dtype)
     inc, offset = schedule.increment, schedule.offset
     cap = schedule.cap(grid.max_value)
-    # k_hi: largest k with offset + k * inc <= min(I(p), cap)
-    k_hi = np.minimum(values, cap, dtype=dtype)
-    k_hi -= offset
-    k_hi //= inc
-    # k_lo = max(0, q + 1), q the largest k with offset + k * inc <= m, and
-    # count = max(k_hi - k_lo + 1, 0) = max(k_hi - max(q, -1), 0)
-    count = np.subtract(m, offset, dtype=dtype)
-    del m  # release it before the next full-size allocation
-    count //= inc
-    np.maximum(count, -1, out=count)
-    np.subtract(k_hi, count, out=count)
-    np.maximum(count, 0, out=count)
-    hi = k_hi
-    hi *= inc
-    hi += offset
-    lo = np.subtract(hi, inc)
-    return _finalize_mask(count, hi, lo)
+    *frames, height, width = values.shape
+    row = values[..., :1, :].size  # pixels in one row of every frame
+    step = max(_STRIP_BUDGET // (row * dtype.itemsize), 1)
+    # scratch reused by every strip; numpy's SIMD min/max loops take two
+    # arrays, so a max against 0 reads an array of zeros, not a scalar
+    scratch = np.zeros((3, row * step), dtype=dtype)
+    flags = np.empty(row * step, dtype=bool)
+    for top in range(0, height, step):
+        rows = min(step, height - top)
+        strip = (..., slice(top, top + rows), slice(None))
+        shape = (*frames, rows, width)
+        zero, k_lo, k_end, flagged = (b[: row * rows].reshape(shape) for b in (*scratch, flags))
+        # one halo row on each side gives the strip's pixels all their
+        # neighbors; a pixel without neighbors gets m = max_value >= I(p),
+        # an empty interval, and the fill fits the grid's dtype, so m keeps it
+        first = max(top - 1, 0)
+        m = neighbor_min(values[..., first : top + rows + 1, :], topology, grid.max_value)
+        m = m[..., top - first : top - first + rows, :]
+        # The members in (m, I(p)] are offset + k * inc for k_lo <= k < k_end:
+        # k_lo = max((m - offset) // inc + 1, 0) is the first above m and
+        # k_end = (min(I(p), cap) - offset) // inc + 1 is one past the last at
+        # or below I(p). Adding inc before dividing adds the 1.
+        np.subtract(m, offset - inc, out=k_lo, dtype=dtype)
+        k_lo //= inc
+        np.maximum(k_lo, zero, out=k_lo)
+        np.copyto(k_end, values[strip], casting="unsafe")  # the bound holds every value
+        if cap <= grid.max_value:
+            np.minimum(k_end, cap, out=k_end)
+        k_end -= offset - inc
+        k_end //= inc
+        members = np.subtract(k_end, k_lo, out=k_lo)  # k_lo is not needed again
+        np.maximum(members, zero, out=members)
+        count[strip] = members
+        np.greater_equal(members, 2, out=flagged)
+        # the witnesses are the last two members, offset + (k_end - 1) * inc
+        # and one increment less, zeroed by the flag as in _finalize_mask
+        k_end *= inc
+        k_end += offset - inc
+        k_end *= flagged
+        hi[strip] = k_end
+        k_end -= inc
+        k_end *= flagged
+        lo[strip] = k_end
+    return DetectionMask(count, hi, lo)
 
 
 def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Topology) -> bool:

@@ -13,6 +13,7 @@ integers: central differences in the interior, one-sided at the borders.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -42,18 +43,26 @@ class VectorFieldGrid:
     Without a support the components have the grid's shape. With one, a
     boolean mask of the grid's shape, they hold the vectors at its True
     pixels only, in scan order, and the field is undefined elsewhere.
+    ``index`` then holds those pixels' flat indices in the same order; it
+    is found from the support unless the caller already has it.
     """
 
     hx: np.ndarray
     hy: np.ndarray
     support: Optional[np.ndarray] = None
+    index: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.hx.shape != self.hy.shape:
             raise ValueError("component arrays must share a shape")
-        if self.support is not None and self.hx.shape != (np.count_nonzero(self.support),):
-            raise ValueError("components on a support hold one value per supported pixel")
-        for a in (self.hx, self.hy, self.support):
+        if self.support is not None:
+            if self.index is None:
+                object.__setattr__(self, "index", np.flatnonzero(self.support))
+            if not self.hx.shape == self.index.shape == (np.count_nonzero(self.support),):
+                raise ValueError("components on a support hold one value per supported pixel")
+        elif self.index is not None:
+            raise ValueError("an index needs the support it indexes")
+        for a in (self.hx, self.hy, self.support, self.index):
             if a is not None:
                 a.setflags(write=False)
 
@@ -147,7 +156,7 @@ def hamiltonian(grid: IntensityGrid, where: Optional[np.ndarray] = None) -> Vect
     gx = _gathered_diff(flat, index, col, w, 1, dtype)
     gy = _gathered_diff(flat, index, row, h, w, dtype)
     np.negative(gy, out=gy)
-    return VectorFieldGrid(gy, gx, support)
+    return VectorFieldGrid(gy, gx, support, index)
 
 
 def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
@@ -162,7 +171,7 @@ def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
     if field.support is None:
         return total <= tolerance
     out = np.zeros(field.shape, dtype=bool)
-    out[field.support] = total <= tolerance
+    out.reshape(-1)[field.index] = total <= tolerance  # a scatter; no second scan of the support
     return out
 
 
@@ -317,13 +326,22 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> lis
         ring,
     )
     row, col = np.divmod(path - (stride + 1), stride)
-    # tuple.__new__ builds each PixelCoord without a Python-level call
-    pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(col.tolist(), row.tolist())))
-    contours = []
-    begin = 0
-    for end, is_closed in zip(ends, closed):
-        contours.append(Contour(pixels[begin:end], is_closed))
-        begin = end
+    # Every object built below lives as long as the result, so the cyclic
+    # collector, which the allocations would trigger over and over, finds
+    # nothing to free: pause it, and restore its state however this ends.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # tuple.__new__ builds each PixelCoord without a Python-level call
+        pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(col.tolist(), row.tolist())))
+        contours = []
+        begin = 0
+        for end, is_closed in zip(ends, closed):
+            contours.append(Contour(pixels[begin:end], is_closed))
+            begin = end
+    finally:
+        if collecting:
+            gc.enable()
     return contours
 
 

@@ -85,13 +85,16 @@ class _Scanner:
             message = f"raster truncated: {what} need at least {count} bytes, have {avail}"
             self.fail(message, at=len(self.data))
 
-    def raster_bytes(self, count: int) -> bytes:
-        # binary rasters start after exactly one whitespace byte
+    def raster_bytes(self, count: int) -> memoryview:
+        """The next count bytes after the one whitespace byte a binary raster starts with.
+
+        A view of the file's bytes, not a copy; it is read-only because they are.
+        """
         if self.pos >= len(self.data) or self.data[self.pos] not in _WS:
             self.fail("expected single whitespace before binary raster")
         self.pos += 1
         self.require(count, "binary samples")
-        out = self.data[self.pos : self.pos + count]
+        out = memoryview(self.data)[self.pos : self.pos + count]
         self.pos += count
         return out
 
@@ -280,6 +283,16 @@ def _plain_rows(values: np.ndarray) -> bytes:
     return cells.tobytes().replace(b"\0", b"")
 
 
+def _write_samples(fh, values: np.ndarray, maxval: int) -> None:
+    """Write integer samples as binary Netpbm: one byte each, or two big-endian above 255.
+
+    The bytes come from the array's own buffer when it already holds them,
+    without a copy.
+    """
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    fh.write(np.ascontiguousarray(values, dtype=dtype).data)
+
+
 def pgm_maxval(max_value: int) -> int:
     """The maxval a PGM of values up to max_value declares: at least 1, and ValueError above 65535."""
     maxval = max(1, max_value)
@@ -295,8 +308,7 @@ def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-            fh.write(grid.values.astype(dtype).tobytes())
+            _write_samples(fh, grid.values, maxval)
         else:
             fh.write(_plain_rows(grid.values))
 
@@ -311,7 +323,7 @@ def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            fh.write(np.packbits(mask, axis=1).tobytes())
+            fh.write(np.packbits(mask, axis=1).data)
         else:
             fh.write(_plain_rows(mask.view(np.uint8)))
 
@@ -330,7 +342,6 @@ def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> 
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-            fh.write(rgb.astype(dtype).tobytes())
+            _write_samples(fh, rgb, maxval)
         else:
             fh.write(_plain_rows(rgb.reshape(h, 3 * w)))

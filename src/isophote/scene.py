@@ -51,6 +51,21 @@ class SceneError(ValueError):
     """Raised for an invalid scene description."""
 
 
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise SceneError(f"{what} must be a finite number, got {value!r}")
+
+
+def _finite_vector(value, n: int, what: str) -> np.ndarray:
+    """value as a float array of n components; SceneError unless every one is finite."""
+    vector = np.asarray(value, dtype=float)
+    if vector.shape != (n,):
+        raise SceneError(f"{what} must have {n} components, got {value!r}")
+    if not np.isfinite(vector).all():
+        raise SceneError(f"{what} must be finite, got {value!r}")
+    return vector
+
+
 def project(p: Sequence[float]) -> tuple[float, float]:
     """Pinhole projection (x, y, z) -> (x/z, y/z); constant along rays through the origin."""
     x, y, z = p
@@ -95,11 +110,10 @@ class Sphere:
     albedo: float = 1.0
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (3,):
-            raise SceneError(f"sphere center must have 3 components, got {self.center!r}")
+        c = _finite_vector(self.center, 3, "sphere center")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        _check_finite(self.radius, "sphere radius")
         if not self.radius > 0:
             raise SceneError(f"sphere radius must be positive, got {self.radius!r}")
         if not c[2] > self.radius:
@@ -115,10 +129,8 @@ class Plane:
     albedo: float = 1.0
 
     def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
-        if p.shape != (3,) or n.shape != (3,):
-            raise SceneError("plane point and normal must have 3 components")
+        p = _finite_vector(self.point, 3, "plane point")
+        n = _finite_vector(self.normal, 3, "plane normal")
         if np.linalg.norm(n) == 0:
             raise SceneError("plane normal must be nonzero")
         n = n / np.linalg.norm(n)
@@ -157,9 +169,7 @@ class SceneSpec:
         if int(self.width) * int(self.height) > MAX_PIXELS:
             raise SceneError(f"a {self.width}x{self.height} image exceeds the limit of {MAX_PIXELS} pixels")
         object.__setattr__(self, "objects", tuple(self.objects))
-        light = np.asarray(self.light_direction, dtype=float)
-        if light.shape != (3,):
-            raise SceneError("light direction must have 3 components")
+        light = _finite_vector(self.light_direction, 3, "light direction")
         norm = np.linalg.norm(light)
         if norm == 0:
             raise SceneError("light direction must be nonzero")
@@ -168,12 +178,15 @@ class SceneSpec:
         object.__setattr__(self, "light_direction", light)
         if not 0.0 <= self.ambient <= 1.0:
             raise SceneError(f"ambient must lie in [0, 1], got {self.ambient!r}")
+        _check_finite(self.fov, "fov")
         if not self.fov > 0:
             raise SceneError(f"fov must be positive, got {self.fov!r}")
         if self.max_value < 1:
             raise SceneError("max_value must be at least 1")
         if self.principal is None:
             object.__setattr__(self, "principal", (self.width / 2.0, self.height / 2.0))
+        else:
+            _finite_vector(self.principal, 2, "principal point")
 
     def pixel_rays(self) -> np.ndarray:
         """Unit ray directions through every pixel center, shape (height, width, 3)."""

@@ -28,7 +28,7 @@ from isophote import (
     sublevel,
 )
 from isophote import detector
-from isophote.raster import storage_dtype
+from isophote.raster import signed_dtype, storage_dtype
 
 N4, N8 = Topology.N4, Topology.N8
 
@@ -100,6 +100,43 @@ def chunk_cases(draw):
         inc = draw(st.integers(1, 4))
         schedule = ThresholdSchedule(inc, offset=offset, ceiling=offset + (n - 1) * inc)
     return rows, grid, schedule, topology, draw(st.integers(1, 3))
+
+
+@st.composite
+def strip_cases(draw):
+    """A grid at N4/N8 or a stack at N4T up to 9 rows tall, a schedule with a random or negative offset, strips of 1-3 rows."""
+    mv = draw(st.sampled_from([12, 255]))
+    topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    value = st.one_of(st.integers(0, mv), st.integers(0, 3))
+    frame = st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h)
+    if topology is Topology.N4T:
+        rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))]
+        grid = FrameStack(np.array(rows), mv)
+    else:
+        rows = draw(frame)
+        grid = IntensityGrid.from_rows(rows, mv)
+    schedule = ThresholdSchedule(
+        draw(st.integers(1, max(mv // 8, 3))),
+        offset=draw(st.one_of(st.integers(-mv, mv + 1), st.integers(-3, 0))),
+        ceiling=draw(st.one_of(st.none(), st.integers(0, mv + 2))),
+    )
+    return rows, grid, schedule, topology, draw(st.integers(1, 3))
+
+
+def assert_matches_brute(mask, rows, grid, schedule, topology):
+    """Every pixel's count and witness pair equal the brute enumeration's; rows are a stack's frames at N4T."""
+    levels = schedule.levels(grid.max_value).tolist()
+    if topology is Topology.N4T:
+        members = brute_stack_member_levels(rows, levels)
+    else:
+        members = brute_member_levels(rows, levels, topology)
+    for idx in np.ndindex(grid.values.shape):
+        p = tuple(reversed(idx))
+        found = members.get(p, [])
+        assert mask.count_at(p) == len(found)
+        expect = (found[-2], found[-1]) if len(found) >= 2 else None
+        assert mask.witnesses_at(p) == expect
 
 
 def constant(v, w=3, h=3, mv=12):
@@ -275,21 +312,11 @@ class TestDetectMultilevel:
         # chunks of 1-3 levels make witnesses cross chunk boundaries, which
         # the small grids elsewhere never do: all their levels fit one chunk
         rows, grid, sch, topology, chunk = case
-        levels = sch.levels(grid.max_value).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detector, "_LEVEL_BUDGET", chunk * grid.values.size)
             mask = detect_multilevel(grid, sch, topology)
         assert mask == detect_pointwise(grid, sch, topology)
-        if topology is Topology.N4T:
-            members = brute_stack_member_levels(rows, levels)
-        else:
-            members = brute_member_levels(rows, levels, topology)
-        for idx in np.ndindex(grid.values.shape):
-            p = tuple(reversed(idx))
-            found = members.get(p, [])
-            assert mask.count_at(p) == len(found)
-            expect = (found[-2], found[-1]) if len(found) >= 2 else None
-            assert mask.witnesses_at(p) == expect
+        assert_matches_brute(mask, rows, grid, sch, topology)
 
     @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
     def test_transient_memory_is_bounded_by_the_level_budget(self, topology):
@@ -392,10 +419,75 @@ class TestDetectPointwise:
         for (x, y), levels in members.items():
             assert outcomes[0].count_at((x, y)) == len(levels)
 
+    @given(strip_cases())
+    @settings(max_examples=200)
+    def test_strip_boundaries_match_multilevel_and_brute(self, case):
+        # strips of 1-3 rows put neighbors of most pixels in another strip
+        rows, grid, sch, topology, strip = case
+        itemsize = signed_dtype(detector._check_range(grid, sch)).itemsize
+        row_bytes = grid.values[..., :1, :].size * itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_STRIP_BUDGET", strip * row_bytes + row_bytes - 1)
+            mask = detect_pointwise(grid, sch, topology)
+        assert mask == detect_multilevel(grid, sch, topology)
+        assert_matches_brute(mask, rows, grid, sch, topology)
+
+    @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
+    def test_transient_memory_is_the_mask_plus_a_few_strips(self, topology):
+        # the closed form runs on strips, so beyond the narrow mask (one
+        # byte per array here) only strip-sized scratch is ever alive
+        rng = np.random.default_rng(4)
+        g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
+        tracemalloc.start()
+        try:
+            mask = detect_pointwise(g, ThresholdSchedule(8), topology)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mask_bytes = 3 * g.values.size
+        assert sum(a.nbytes for a in (mask.level_count, mask.witness_hi, mask.witness_lo)) == mask_bytes
+        assert peak < mask_bytes + 6 * detector._STRIP_BUDGET
+
     def test_single_pixel_grid_never_flagged(self):
         g = IntensityGrid.from_rows([[7]], max_value=10)
         for sch in (ThresholdSchedule(1, offset=0), ThresholdSchedule(1, offset=1)):
             assert not detect_pointwise(g, sch, N4).level_count.any()
+
+
+class TestMaskDtypes:
+    """Both routes store level_count in the narrowest unsigned dtype that
+    holds the number of levels, and the witnesses in the grid's storage dtype."""
+
+    @pytest.mark.parametrize(
+        "max_value, witness",
+        [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.int64)],
+    )
+    @pytest.mark.parametrize("route", [detect_pointwise, detect_multilevel])
+    def test_witnesses_take_the_storage_dtype(self, route, max_value, witness):
+        g = IntensityGrid.from_rows([[0, max_value, 0], [max_value, 1, max_value]], max_value)
+        sch = ThresholdSchedule(max(max_value // 100, 1))
+        mask = route(g, sch, N4)
+        assert mask.witness_hi.dtype == mask.witness_lo.dtype == witness
+        members = [c for c in sch.levels(max_value).tolist() if 0 < c <= max_value]
+        assert mask.witnesses_at((1, 0)) == tuple(members[-2:])
+
+    @pytest.mark.parametrize(
+        "max_value, schedule, levels, count",
+        [
+            (255, ThresholdSchedule(1, offset=2), 255, np.uint8),
+            (255, ThresholdSchedule(1, offset=1), 256, np.uint16),
+            (65535, ThresholdSchedule(1, offset=2), 65535, np.uint16),
+            (65535, ThresholdSchedule(1, offset=1), 65536, np.uint32),
+        ],
+    )
+    @pytest.mark.parametrize("route", [detect_pointwise, detect_multilevel])
+    def test_level_count_holds_the_number_of_levels(self, route, max_value, schedule, levels, count):
+        assert schedule.size(max_value) == schedule.levels(max_value).size == levels
+        g = IntensityGrid.from_rows([[0, max_value], [1, 0]], max_value)
+        mask = route(g, schedule, N4)
+        assert mask.level_count.dtype == count
+        # the members of (0, max_value]: every level but max_value + 1
+        assert mask.count_at((1, 0)) == levels - 1
 
 
 class TestNecessaryCondition:

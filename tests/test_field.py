@@ -1,3 +1,4 @@
+import gc
 import time
 
 import hypothesis.strategies as st
@@ -11,11 +12,13 @@ from reference_trace import (
     reference_trace_level_contours,
 )
 
+from isophote import field
 from isophote import (
     Contour,
     IntensityGrid,
     PixelCoord,
     Topology,
+    VectorFieldGrid,
     apply_operator,
     contours_to_svg,
     contours_to_text,
@@ -144,6 +147,25 @@ class TestSupport:
         with pytest.raises(ValueError):
             hamiltonian(ramp_x(6, 5), where=np.ones((6, 5), dtype=bool))
 
+    @given(supported_fields())
+    @settings(max_examples=50)
+    def test_index_lists_the_supported_pixels(self, case):
+        grid, mask = case
+        part = hamiltonian(grid, where=mask)
+        assert np.array_equal(part.index, np.flatnonzero(mask))
+        rebuilt = VectorFieldGrid(part.hx, part.hy, mask)  # the index found from the support
+        assert np.array_equal(rebuilt.index, part.index)
+        assert np.array_equal(zero_mask(rebuilt), zero_mask(part))
+
+    def test_index_must_match_the_support(self):
+        mask = np.array([[True, False, True]])
+        hx = np.zeros(2, dtype=np.int32)
+        with pytest.raises(ValueError, match="one value per supported pixel"):
+            VectorFieldGrid(hx, hx, mask, np.array([0]))
+        with pytest.raises(ValueError, match="support"):
+            VectorFieldGrid(hx, hx, None, np.array([0, 2]))
+        assert hamiltonian(ramp_x()).index is None
+
 
 class TestUnsignedStorage:
     """uint8 storage must not leak into differences: results equal int64 arithmetic."""
@@ -239,6 +261,25 @@ class TestTraceLevelContours:
         g = IntensityGrid(vals, 9)
         contours = trace_level_contours(g, 5, N4)
         assert contours and all(not c.closed for c in contours)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_while_contours_are_built(self, enabled, monkeypatch):
+        states = []
+
+        class Recording(Contour):
+            def __init__(self, *args):
+                states.append(gc.isenabled())
+                super().__init__(*args)
+
+        monkeypatch.setattr(field, "Contour", Recording)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            contours = trace_level_contours(block_grid(), 5, N4)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(contours) == len(states) == 1 and states == [False]
 
     def test_temporal_topology_rejected(self):
         with pytest.raises(ValueError):

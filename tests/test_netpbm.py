@@ -74,6 +74,74 @@ def test_plain_writers_match_row_join(tmp_path, width, maxval):
     assert path.read_bytes() == f"P1\n{width} 3\n".encode() + old_plain_rows(mask)
 
 
+_SAMPLE_DTYPES = (np.uint8, np.uint16, np.int64, bool)
+
+
+@st.composite
+def sample_arrays(draw, channels: bool):
+    """Integer or boolean samples, C-contiguous or a strided view, with the least maxval that holds them."""
+    dtype = draw(st.sampled_from(_SAMPLE_DTYPES))
+    top = 1 if dtype is bool else draw(st.sampled_from([1, 255, 256, 65535]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * h, 2 * w) + ((3,) if channels else ())
+    values = rng.integers(0, top + 1, size=shape).astype(dtype)
+    if draw(st.booleans()):  # every other row and column: a view that is not contiguous
+        values = values[::2, ::2]
+    else:
+        values = np.ascontiguousarray(values[:h, :w])
+    return values, max(top, 1)
+
+
+@given(sample_arrays(channels=False), sample_arrays(channels=True))
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_binary_writers_write_the_samples_bytes(tmp_path, gray, rgb):
+    def sample_bytes(values, maxval):
+        return values.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+
+    values, maxval = gray
+    h, w = values.shape
+    write_pgm(tmp_path / "img.pgm", IntensityGrid(values, maxval))
+    head = f"P5\n{w} {h}\n{maxval}\n".encode()
+    assert (tmp_path / "img.pgm").read_bytes() == head + sample_bytes(values, maxval)
+    write_pbm(tmp_path / "mask.pbm", values % 2 == 1)
+    packed = np.packbits(values % 2 == 1, axis=1).tobytes()
+    assert (tmp_path / "mask.pbm").read_bytes() == f"P4\n{w} {h}\n".encode() + packed
+    values, maxval = rgb
+    h, w = values.shape[:2]
+    write_ppm(tmp_path / "img.ppm", values, maxval)
+    head = f"P6\n{w} {h}\n{maxval}\n".encode()
+    assert (tmp_path / "img.ppm").read_bytes() == head + sample_bytes(values, maxval)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_binary_io_makes_no_raster_sized_copy(tmp_path, maxval):
+    # reading holds the file's bytes, plus the native-endian samples above
+    # 255; writing holds only a byte-swapped copy above 255, and PBM its
+    # packed bits
+    rng = np.random.default_rng(maxval)
+    dtype = np.uint8 if maxval < 256 else np.uint16
+    grid = IntensityGrid(rng.integers(0, maxval + 1, size=(1024, 1024), dtype=dtype), maxval)
+    swapped = 0 if maxval < 256 else grid.values.nbytes
+    slack = grid.values.nbytes // 8
+    path = tmp_path / "img.pgm"
+    assert _traced_peak(write_pgm, path, grid) < swapped + slack
+    assert _traced_peak(read_image, path) < path.stat().st_size + swapped + slack
+    # 8-bit samples are a view of the file's bytes, so they stay read-only
+    assert read_image(path)[0].flags.writeable == (maxval > 255)
+    mask = grid.values % 2 == 1
+    assert _traced_peak(write_pbm, tmp_path / "mask.pbm", mask) < mask.size // 8 + mask.size // 16
+
+
 def test_pbm_reads_as_grid(tmp_path):
     mask = np.array([[True, False], [False, True]])
     path = tmp_path / "mask.pbm"

@@ -140,6 +140,29 @@ class TestValidation:
         with pytest.raises(SceneError):
             SceneSpec(width=4, height=4, fov=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: Sphere(center=(v, 0.0, 5.0), radius=1.0), "sphere center"),
+            (lambda v: Sphere(center=(0.0, v, 5.0), radius=1.0), "sphere center"),
+            (lambda v: Sphere(center=(0.0, 0.0, v), radius=1.0), "sphere center"),
+            (lambda v: Sphere(center=(0.0, 0.0, 5.0), radius=v), "sphere radius"),
+            (lambda v: Sphere(center=(0.0, 0.0, 5.0), radius=1.0, albedo=v), "albedo"),
+            (lambda v: Plane(point=(0.0, v, 5.0), normal=(0.0, 0.0, 1.0)), "plane point"),
+            (lambda v: Plane(point=(0.0, 0.0, 5.0), normal=(v, 0.0, 1.0)), "plane normal"),
+            (lambda v: Plane(point=(0.0, 0.0, 5.0), normal=(0.0, 0.0, 1.0), albedo=v), "albedo"),
+            (lambda v: SceneSpec(4, 3, light_direction=(0.0, v, -1.0)), "light direction"),
+            (lambda v: SceneSpec(4, 3, ambient=v), "ambient"),
+            (lambda v: SceneSpec(4, 3, fov=v), "fov"),
+            (lambda v: SceneSpec(4, 3, principal=(v, 1.0)), "principal point"),
+            (lambda v: SceneSpec(4, 3, principal=(1.0, v)), "principal point"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, build, field, bad):
+        with pytest.raises(SceneError, match=field):
+            build(bad)
+
     def test_principal_defaults_to_center(self):
         spec = SceneSpec(width=10, height=6)
         assert spec.principal == (5.0, 3.0)
