@@ -8,6 +8,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .detector import ThresholdSchedule, detect_multilevel, detect_pointwise
@@ -186,9 +187,15 @@ def cmd_detect_temporal(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call reuses: parsing leaves it unchanged, and
+    building one costs about twenty parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NetpbmError, SceneError, OSError, ValueError) as exc:

@@ -10,7 +10,8 @@ Two detectors produce the same mask by construction of the theory and are
 kept as independent code paths so each can check the other:
 
 * :func:`detect_multilevel` enumerates a threshold schedule and builds
-  each boundary from its sublevel set.
+  each boundary from its sublevel set, one bit per threshold in a word
+  per pixel that holds up to 64 of them.
 * :func:`detect_pointwise` characterizes, per pixel, exactly which
   thresholds capture it (an integer interval) and counts schedule
   members inside that interval in closed form.
@@ -49,13 +50,9 @@ __all__ = [
     "check_necessary_condition",
 ]
 
-# detect_multilevel evaluates levels in chunks of _LEVEL_BUDGET // pixels
-# levels, so its (levels, *shape) one-byte stacks hold about this many
-# bytes whatever the image size or schedule length; at most two such
-# stacks (the sublevel sets and their dilation) are alive at once. Chunks
-# are clamped to [1, 255] levels because a chunk ranks its levels 1..n in
-# uint8, and 0 marks "not a member".
-_LEVEL_BUDGET = 32 << 20
+# detect_multilevel packs a chunk of up to 64 levels into one unsigned word
+# per pixel, one bit per level, in the narrowest of these that holds them.
+_WORD_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
 
 # detect_pointwise runs its closed form on row strips of about this many
 # bytes of its arithmetic dtype (at least one row each), so the scratch
@@ -201,18 +198,6 @@ def level_curve_set(grid: Grid, c: int, topology: Topology) -> LevelCurveSet:
     return LevelCurveSet(int(c), mask)
 
 
-def _finalize_mask(count, hi, lo) -> DetectionMask:
-    """Zero the witnesses of unflagged pixels in place; the arrays must be the caller's own.
-
-    Multiplying by the flag is branch-free, unlike a masked copy, whose
-    cost grows with how unpredictably flags alternate.
-    """
-    flagged = count >= 2
-    np.multiply(hi, flagged, out=hi)
-    np.multiply(lo, flagged, out=lo)
-    return DetectionMask(count, hi, lo)
-
-
 def _check_range(grid: Grid, schedule: ThresholdSchedule) -> int:
     """A bound on every intermediate of either route; ValueError unless it fits int64.
 
@@ -237,13 +222,22 @@ def _mask_dtypes(grid: Grid, schedule: ThresholdSchedule) -> tuple[np.dtype, np.
     return np.min_scalar_type(schedule.size(grid.max_value)), storage_dtype(grid.max_value)
 
 
+def _pop_low_bit(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Index of each word's lowest set bit (the width where none is set), cleared from words in place."""
+    low = np.negative(words, out=scratch)
+    low &= words  # m & -m isolates the lowest set bit
+    words ^= low
+    return np.bitwise_count(np.subtract(low, 1, out=low))  # the bits under it
+
+
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
     The witness pair at a flagged pixel is the two largest member
     thresholds, so output is deterministic regardless of evaluation order.
-    Time grows as levels x pixels; transient memory is bounded by two
-    times a fixed byte budget plus a fixed number of bytes per pixel.
+    Time grows as levels x pixels. Transient memory is a fixed number of
+    bytes per pixel whatever the schedule length: one word per pixel holds
+    a chunk of up to 64 levels, one bit each.
     """
     topology.check_grid(grid)
     _check_range(grid, schedule)
@@ -251,50 +245,53 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     if values.dtype == np.uint64:  # it would promote with int64 levels to float64
         values = values.astype(np.int64)
     levels = schedule.levels(grid.max_value)
-    bound = max(abs(int(levels[0])), abs(int(levels[-1]))) if levels.size else 0
     count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
     count = np.zeros(values.shape, dtype=count_dtype)
     hi = np.zeros(values.shape, dtype=witness_dtype)
     lo = np.zeros(values.shape, dtype=witness_dtype)
-    # compare in a dtype that holds every level and every value
-    thresholds = levels.astype(np.promote_types(values.dtype, signed_dtype(bound)))
-    step = max(min(_LEVEL_BUDGET // values.size, 255, levels.size), 1)
-    shape = (-1,) + (1,) * values.ndim
-    # one buffer for every chunk's sublevel sets, which become its ranks
-    stack = np.empty((step,) + values.shape, dtype=bool)
+    step = max(min(levels.size, 8 * _WORD_DTYPES[-1].itemsize), 1)
+    word = next(w for w in _WORD_DTYPES if 8 * w.itemsize >= step)
+    # one word per intensity, gathered by value, unless intensities outnumber pixels
+    by_value = grid.max_value < values.size
+    at = np.arange(grid.max_value + 1) if by_value else values
     for start in range(0, levels.size, step):
-        ls = thresholds[start : start + step]
-        below = np.less(values, ls.reshape(shape), out=stack[: ls.size])
-        nearby = neighbor_any(below, topology)
-        members = np.invert(below, out=below)
-        members &= nearby  # neighbor_any(below) & ~below
-        del nearby  # before the next chunk's dilation allocates
-        rank = members.view(np.uint8)
-        chunk_count = rank.sum(axis=0, dtype=np.uint8)
-        rank *= np.arange(1, ls.size + 1, dtype=np.uint8).reshape(shape)
-        first = rank.max(axis=0)
-        # Subtracting first (mod 256) sends its own slab to 0 and lifts every
-        # smaller rank r to 256 - first + r, above non-members at 256 - first,
-        # so the next max is second - first (mod 256). That max is 0 at a
-        # member only in a one-level chunk, where it gives back first: zero it.
-        rank -= first
-        second = rank.max(axis=0)
-        second += first
-        second *= second < first
-        # A member threshold is at least 1 (the pixel has a neighbor below
-        # it, and intensities are nonnegative), so level 0 stands for "none".
+        ls = levels[start : start + step]
+        # Bit j stands for level ls[n - 1 - j], so the highest level is the
+        # lowest bit. v lies below the levels past the k = searchsorted(ls, v,
+        # "right") at or below it: the low n - k bits. numpy shifts 1 by the
+        # word width to 0, and 0 - 1 wraps to all ones.
+        below = np.searchsorted(ls, at, side="right")
+        below = np.subtract(ls.size, below, out=below).astype(word)
+        np.left_shift(word.type(1), below, out=below)
+        below -= 1
+        if by_value:
+            below = below[values]
+        members = neighbor_any(below, topology)
+        members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
+        count += np.bitwise_count(members)
+        # The lowest member bit is the highest member level; a word without
+        # members gives the width, which the table sends to 0 ("none": a
+        # member threshold is at least 1, as the pixel has a neighbor below
+        # it and intensities are nonnegative). Levels outside [1, max_value]
+        # may wrap in the witness dtype, but no pixel has them as members.
+        table = np.zeros(8 * word.itemsize + 1, dtype=witness_dtype)
+        table[: ls.size] = ls[::-1]
+        f = table[_pop_low_bit(members, below)]
+        s = table[_pop_low_bit(members, below)]
         # Every member of this chunk lies above all earlier ones, so the top
         # two of the union are max(hi, f) and max(lo, min(hi, f), s).
-        # Levels outside [1, max_value] may wrap in the witness dtype, but
-        # no pixel has them as members, so no rank reads them.
-        table = np.concatenate(([0], ls)).astype(witness_dtype)
-        f, s = table.take(first), table.take(second)
         np.maximum(lo, s, out=lo)
         np.minimum(f, hi, out=s)
         np.maximum(lo, s, out=lo)
         np.maximum(hi, f, out=hi)
-        count += chunk_count
-    return _finalize_mask(count, hi, lo)
+        del below, members, f, s  # before the next chunk allocates
+    # zero the witnesses of unflagged pixels: multiplying by the flag is
+    # branch-free, unlike a masked copy, whose cost grows with how
+    # unpredictably flags alternate
+    flagged = count >= 2
+    hi *= flagged
+    lo *= flagged
+    return DetectionMask(count, hi, lo)
 
 
 def membership_interval(grid: Grid, p, topology: Topology) -> Optional[tuple[int, int]]:
@@ -371,7 +368,7 @@ def detect_pointwise(
         count[strip] = members
         np.greater_equal(members, 2, out=flagged)
         # the witnesses are the last two members, offset + (k_end - 1) * inc
-        # and one increment less, zeroed by the flag as in _finalize_mask
+        # and one increment less, zeroed by the flag as in detect_multilevel
         k_end *= inc
         k_end += offset - inc
         k_end *= flagged

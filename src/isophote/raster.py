@@ -301,9 +301,10 @@ def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:
     """True where at least one topology-neighbor is True (vectorized dilation).
 
     Agrees pixel-for-pixel with :func:`neighbors`: out-of-grid targets
-    contribute nothing.
+    contribute nothing. mask may also hold unsigned integer words: the
+    neighbors are ORed bitwise, so each bit plane is dilated on its own.
     """
-    return _fold_neighbors(mask, topology, False, np.logical_or, bool)
+    return _fold_neighbors(mask, topology, 0, np.bitwise_or, mask.dtype)
 
 
 def neighbor_min(values: np.ndarray, topology: Topology, fill: int) -> np.ndarray:

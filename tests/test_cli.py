@@ -32,6 +32,7 @@ from isophote import (
     write_ppm,
     zero_mask,
 )
+from isophote import cli
 from isophote.cli import build_parser, main
 
 
@@ -217,6 +218,26 @@ class TestDetect:
         assert parser.parse_args(["detect", "in.pgm", "out.pbm"]).mode == "pointwise"
         argv = ["detect-temporal", "--out-pattern", "m{i}.pbm", "a.pgm", "b.pgm"]
         assert parser.parse_args(argv).mode == "pointwise"
+
+    def test_consecutive_calls_each_get_their_own_arguments(self, tmp_path, step_image):
+        # main reuses one parser, so nothing of one call may carry into the next
+        levels = tmp_path / "levels.pgm"
+        calls = [
+            ["detect", "--mode", "multilevel", "--increment", "64", "--topology", "8",
+             "--levels-out", str(levels), str(step_image), str(tmp_path / "first.pbm")],
+            ["trace", "--threshold", "100", str(step_image), str(tmp_path / "curves.svg")],
+            ["detect", str(step_image), str(tmp_path / "last.pbm")],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+            assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+            if levels.exists():  # only the first call writes it
+                assert argv is calls[0]
+                levels.unlink()
+        assert cli._parser() is cli._parser()
+        assert read_pbm(tmp_path / "last.pbm").tobytes() == detect_multilevel(
+            read_grid(step_image), ThresholdSchedule(8), Topology.N4
+        ).flagged.tobytes()
 
 
 def encode_netpbm(magic: int, w: int, h: int, maxval: int, samples: list[int]) -> bytes:

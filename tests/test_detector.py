@@ -81,11 +81,16 @@ def dtype_boundary_cases(draw):
 
 @st.composite
 def chunk_cases(draw):
-    """A grid at N4/N8 or a stack at N4T, a schedule of 0, 1, 2 or many levels, a chunk of 1-3 levels."""
-    mv = 12
+    """A grid at N4/N8 or a stack at N4T, a schedule of 0-2 or 9-40 levels, and words of 8 or 16 bits.
+
+    max_value is 47, so grids of more than 47 pixels gather their sublevel
+    words by value and the others build them per pixel.
+    """
+    mv = 47
     topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
-    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    frame = st.lists(st.lists(st.integers(0, mv), min_size=w, max_size=w), min_size=h, max_size=h)
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    value = st.one_of(st.integers(0, mv), st.integers(0, 3))
+    frame = st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h)
     if topology is Topology.N4T:
         rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))]
         grid = FrameStack(np.array(rows), mv)
@@ -93,13 +98,10 @@ def chunk_cases(draw):
         rows = draw(frame)
         grid = IntensityGrid.from_rows(rows, mv)
     offset = draw(st.integers(-3, 6))
-    n = draw(st.sampled_from([None, 2, 1, 0]))  # None: many levels
-    if n is None:
-        schedule = ThresholdSchedule(draw(st.integers(1, 2)), offset=offset)
-    else:
-        inc = draw(st.integers(1, 4))
-        schedule = ThresholdSchedule(inc, offset=offset, ceiling=offset + (n - 1) * inc)
-    return rows, grid, schedule, topology, draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(0, 2), st.integers(9, 40)))
+    inc = draw(st.integers(1, 2))  # at increment 2, the cap of 48 admits at most 22-26 levels
+    schedule = ThresholdSchedule(inc, offset=offset, ceiling=offset + (n - 1) * inc)
+    return rows, grid, schedule, topology, draw(st.integers(1, 2))
 
 
 @st.composite
@@ -309,31 +311,37 @@ class TestDetectMultilevel:
     @given(chunk_cases())
     @settings(max_examples=200)
     def test_chunk_boundaries_match_pointwise_and_brute(self, case):
-        # chunks of 1-3 levels make witnesses cross chunk boundaries, which
-        # the small grids elsewhere never do: all their levels fit one chunk
-        rows, grid, sch, topology, chunk = case
+        # words of 8 or 16 bits make witnesses cross chunk boundaries, which
+        # the small schedules elsewhere never do: all their levels fit one word
+        rows, grid, sch, topology, words = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detector, "_LEVEL_BUDGET", chunk * grid.values.size)
+            mp.setattr(detector, "_WORD_DTYPES", detector._WORD_DTYPES[:words])
             mask = detect_multilevel(grid, sch, topology)
         assert mask == detect_pointwise(grid, sch, topology)
         assert_matches_brute(mask, rows, grid, sch, topology)
 
-    @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
-    def test_transient_memory_is_bounded_by_the_level_budget(self, topology):
-        # 256 levels on 1024^2: at most two budget-sized stacks (the
-        # sublevel sets and their dilation) are alive at once, plus arrays
-        # of a few bytes per pixel
+    @pytest.mark.parametrize("max_value, side, increment, topology", [
+        (255, 1024, 1, N4), (255, 1024, 1, N8), (65535, 512, 16, N8),
+    ], ids=["N4", "N8", "16bit-N8"])
+    def test_transient_memory_is_a_few_bytes_per_pixel(self, max_value, side, increment, topology):
+        # 256 levels on 1024^2 8-bit, and 4096 on 512^2 16-bit: beyond the
+        # mask, a pixel holds two 8-byte words of 64 levels (the sublevel
+        # sets and their dilation) and a few narrow arrays, and an
+        # intensity three 8-byte words of the table gathered by value,
+        # whatever the schedule length
         rng = np.random.default_rng(3)
-        g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
-        sch = ThresholdSchedule(1)
-        assert sch.levels(255).size == 256
+        values = rng.integers(0, max_value + 1, size=(side, side), dtype=storage_dtype(max_value))
+        g = IntensityGrid(values, max_value)
+        sch = ThresholdSchedule(increment)
+        assert sch.levels(max_value).size == (max_value + 1) // increment
         tracemalloc.start()
         try:
-            detect_multilevel(g, sch, topology)
+            mask = detect_multilevel(g, sch, topology)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * detector._LEVEL_BUDGET + 32 * g.values.size
+        mask_bytes = sum(a.nbytes for a in (mask.level_count, mask.witness_hi, mask.witness_lo))
+        assert peak < mask_bytes + 24 * g.values.size + 24 * (max_value + 1)
 
     @given(grid_rows(), schedules, topologies)
     def test_level_count_matches_brute_enumeration(self, rows_mv, sch, topology):

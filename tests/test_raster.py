@@ -244,6 +244,19 @@ class TestVectorizedHelpers:
                 expect = any(mask[q.y, q.x] for q in neighbors((x, y), g, topology))
                 assert bool(got[y, x]) == expect
 
+    @given(st.sampled_from([np.uint8, np.uint64]), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 3), st.sampled_from(list(Topology)), st.integers(0, 2**32))
+    def test_neighbor_any_dilates_each_bit_plane_of_words(self, dtype, w, h, frames, topology, seed):
+        shape = (frames, h, w) if topology is Topology.N4T else (h, w)
+        words = np.random.default_rng(seed).integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype,
+                                                     endpoint=True)
+        got = neighbor_any(words, topology)
+        assert got.dtype == words.dtype
+        for bit in range(8 * words.itemsize):
+            plane = (words >> dtype(bit)) & dtype(1)
+            expect = neighbor_any(plane.astype(bool), topology)
+            assert np.array_equal((got >> dtype(bit)) & dtype(1), expect)
+
     @given(grid_rows(), topologies)
     def test_neighbor_min_matches_definition(self, rows_mv, topology):
         rows, mv = rows_mv
