@@ -77,13 +77,16 @@ class ThresholdSchedule:
     ceiling: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.increment, (int, np.integer)) or self.increment < 1:
+        offset = self.increment if self.offset is None else self.offset
+        for name, value in (("increment", self.increment), ("offset", offset), ("ceiling", self.ceiling)):
+            if value is None and name == "ceiling":
+                continue
+            # int() would silently change a float, a string or a bool
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.increment < 1:
             raise ValueError(f"increment must be a positive integer, got {self.increment!r}")
-        object.__setattr__(self, "increment", int(self.increment))
-        offset = self.increment if self.offset is None else int(self.offset)
-        object.__setattr__(self, "offset", offset)
-        if self.ceiling is not None:
-            object.__setattr__(self, "ceiling", int(self.ceiling))
 
     def cap(self, max_value: int) -> int:
         """Largest threshold value admitted against a grid with this max_value."""
@@ -132,10 +135,12 @@ class DetectionMask:
 
     A pixel is flagged when the count is at least two. witness_hi/witness_lo
     hold the two largest such thresholds at flagged pixels and are zero
-    elsewhere, which makes masks comparable bit-for-bit. Both routes store
-    the same dtypes: level_count the narrowest unsigned one that holds the
-    schedule's number of levels, and the witnesses the grid's storage
-    dtype, since a member threshold lies in [1, max_value].
+    elsewhere, which makes masks comparable bit-for-bit. The members are the
+    schedule levels in the pixel's membership interval, which are
+    consecutive, so witness_lo = witness_hi - increment wherever flagged.
+    Both routes store the same dtypes: level_count the narrowest unsigned
+    one that holds the schedule's number of levels, and the witnesses the
+    grid's storage dtype, since a member threshold lies in [1, max_value].
     """
 
     level_count: np.ndarray
@@ -222,19 +227,12 @@ def _mask_dtypes(grid: Grid, schedule: ThresholdSchedule) -> tuple[np.dtype, np.
     return np.min_scalar_type(schedule.size(grid.max_value)), storage_dtype(grid.max_value)
 
 
-def _pop_low_bit(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Index of each word's lowest set bit (the width where none is set), cleared from words in place."""
-    low = np.negative(words, out=scratch)
-    low &= words  # m & -m isolates the lowest set bit
-    words ^= low
-    return np.bitwise_count(np.subtract(low, 1, out=low))  # the bits under it
-
-
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
     The witness pair at a flagged pixel is the two largest member
-    thresholds, so output is deterministic regardless of evaluation order.
+    thresholds. Only the largest is searched for: the members are
+    consecutive schedule levels, so the other is one increment below it.
     Time grows as levels x pixels. Transient memory is a fixed number of
     bytes per pixel whatever the schedule length: one word per pixel holds
     a chunk of up to 64 levels, one bit each.
@@ -248,7 +246,6 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
     count = np.zeros(values.shape, dtype=count_dtype)
     hi = np.zeros(values.shape, dtype=witness_dtype)
-    lo = np.zeros(values.shape, dtype=witness_dtype)
     step = max(min(levels.size, 8 * _WORD_DTYPES[-1].itemsize), 1)
     word = next(w for w in _WORD_DTYPES if 8 * w.itemsize >= step)
     # one word per intensity, gathered by value, unless intensities outnumber pixels
@@ -265,31 +262,30 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
         np.left_shift(word.type(1), below, out=below)
         below -= 1
         if by_value:
-            below = below[values]
+            below = below[values]  # not np.take, which copies the index as intp
         members = neighbor_any(below, topology)
         members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
         count += np.bitwise_count(members)
-        # The lowest member bit is the highest member level; a word without
-        # members gives the width, which the table sends to 0 ("none": a
-        # member threshold is at least 1, as the pixel has a neighbor below
-        # it and intensities are nonnegative). Levels outside [1, max_value]
+        # The lowest member bit is the highest member level: m & -m isolates
+        # it and the bits under it give its index. No member gives the width,
+        # which the table sends to 0, as a member threshold is at least 1 (it
+        # lies above a neighbor's intensity). Levels outside [1, max_value]
         # may wrap in the witness dtype, but no pixel has them as members.
+        low = np.negative(members, out=below)
+        low &= members
+        low = np.bitwise_count(np.subtract(low, 1, out=low))
         table = np.zeros(8 * word.itemsize + 1, dtype=witness_dtype)
         table[: ls.size] = ls[::-1]
-        f = table[_pop_low_bit(members, below)]
-        s = table[_pop_low_bit(members, below)]
-        # Every member of this chunk lies above all earlier ones, so the top
-        # two of the union are max(hi, f) and max(lo, min(hi, f), s).
-        np.maximum(lo, s, out=lo)
-        np.minimum(f, hi, out=s)
-        np.maximum(lo, s, out=lo)
-        np.maximum(hi, f, out=hi)
-        del below, members, f, s  # before the next chunk allocates
-    # zero the witnesses of unflagged pixels: multiplying by the flag is
-    # branch-free, unlike a masked copy, whose cost grows with how
-    # unpredictably flags alternate
+        # every member of this chunk lies above all earlier ones
+        np.maximum(hi, table[low], out=hi)  # not np.take: as for below[values]
+        del below, members, low  # before the next chunk allocates
+    # The second witness is one increment below the first. Multiplying by
+    # the flag zeroes unflagged pixels branch-free, unlike a masked copy,
+    # whose cost grows with how unpredictably flags alternate. An increment
+    # too wide for the witness dtype (256 on uint8) wraps, but flags nothing.
     flagged = count >= 2
     hi *= flagged
+    lo = np.subtract(hi, np.asarray(schedule.increment).astype(witness_dtype))
     lo *= flagged
     return DetectionMask(count, hi, lo)
 

@@ -126,6 +126,32 @@ def strip_cases(draw):
     return rows, grid, schedule, topology, draw(st.integers(1, 3))
 
 
+@st.composite
+def adjacency_cases(draw):
+    """A grid at N4/N8 or a stack at N4T, a schedule of at most about 40 levels
+    with a random increment, an offset in [-increment, increment] and maybe a
+    ceiling, and words of 8 to 64 bits; max_value up to 2**40 (int64 witnesses)."""
+    mv = draw(st.sampled_from([12, 255, 65535, 2**40]))
+    topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = st.one_of(st.integers(0, mv), st.integers(0, 3), st.integers(max(mv - 3, 0), mv))
+    frame = st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h)
+    if topology is Topology.N4T:
+        rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))]
+        grid = FrameStack(np.array(rows), mv)
+    else:
+        rows = draw(frame)
+        grid = IntensityGrid.from_rows(rows, mv)
+    least = max((mv + 1) // 40, 1)
+    inc = draw(st.one_of(st.integers(least, least + 3), st.integers(least, mv + 2)))
+    schedule = ThresholdSchedule(
+        inc,
+        offset=draw(st.integers(-inc, inc)),
+        ceiling=draw(st.one_of(st.none(), st.integers(-2, mv + 2))),
+    )
+    return rows, grid, schedule, topology, draw(st.integers(1, 4))
+
+
 def assert_matches_brute(mask, rows, grid, schedule, topology):
     """Every pixel's count and witness pair equal the brute enumeration's; rows are a stack's frames at N4T."""
     levels = schedule.levels(grid.max_value).tolist()
@@ -139,6 +165,32 @@ def assert_matches_brute(mask, rows, grid, schedule, topology):
         assert mask.count_at(p) == len(found)
         expect = (found[-2], found[-1]) if len(found) >= 2 else None
         assert mask.witnesses_at(p) == expect
+
+
+def assert_witnesses_adjacent(rows, grid, schedule, topology, words=4):
+    """The brute member levels of every pixel step by the increment, and both
+    routes store witness_lo = (witness_hi - increment) * flagged.
+
+    words patches the oracle's word dtypes down to the first 1-4 of them.
+    """
+    levels = schedule.levels(grid.max_value).tolist()
+    if topology is Topology.N4T:
+        members = brute_stack_member_levels(rows, levels)
+    else:
+        members = brute_member_levels(rows, levels, topology)
+    for found in members.values():
+        # the two largest in particular: consecutive schedule levels
+        assert [b - a for a, b in zip(found, found[1:])] == [schedule.increment] * (len(found) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_WORD_DTYPES", detector._WORD_DTYPES[:words])
+        oracle = detect_multilevel(grid, schedule, topology)
+    closed_form = detect_pointwise(grid, schedule, topology)
+    for mask in (oracle, closed_form):
+        lo = np.where(mask.flagged, mask.witness_hi.astype(np.int64) - schedule.increment, 0)
+        assert np.array_equal(mask.witness_lo, lo)
+        assert_matches_brute(mask, rows, grid, schedule, topology)
+    assert oracle == closed_form
+    return oracle
 
 
 def constant(v, w=3, h=3, mv=12):
@@ -182,6 +234,23 @@ class TestThresholdSchedule:
             ThresholdSchedule(0)
         with pytest.raises(ValueError):
             ThresholdSchedule(-3)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"offset": 2.7}, "offset"),
+        ({"offset": "3"}, "offset"),
+        ({"ceiling": 9.9}, "ceiling"),
+        ({"increment": True}, "increment"),
+        ({"offset": False}, "offset"),
+        ({"ceiling": True}, "ceiling"),
+    ], ids=["float-offset", "str-offset", "float-ceiling", "bool-increment", "bool-offset", "bool-ceiling"])
+    def test_refuses_thresholds_it_would_silently_change(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ThresholdSchedule(**{"increment": 8, **kwargs})
+
+    def test_numpy_integers_become_python_ints(self):
+        sch = ThresholdSchedule(np.uint8(3), offset=np.int64(-2), ceiling=np.int32(9))
+        assert (sch.increment, sch.offset, sch.ceiling) == (3, -2, 9)
+        assert all(type(v) is int for v in (sch.increment, sch.offset, sch.ceiling))
 
     def test_contains(self):
         sch = ThresholdSchedule(5, offset=2)
@@ -358,6 +427,53 @@ class TestDetectMultilevel:
                 else:
                     assert mask.witnesses_at((x, y)) is None
                     assert mask.witness_hi[y, x] == 0 and mask.witness_lo[y, x] == 0
+
+    @given(adjacency_cases())
+    @settings(max_examples=150)
+    def test_top_two_members_are_one_increment_apart(self, case):
+        assert_witnesses_adjacent(*case)
+
+    @pytest.mark.parametrize("max_value, increment, offset", [
+        (255, 256, 0), (255, 256, -255), (65535, 65536, 0), (65535, 65536, -1),
+    ])
+    @pytest.mark.parametrize("topology", [N4, N8])
+    def test_increment_too_wide_for_the_witness_dtype_flags_nothing(self, max_value, increment, offset, topology):
+        # 256 does not fit uint8 witnesses, nor 65536 uint16 ones: the
+        # second witness must still come out as zero, not raise
+        rows = [[0, max_value, 0], [max_value, 0, max_value]]
+        grid = IntensityGrid.from_rows(rows, max_value)
+        mask = assert_witnesses_adjacent(rows, grid, ThresholdSchedule(increment, offset=offset), topology)
+        assert mask.witness_lo.dtype == storage_dtype(max_value)
+        assert not mask.flagged.any()
+
+    @pytest.mark.parametrize("topology", [N4, N8, Topology.N4T])
+    def test_witnesses_of_a_40_bit_grid_are_int64(self, topology):
+        mv = 2**40
+        rows = [[0, mv, 3], [mv - 1, 2**39, mv]]
+        if topology is Topology.N4T:
+            rows = [rows, [row[::-1] for row in rows]]
+            grid, p = FrameStack(np.array(rows), mv), (1, 0, 0)
+        else:
+            grid, p = IntensityGrid.from_rows(rows, mv), (1, 0)
+        mask = assert_witnesses_adjacent(rows, grid, ThresholdSchedule(2**35, offset=-(2**34)), topology)
+        assert mask.witness_hi.dtype == np.int64
+        # members (0, 2**40] are the levels 2**35 * k - 2**34, k = 1..32
+        assert mask.witnesses_at(p) == (mv - 2**34 - 2**35, mv - 2**34)
+
+    @pytest.mark.parametrize("topology", [N4, N8, Topology.N4T])
+    def test_second_witness_in_the_chunk_below_the_top_one(self, topology):
+        # With words of 8 bits the levels 1..20 fall in chunks [1..8], [9..16],
+        # [17..20]. The pixel of value 9 beside a 7 has members {8, 9}: its
+        # top member is the lowest level of the second chunk, and the second,
+        # which the oracle no longer looks for, lies in the first.
+        rows = [[7, 9, 12], [12, 12, 12]]
+        if topology is Topology.N4T:
+            rows = [rows, [[12] * 3] * 2]
+            grid, p = FrameStack(np.array(rows), 47), (1, 0, 0)
+        else:
+            grid, p = IntensityGrid.from_rows(rows, 47), (1, 0)
+        mask = assert_witnesses_adjacent(rows, grid, ThresholdSchedule(1, offset=1, ceiling=20), topology, words=1)
+        assert mask.count_at(p) == 2 and mask.witnesses_at(p) == (8, 9)
 
 
 class TestDetectPointwise:
