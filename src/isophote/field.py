@@ -9,13 +9,20 @@ occluding points worth filtering from a detection mask.
 
 All differences are doubled instead of halved so the fields stay exact
 integers: central differences in the interior, one-sided at the borders.
+
+Traced chains stay flat arrays of pixel coordinates: trace_level_contours
+returns a read-only sequence that builds each Contour when it is accessed,
+and the SVG and text exports lay out every pixel in array passes, formatting
+each distinct coordinate once.
 """
 
 from __future__ import annotations
 
 import gc
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -285,10 +292,10 @@ def _walk_chains(starts, interior, remaining: bytearray, ring) -> tuple[np.ndarr
             steps = turns[d]
         ends.append(len(path))
         closed.append(inside and (cur == start or cur - start in adjacent))
-    return np.array(path), ends, closed
+    return np.array(path, dtype=np.intp), ends, closed
 
 
-def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> list[Contour]:
+def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Sequence[Contour]:
     """Partition the level curve set at c into ordered pixel chains.
 
     Components come in scan order of their first pixel. Each is walked
@@ -299,6 +306,11 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> lis
     component never touches the image border and its endpoints are
     adjacent; no curve completion is attempted. The cost is linear in the
     size of the level curve set, apart from sorting it by component.
+
+    The result is a read-only sequence of Contour that holds the chains as
+    flat arrays. It compares equal to the list of the same contours, and
+    each Contour is built only when it is accessed; contours_to_svg and
+    contours_to_text read the arrays without building any.
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
@@ -309,8 +321,6 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> lis
     padded = np.zeros((h + 2, stride), dtype=bool)
     padded[1:-1, 1:-1] = mask
     members = np.flatnonzero(padded)
-    if not members.size:
-        return []
     ring = tuple(dy * stride + dx for dx, dy in _RINGS[topology])
     roots = _component_roots(members, ring)
     row, col = np.divmod(members, stride)
@@ -326,59 +336,167 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> lis
         ring,
     )
     row, col = np.divmod(path - (stride + 1), stride)
-    # Every object built below lives as long as the result, so the cyclic
-    # collector, which the allocations would trigger over and over, finds
-    # nothing to free: pause it, and restore its state however this ends.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        # tuple.__new__ builds each PixelCoord without a Python-level call
-        pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(col.tolist(), row.tolist())))
-        contours = []
-        begin = 0
-        for end, is_closed in zip(ends, closed):
-            contours.append(Contour(pixels[begin:end], is_closed))
-            begin = end
-    finally:
-        if collecting:
-            gc.enable()
-    return contours
+    return _Chains(col, row, np.array(ends, dtype=np.intp), np.array(closed, dtype=bool))
 
 
-class _FormatTable(dict):
-    """Coordinate -> string table that formats each coordinate once, on first use."""
+def _pixel_tuple(xs: list, ys: list) -> tuple[PixelCoord, ...]:
+    # tuple.__new__ builds each PixelCoord without a Python-level call
+    return tuple(map(tuple.__new__, repeat(PixelCoord), zip(xs, ys)))
 
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
 
-    def __missing__(self, v):
-        s = self[v] = self.fmt(v)
-        return s
+class _Chains(Sequence):
+    """Contours held as flat arrays: the columns x and rows y of every chain's
+    pixels, one chain after another, each chain's end in them, and whether
+    it is closed. A read-only sequence of Contour that builds each one on
+    access and compares equal to the list of the same contours.
+    """
+
+    __slots__ = ("x", "y", "ends", "closed")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, ends: np.ndarray, closed: np.ndarray):
+        for a in (x, y, ends, closed):
+            a.setflags(write=False)
+        self.x, self.y, self.ends, self.closed = x, y, ends, closed
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("contour index out of range")
+        begin, end = (int(self.ends[i - 1]) if i else 0), int(self.ends[i])
+        pixels = _pixel_tuple(self.x[begin:end].tolist(), self.y[begin:end].tolist())
+        return Contour(pixels, bool(self.closed[i]))
+
+    def __iter__(self):
+        # Every Contour built here lives as long as the caller keeps the list,
+        # so the cyclic collector, which the allocations would trigger over and
+        # over, finds nothing to free: pause it, and restore its state however
+        # this ends.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            pixels = _pixel_tuple(self.x.tolist(), self.y.tolist())
+            contours = []
+            begin = 0
+            for end, closed in zip(self.ends.tolist(), self.closed.tolist()):
+                contours.append(Contour(pixels[begin:end], closed))
+                begin = end
+        finally:
+            if collecting:
+                gc.enable()
+        return iter(contours)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Chains)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    @classmethod
+    def of(cls, contours) -> "_Chains":
+        """A traced result as it is; any other iterable of Contour flattened into the same arrays."""
+        if isinstance(contours, cls):
+            return contours
+        contours = list(contours)
+        ends = np.cumsum([len(c.pixels) for c in contours], dtype=np.int64)
+        flat = list(chain.from_iterable(chain.from_iterable(c.pixels for c in contours)))
+        xy = np.array(flat) if flat else np.zeros(0, np.int64)
+        if xy.size != 2 * (int(ends[-1]) if ends.size else 0) or xy.dtype.kind not in "iu":
+            raise TypeError("contour pixels must be (x, y) pairs of integers that fit int64 or uint64")
+        xy = xy.reshape(-1, 2)
+        closed = np.array([bool(c.closed) for c in contours], dtype=bool)
+        return cls(xy[:, 0], xy[:, 1], ends, closed)
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """One row of bytes per text, NUL-padded to the longest."""
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(len(texts), width)
+
+
+def _cells(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """fmt(v) of each distinct value as one padded row of ASCII bytes, and
+    each value's row in that table.
+
+    The table spans the whole range from the smallest value to the largest
+    when that range is no longer than twice the values, else only the
+    values' distinct entries.
+    """
+    if not values.size:
+        return _padded([]), values
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < 2 * values.size:
+        distinct, index = range(lo, hi + 1), (values - lo).astype(np.intp, copy=False)
+    else:
+        distinct, index = np.unique(values, return_inverse=True)
+        distinct = distinct.tolist()
+    return _padded([fmt(v).encode("ascii") for v in distinct]), index
+
+
+def _export(chains: _Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes, bytes]) -> bytes:
+    """Each chain as its head, fmt(x),fmt(y) per pixel joined by spaces, and
+    its tail; an open chain takes heads[0] and tails[0], a closed one [1].
+
+    Every pixel fills one fixed-width row of bytes: the chain's head if it
+    is the first pixel, its two coordinates and the comma, and then a space,
+    or the chain's tail after its last pixel. A chain without pixels gets a
+    row of its head and tail alone. The places left over hold NUL, and the
+    NULs are dropped at the end.
+    """
+    (x_table, x), (y_table, y) = _cells(chains.x, fmt), _cells(chains.y, fmt)
+    head, tail = _padded(list(heads)), _padded(list(tails))
+    hw, wx, wy = head.shape[1], x_table.shape[1], y_table.shape[1]
+    comma = hw + wx
+    sep = comma + 1 + wy
+    rows = np.zeros((chains.x.size, sep + tail.shape[1]), np.uint8)
+    np.take(x_table, x, axis=0, out=rows[:, hw:comma], mode="clip")
+    rows[:, comma] = ord(",")
+    np.take(y_table, y, axis=0, out=rows[:, comma + 1 : sep], mode="clip")
+    rows[:, sep] = ord(" ")
+    kind = chains.closed.view(np.uint8)
+    ends = chains.ends
+    begins = ends - np.diff(ends, prepend=0)
+    full = begins < ends
+    rows[begins[full], :hw] = head[kind[full]]
+    rows[ends[full] - 1, sep:] = tail[kind[full]]
+    if not full.all():
+        lone = np.zeros((np.count_nonzero(~full), rows.shape[1]), np.uint8)
+        lone[:, :hw] = head[kind[~full]]
+        lone[:, sep:] = tail[kind[~full]]
+        rows = np.insert(rows, begins[~full], lone, axis=0)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def contours_to_svg(contours, width: int, height: int) -> str:
-    """Render contours as SVG polylines/polygons at pixel centers."""
-    lines = [
+    """Render contours as SVG polylines/polygons at pixel centers.
+
+    Takes the result of trace_level_contours or any iterable of Contour
+    with integer pixels. Each distinct coordinate is formatted once, as
+    f"{v + 0.5:g}", and the points are laid out in array passes, between
+    one-byte markers that the tags then replace.
+    """
+    body = _export(_Chains.of(contours), lambda v: f"{v + 0.5:g}", (b"\1", b"\2"), (b"\3", b"\3"))
+    body = body.replace(b"\1", b'<polyline points="').replace(b"\2", b'<polygon points="')
+    body = body.replace(b"\3", b'" fill="none" stroke="black" stroke-width="0.25"/>\n')
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
-    center = _FormatTable(lambda v: f"{v + 0.5:g}")
-    for contour in contours:
-        pts = " ".join([f"{center[x]},{center[y]}" for x, y in contour.pixels])
-        tag = "polygon" if contour.closed else "polyline"
-        lines.append(f'<{tag} points="{pts}" fill="none" stroke="black" stroke-width="0.25"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {width} {height}">\n'
+    )
+    return "".join((head, body.decode("ascii"), "</svg>\n"))
 
 
 def contours_to_text(contours) -> str:
-    """One contour per line as x,y pairs; closed chains end with a Z marker."""
-    plain = _FormatTable(lambda v: f"{v}")
-    out = []
-    for contour in contours:
-        line = " ".join([f"{plain[x]},{plain[y]}" for x, y in contour.pixels])
-        if contour.closed:
-            line += " Z"
-        out.append(line)
-    return "\n".join(out) + ("\n" if out else "")
+    """One contour per line as x,y pairs; closed chains end with a Z marker.
+
+    Takes what contours_to_svg takes. Each distinct coordinate is formatted
+    once, as f"{v}", and the lines are laid out in array passes.
+    """
+    return _export(_Chains.of(contours), str, (b"", b""), (b"\n", b" Z\n")).decode("ascii")

@@ -51,18 +51,28 @@ class SceneError(ValueError):
     """Raised for an invalid scene description."""
 
 
-def _check_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise SceneError(f"{what} must be a finite number, got {value!r}")
+# Every coordinate, length and direction component lies within _MAX_MAGNITUDE,
+# and the sphere radius and fov, which the geometry divides by, are at least
+# _MIN_SCALE. Squares, products and quotients of a few such numbers then stay
+# far inside float range, so rendering never overflows.
+_MAX_MAGNITUDE = 1e30
+_MIN_SCALE = 1e-30
 
 
-def _finite_vector(value, n: int, what: str) -> np.ndarray:
-    """value as a float array of n components; SceneError unless every one is finite."""
+def _check_bounded(value: float, what: str, low: float = -_MAX_MAGNITUDE) -> None:
+    """SceneError unless low <= value <= _MAX_MAGNITUDE; NaN fails too."""
+    if not low <= value <= _MAX_MAGNITUDE:
+        raise SceneError(f"{what} must be finite and lie in [{low:g}, {_MAX_MAGNITUDE:g}], got {value!r}")
+
+
+def _bounded_vector(value, n: int, what: str) -> np.ndarray:
+    """value as a float array of n components; SceneError unless each lies within _MAX_MAGNITUDE."""
     vector = np.asarray(value, dtype=float)
     if vector.shape != (n,):
         raise SceneError(f"{what} must have {n} components, got {value!r}")
-    if not np.isfinite(vector).all():
-        raise SceneError(f"{what} must be finite, got {value!r}")
+    if not all(-_MAX_MAGNITUDE <= v <= _MAX_MAGNITUDE for v in vector.tolist()):
+        bounds = f"[{-_MAX_MAGNITUDE:g}, {_MAX_MAGNITUDE:g}]"
+        raise SceneError(f"{what} must be finite, with components in {bounds}, got {value!r}")
     return vector
 
 
@@ -110,12 +120,10 @@ class Sphere:
     albedo: float = 1.0
 
     def __post_init__(self):
-        c = _finite_vector(self.center, 3, "sphere center")
+        c = _bounded_vector(self.center, 3, "sphere center")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        _check_finite(self.radius, "sphere radius")
-        if not self.radius > 0:
-            raise SceneError(f"sphere radius must be positive, got {self.radius!r}")
+        _check_bounded(self.radius, "sphere radius", _MIN_SCALE)
         if not c[2] > self.radius:
             raise SceneError("sphere must lie strictly in front of the camera (center z > radius)")
         if not 0.0 <= self.albedo <= 1.0:
@@ -129,8 +137,8 @@ class Plane:
     albedo: float = 1.0
 
     def __post_init__(self):
-        p = _finite_vector(self.point, 3, "plane point")
-        n = _finite_vector(self.normal, 3, "plane normal")
+        p = _bounded_vector(self.point, 3, "plane point")
+        n = _bounded_vector(self.normal, 3, "plane normal")
         if np.linalg.norm(n) == 0:
             raise SceneError("plane normal must be nonzero")
         n = n / np.linalg.norm(n)
@@ -169,7 +177,7 @@ class SceneSpec:
         if int(self.width) * int(self.height) > MAX_PIXELS:
             raise SceneError(f"a {self.width}x{self.height} image exceeds the limit of {MAX_PIXELS} pixels")
         object.__setattr__(self, "objects", tuple(self.objects))
-        light = _finite_vector(self.light_direction, 3, "light direction")
+        light = _bounded_vector(self.light_direction, 3, "light direction")
         norm = np.linalg.norm(light)
         if norm == 0:
             raise SceneError("light direction must be nonzero")
@@ -178,15 +186,13 @@ class SceneSpec:
         object.__setattr__(self, "light_direction", light)
         if not 0.0 <= self.ambient <= 1.0:
             raise SceneError(f"ambient must lie in [0, 1], got {self.ambient!r}")
-        _check_finite(self.fov, "fov")
-        if not self.fov > 0:
-            raise SceneError(f"fov must be positive, got {self.fov!r}")
+        _check_bounded(self.fov, "fov", _MIN_SCALE)
         if self.max_value < 1:
             raise SceneError("max_value must be at least 1")
         if self.principal is None:
             object.__setattr__(self, "principal", (self.width / 2.0, self.height / 2.0))
         else:
-            _finite_vector(self.principal, 2, "principal point")
+            _bounded_vector(self.principal, 2, "principal point")
 
     def pixel_rays(self) -> np.ndarray:
         """Unit ray directions through every pixel center, shape (height, width, 3)."""
@@ -366,11 +372,7 @@ def render_sequence(
     """Render `frames` images, translating every object by `motion` per frame."""
     if frames < 2:
         raise SceneError("a sequence needs at least two frames")
-    shift = np.asarray(motion, dtype=float)
-    if shift.shape != (3,):
-        raise SceneError("motion must have 3 components")
-    if not np.isfinite(shift).all():
-        raise SceneError(f"motion must be finite, got {tuple(motion)!r}")
+    shift = _bounded_vector(motion, 3, "motion")
     dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
     grids, truths = [], []
     for i in range(frames):

@@ -51,7 +51,7 @@ def _hit_distances(dirs: np.ndarray, obj) -> np.ndarray:
         return np.where(disc >= 0.0, tau, np.inf)
     denom = dirs @ obj.normal
     offset = float(obj.point @ obj.normal)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
         tau = offset / denom
     return np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
 

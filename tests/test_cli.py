@@ -6,13 +6,19 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from conftest import LONG_TOKEN_FILES
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from reference_trace import (
+    reference_contours_to_svg,
+    reference_contours_to_text,
+    reference_trace_level_contours,
+)
 
 import isophote
 from isophote import (
@@ -310,6 +316,95 @@ class TestTrace:
             parts = line.split()
             pixels.update(tuple(map(int, p.split(","))) for p in parts if p != "Z")
         assert pixels == {(6, y) for y in range(8)}
+
+    # The reference tracer is quadratic in a component's size, and at 128 N8
+    # joins this noise into one component of tens of thousands of pixels; at
+    # 160 the N8 level curve set still holds about 5000 chains, 2000 closed.
+    @pytest.mark.parametrize("topology, threshold", [("4", 128), ("8", 160)])
+    @pytest.mark.parametrize("fmt", ["svg", "text"])
+    def test_noise_bytes_equal_the_reference_exporters(self, tmp_path, topology, threshold, fmt):
+        grid = IntensityGrid(np.random.default_rng(11).integers(0, 256, size=(256, 256)), 255)
+        src, out = tmp_path / "noise.pgm", tmp_path / f"curves.{fmt}"
+        write_pgm(src, grid)
+        argv = ["trace", "--threshold", str(threshold), "--topology", topology, "--format", fmt, str(src), str(out)]
+        assert main(argv) == 0
+        contours = reference_trace_level_contours(grid, threshold, Topology(topology))
+        if fmt == "svg":
+            expected = reference_contours_to_svg(contours, grid.width, grid.height)
+        else:
+            expected = reference_contours_to_text(contours)
+        assert len(contours) > 1000
+        assert out.read_bytes() == expected.encode("ascii")
+
+
+# Values at the edges of what a scene admits: zeros, subnormals, the magnitude
+# bounds and just past them, overflowing floats, non-finite floats, an int
+# beyond float range, and values of the wrong JSON kind.
+_EDGE_NUMBERS = [0, -0.0, 1, -1, 5e-324, 1e-320, 1e-30, 0.9e-30, 1e30, 1.1e30, -1e30, 1e154,
+                 1e308, -1e308, math.inf, -math.inf, math.nan, 10**400, True, "1", None]
+
+
+def _floats(lo: float, hi: float, n: int = 0):
+    """A float in [lo, hi], or a list of n of them."""
+    one = st.floats(lo, hi)
+    return st.lists(one, min_size=n, max_size=n) if n else one
+
+
+@st.composite
+def scene_configs(draw):
+    """Plausible scene JSON on 8 to 32 px images with up to 3 objects, then
+    up to 3 of its numbers replaced by edge values."""
+    image = draw(st.fixed_dictionaries(
+        {"width": st.integers(8, 32), "height": st.integers(8, 32)},
+        optional={"fov": _floats(0.05, 2.0), "principal": _floats(-10.0, 40.0, 2),
+                  "max_value": st.sampled_from([1, 255, 65535, 65536])},
+    ))
+    light = draw(st.fixed_dictionaries(
+        {}, optional={"direction": _floats(-1.0, 1.0, 3), "ambient": _floats(0.0, 1.0)}
+    ))
+    sphere = st.fixed_dictionaries(
+        {"type": st.just("sphere"), "center": _floats(-3.0, 20.0, 3), "radius": _floats(0.05, 3.0)},
+        optional={"albedo": _floats(0.0, 1.0)},
+    )
+    plane = st.fixed_dictionaries(
+        {"type": st.just("plane"), "point": _floats(-5.0, 20.0, 3), "normal": _floats(-1.0, 1.0, 3)},
+        optional={"albedo": _floats(0.0, 1.0)},
+    )
+    objects = draw(st.lists(st.one_of(sphere, plane), max_size=3))
+    slots = [(d, k) for d in (image, light, *objects) for k, v in d.items() if isinstance(v, float)]
+    slots += [(v, i) for d in (image, light, *objects) for v in d.values() if isinstance(v, list)
+              for i in range(len(v))]
+    if slots:
+        for _ in range(draw(st.integers(0, 3))):
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(st.sampled_from(_EDGE_NUMBERS))
+    return {"image": image, "light": light, "objects": objects}
+
+
+_SPHERE = {"type": "sphere", "center": [0.0, 0.0, 5.0], "radius": 1.0}
+
+
+@given(scene_configs())
+# c @ c overflows; the pixel pitch is subnormal; a tiny radius divides a hit's offset
+@example({"image": {"width": 16, "height": 16}, "light": {},
+          "objects": [{"type": "sphere", "center": [1e308, 0.0, 1e308], "radius": 1.0}]})
+@example({"image": {"width": 16, "height": 16, "fov": 1e-320}, "light": {}, "objects": [_SPHERE]})
+@example({"image": {"width": 16, "height": 16}, "light": {}, "objects": [{**_SPHERE, "radius": 5e-324}]})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scene_configs_exit_0_or_2_without_overflow(tmp_path, config):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(config))
+    outputs = [tmp_path / name for name in ("img.pgm", "truth.pbm", "occ.pbm")]
+    for path in outputs:
+        path.unlink(missing_ok=True)  # tmp_path is shared by the examples
+    argv = ["render", "--scene", str(scene), "--out", str(outputs[0]),
+            "--truth", str(outputs[1]), "--occluding", str(outputs[2])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [path.exists() for path in outputs] == [code == 0] * 3
 
 
 class TestRender:

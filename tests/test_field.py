@@ -275,7 +275,8 @@ class TestTraceLevelContours:
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            contours = trace_level_contours(block_grid(), 5, N4)
+            # the result builds its Contour objects when it is iterated
+            contours = list(trace_level_contours(block_grid(), 5, N4))
             assert gc.isenabled() == enabled
         finally:
             (gc.enable if was else gc.disable)()
@@ -330,13 +331,39 @@ def seeded_noise(side, seed=7):
     return IntensityGrid(np.random.default_rng(seed).integers(0, 256, size=(side, side)), 255)
 
 
+def assert_behaves_as_list(got, want):
+    """got acts as the list want under ==, len, indexing, slicing and repeated iteration."""
+    assert got == want and want == got and not got != want
+    assert len(got) == len(want)
+    for i in range(-len(want), len(want)):
+        assert got[i] == want[i]
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
+    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, None, 2), slice(-2, None)):
+        assert got[sl] == want[sl]
+    assert list(got) == want and list(got) == want
+    assert [c for c in got] == want
+    if want:
+        assert got != want[:-1] and got != want + want[:1]
+
+
+def assert_exports_match(got, want, w, h):
+    """Both exports of got equal the reference exporters on want, and the exports of list(got)."""
+    svg, text = reference_contours_to_svg(want, w, h), reference_contours_to_text(want)
+    assert contours_to_svg(got, w, h) == svg == contours_to_svg(list(got), w, h)
+    assert contours_to_text(got) == text == contours_to_text(list(got))
+
+
 class TestTraceMatchesReference:
     """The flat-index tracer returns what the set-based reference tracer returns."""
 
     @given(trace_grids(), st.integers(0, 4), topologies)
     def test_random_grids(self, grid, c, topology):
         got = trace_level_contours(grid, c, topology)
-        assert got == reference_trace_level_contours(grid, c, topology)
+        want = reference_trace_level_contours(grid, c, topology)
+        assert_behaves_as_list(got, want)
+        assert_exports_match(got, want, grid.width, grid.height)
 
     @pytest.mark.parametrize(
         "rows",
@@ -359,7 +386,9 @@ class TestTraceMatchesReference:
     def test_seeded_noise(self, topology):
         grid = seeded_noise(128)
         got = trace_level_contours(grid, 128, topology)
-        assert got == reference_trace_level_contours(grid, 128, topology)
+        want = reference_trace_level_contours(grid, 128, topology)
+        assert_behaves_as_list(got, want)
+        assert_exports_match(got, want, grid.width, grid.height)
         assert any(len(c.pixels) == 1 for c in got) and any(len(c.pixels) > 20 for c in got)
 
     def test_n8_noise_is_not_quadratic(self):
@@ -372,6 +401,42 @@ class TestTraceMatchesReference:
         contours = trace_level_contours(grid, 128, N8)
         assert time.perf_counter() - start < 5.0
         assert sum(len(c.pixels) for c in contours) == level_curve_set(grid, 128, N8).mask.sum()
+
+
+class TestChainSequence:
+    """The traced result is a sequence of Contour that builds each one on access."""
+
+    def test_empty_result_behaves_as_an_empty_list(self):
+        got = trace_level_contours(IntensityGrid(np.zeros((3, 4), dtype=np.int64), 9), 5, N4)
+        assert_behaves_as_list(got, [])
+        assert not got
+        assert contours_to_text(got) == ""
+        assert contours_to_svg(got, 4, 3) == reference_contours_to_svg([], 4, 3)
+
+    def test_contours_are_built_only_on_access(self, monkeypatch):
+        built = []
+
+        class Recording(Contour):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(field, "Contour", Recording)
+        vals = np.zeros((5, 9), dtype=np.int64)
+        vals[1:4, 1:4] = 9
+        vals[1:4, 5:8] = 9
+        got = trace_level_contours(IntensityGrid(vals, 9), 5, N4)
+        assert len(got) == 2
+        contours_to_svg(got, 9, 5), contours_to_text(got)
+        assert built == []
+        assert got[-1].pixels[0] == PixelCoord(5, 1) and len(built) == 1
+
+    def test_result_is_read_only(self):
+        got = trace_level_contours(block_grid(), 5, N4)
+        with pytest.raises(TypeError):
+            got[0] = got[0]
+        with pytest.raises(TypeError):
+            del got[0]
 
 
 @st.composite
@@ -408,3 +473,41 @@ class TestExports:
 
     def test_text_empty(self):
         assert contours_to_text([]) == ""
+
+    def test_empty_list(self):
+        assert contours_to_svg([], 3, 2) == reference_contours_to_svg([], 3, 2) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="3" height="2" viewBox="0 0 3 2">\n</svg>\n'
+        )
+
+    @pytest.mark.parametrize(
+        "closed", [(False,), (True,), (True, False), (False, True, True), (True, True, False, False)]
+    )
+    def test_contours_without_pixels(self, closed):
+        # chains without pixels at the start, between and after chains with pixels
+        one = (PixelCoord(1, 2),)
+        two = (PixelCoord(3, 4), PixelCoord(5, 6))
+        for pixels in ((), one, two):
+            contours = [Contour(p, c) for c in closed for p in ((), pixels, ())]
+            assert_exports_match(contours, contours, 7, 8)
+        assert contours_to_text([Contour((), False), Contour((), True)]) == "\n Z\n"
+
+    def test_large_coordinates_keep_the_g_rounding(self):
+        contours = [Contour((PixelCoord(99999, 100000), PixelCoord(100001, 999999)), True)]
+        assert contours_to_text(contours) == "99999,100000 100001,999999 Z\n"
+        svg = contours_to_svg(contours, 7, 8)
+        assert '<polygon points="99999.5,100000 100002,1e+06" ' in svg
+        assert svg == reference_contours_to_svg(contours, 7, 8)
+        assert_exports_match(contours, contours, 7, 8)
+
+    def test_sparse_and_negative_coordinates(self):
+        # a few values spread over a wide range take the table of distinct values
+        contours = [
+            Contour((PixelCoord(0, -5), PixelCoord(2**40, 3), PixelCoord(-(2**62), 2**62)), False),
+            Contour((PixelCoord(7, 7),), True),
+        ]
+        assert_exports_match(contours, contours, 7, 8)
+
+    @pytest.mark.parametrize("pixel", [(1.5, 2), (1, "2"), (2**64, 1), (1, 2, 3)])
+    def test_refuses_pixels_that_are_not_integer_pairs(self, pixel):
+        with pytest.raises(TypeError):
+            contours_to_text([Contour((PixelCoord(0, 0), pixel), False)])

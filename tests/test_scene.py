@@ -163,6 +163,42 @@ class TestValidation:
         with pytest.raises(SceneError, match=field):
             build(bad)
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: Sphere(center=(v, 0.0, 5.0), radius=1.0), "sphere center"),
+            (lambda v: Sphere(center=(0.0, 0.0, v), radius=1.0), "sphere center"),
+            (lambda v: Plane(point=(0.0, 0.0, v), normal=(0.0, 0.0, 1.0)), "plane point"),
+            (lambda v: Plane(point=(0.0, 0.0, 5.0), normal=(v, 0.0, 1.0)), "plane normal"),
+            (lambda v: SceneSpec(4, 3, light_direction=(v, 0.0, -1.0)), "light direction"),
+            (lambda v: SceneSpec(4, 3, fov=v), "fov"),
+            (lambda v: SceneSpec(4, 3, principal=(v, 1.0)), "principal point"),
+        ],
+    )
+    def test_magnitudes_are_bounded(self, build, field):
+        build(1e30)  # the bound itself is admitted
+        for bad in (1.0000001e30, 1e154, 1e308):
+            with pytest.raises(SceneError, match=field):
+                build(bad)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: Sphere(center=(0.0, 0.0, 5.0), radius=v), "sphere radius"),
+            (lambda v: SceneSpec(4, 3, fov=v), "fov"),
+        ],
+    )
+    def test_divisors_are_bounded_below(self, build, field):
+        build(1e-30)
+        for bad in (0.9999999e-30, 1e-320, 5e-324, 0.0, -1.0, 1e308):
+            with pytest.raises(SceneError, match=field):
+                build(bad)
+
+    def test_motion_is_bounded(self):
+        spec = SceneSpec(8, 8, objects=(Sphere(center=(0.0, 0.0, 5.0), radius=1.0),))
+        with pytest.raises(SceneError, match="motion"):
+            render_sequence(spec, (1e308, 0.0, 0.0), 2)
+
     def test_principal_defaults_to_center(self):
         spec = SceneSpec(width=10, height=6)
         assert spec.principal == (5.0, 3.0)
