@@ -115,6 +115,24 @@ def _comments(raw: np.ndarray, is_space: np.ndarray, bits: bool) -> None:
         is_space[lo:hi] |= np.cumsum(inside, dtype=np.int8, out=inside).view(bool)
 
 
+# Bytes of plain raster decoded at a time, up to the next line end: the
+# temporaries of a block stay cache-sized and reuse the memory the last
+# block freed.
+_PLAIN_BLOCK = 1 << 16
+
+
+def _line_end(data: bytes, at: int) -> int:
+    """The offset just past the first line end at or after at, or len(data)."""
+    size = _PLAIN_BLOCK
+    while at < len(data):
+        ends = [i for i in (data.find(b"\n", at, at + size), data.find(b"\r", at, at + size)) if i >= 0]
+        if ends:
+            return min(ends) + 1
+        at += size
+        size *= 2
+    return len(data)
+
+
 def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     """The first n plain samples from sc.pos on, decoded with array operations.
 
@@ -124,30 +142,61 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     run from '#' to the line end; a '#' opens one after whitespace, or
     anywhere in P1 (in a P2/P3 sample, it is part of the sample). What
     follows the n-th sample is ignored; the first bad sample, or the end
-    of a raster of fewer than n, fails with its byte offset.
+    of a raster of fewer than n, fails with its byte offset. The raster is
+    decoded in blocks of at least _PLAIN_BLOCK bytes that end at a line
+    end, so that no sample or comment straddles two.
     """
-    data, start = sc.data, sc.pos
-    # a space on each side, so that every token has both of its edges
-    raw = np.full(len(data) - start + 2, ord(" "), dtype=np.uint8)
-    raw[1:-1] = np.frombuffer(data, dtype=np.uint8, offset=start)
-    is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
-    if data.find(b"#", start) >= 0:
-        _comments(raw, is_space, maxval is None)
-    if maxval is None:
-        bits = raw[~is_space][:n] - np.uint8(ord("0"))
-        if (bits > 1).any():
-            at = int(np.flatnonzero(~is_space)[(bits > 1).argmax()])
-            sc.fail(f"expected 0 or 1, found {bytes([raw[at]])!r}", at=start + at - 1)
-        if bits.size < n:
-            sc.fail("expected bit, found end of file", at=len(data))
-        return bits
+    data, pos = sc.data, sc.pos
+    out = np.empty(n, np.uint8 if maxval is None else storage_dtype(maxval))
+    done = 0
+    while done < n and pos < len(data):
+        end = _line_end(data, pos + _PLAIN_BLOCK)
+        # a space on each side, so that every token has both of its edges
+        raw = np.full(end - pos + 2, ord(" "), dtype=np.uint8)
+        raw[1:-1] = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
+        is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
+        if data.find(b"#", pos, end) >= 0:
+            _comments(raw, is_space, maxval is None)
+        if maxval is None:
+            done += _plain_bits(sc, pos, raw, is_space, out[done:])
+        else:
+            done += _plain_samples(sc, pos, raw, is_space, out[done:], maxval)
+        pos = end
+    if done < n:
+        sc.fail(f"expected {'bit' if maxval is None else 'sample value'}, found end of file", at=len(data))
+    return out
+
+
+def _plain_bits(sc: _Scanner, at: int, raw: np.ndarray, is_space: np.ndarray, out: np.ndarray) -> int:
+    """Decode the P1 bits of one block into out, up to its size; return how many.
+
+    Byte i of raw is byte at + i - 1 of sc.data. The first byte that is
+    not whitespace, 0 or 1 fails with its byte offset.
+    """
+    bits = raw[~is_space][: out.size] - np.uint8(ord("0"))
+    if (bits > 1).any():
+        i = int(np.flatnonzero(~is_space)[(bits > 1).argmax()])
+        sc.fail(f"expected 0 or 1, found {bytes([raw[i]])!r}", at=at + i - 1)
+    out[: bits.size] = bits
+    return bits.size
+
+
+def _plain_samples(
+    sc: _Scanner, at: int, raw: np.ndarray, is_space: np.ndarray, out: np.ndarray, maxval: int
+) -> int:
+    """Decode the samples of one block into out, up to its size; return how many.
+
+    Byte i of raw is byte at + i - 1 of sc.data, its first and last bytes
+    are whitespace, and is_space marks its whitespace and comments. The
+    first sample that is not all digits or exceeds maxval fails with its
+    byte offset.
+    """
     digit = raw - np.uint8(ord("0"))  # non-digits wrap above 9
     # alternately the index before a token's first byte and its last byte
-    edges = np.flatnonzero(is_space[1:] != is_space[:-1])[: 2 * n]
+    edges = np.flatnonzero(is_space[1:] != is_space[:-1])[: 2 * out.size]
     last = edges[1::2]
     stop = last[-1] + 1 if last.size else 0
-    # is_space is not read again: its memory holds where bytes are digits or whitespace
-    ok = np.logical_or(digit[:stop] < 10, is_space[:stop], out=is_space[:stop])
+    ok = np.logical_or(digit[:stop] < 10, is_space[:stop])
     if not ok.all():  # keep the tokens before the first that is not all digits
         last = last[: np.searchsorted(last, ok.argmin())]
     lengths = last - edges[: 2 * last.size : 2]
@@ -163,13 +212,13 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     over[long] |= np.logical_or.reduceat(digit, prefix.ravel())[::2]
     k = int(over.argmax()) if over.any() else last.size
     if k < edges.size // 2:
-        at, end = (start + edges[2 * k : 2 * k + 2]).tolist()
+        begin, end = (at + edges[2 * k : 2 * k + 2]).tolist()
+        token = sc.data[begin:end]
         if k < last.size:
-            sc.fail(f"sample value {_number(data[at:end])} exceeds maxval {maxval}", at=at)
-        sc.fail(f"expected sample value, found {data[at:end][:16]!r}", at=at)
-    if last.size < n:
-        sc.fail("expected sample value, found end of file", at=len(data))
-    return values.astype(storage_dtype(maxval))
+            sc.fail(f"sample value {_number(token)} exceeds maxval {maxval}", at=begin)
+        sc.fail(f"expected sample value, found {token[:16]!r}", at=begin)
+    out[: values.size] = values
+    return values.size
 
 
 def read_image(path) -> tuple[np.ndarray, int, str]:

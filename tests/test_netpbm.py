@@ -2,6 +2,8 @@ import re
 import time
 import tracemalloc
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from isophote import (
     write_pgm,
     write_ppm,
 )
+from isophote import netpbm
 from reference_netpbm import read_plain
 
 
@@ -317,13 +320,45 @@ def _outcome(read, path):
     return values.dtype, values.shape, values.tolist()
 
 
-@given(noisy_plain_files())
+@given(noisy_plain_files(), st.sampled_from([None, 1, 2, 3, 8]))
 @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_plain_decode_matches_token_reader(tmp_path, data):
+def test_plain_decode_matches_token_reader(tmp_path, data, block):
+    # blocks of a few bytes end at almost every line end: after samples, comments and bad tokens
     path = tmp_path / "img.pnm"
     path.write_bytes(data)
-    assert _outcome(lambda p: read_image(p)[0], path) == _outcome(read_plain, path)
+    with mock.patch.object(netpbm, "_PLAIN_BLOCK", block or netpbm._PLAIN_BLOCK):
+        got = _outcome(lambda p: read_image(p)[0], path)
+    assert got == _outcome(read_plain, path)
 
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1000, None])
+def test_plain_decode_is_the_same_in_any_block_size(tmp_path, block):
+    rng = np.random.default_rng(7)
+    rgb = rng.integers(0, 65536, (40, 50, 3))
+    path = tmp_path / "img.ppm"
+    write_ppm(path, rgb, maxval=65535, binary=False)
+    header, raster = path.read_bytes().split(b"\n65535\n", 1)
+    # comments, runs of whitespace and zero-padded samples throughout the raster
+    raster = raster.replace(b"9 ", b"9 # a comment 12 34\n\t ").replace(b" 1", b"  0001")
+    path.write_bytes(header + b"\n65535\n" + raster + b"\n17 x")
+    with mock.patch.object(netpbm, "_PLAIN_BLOCK", block or netpbm._PLAIN_BLOCK):
+        values, _, _ = read_image(path)
+    assert values.dtype == np.uint16 and values.tolist() == rgb.tolist()
+    bad = header.replace(b"50 40", b"50 41") + b"\n65535\n" + raster + b"\n17 x"
+    path.write_bytes(bad)
+    with mock.patch.object(netpbm, "_PLAIN_BLOCK", block or netpbm._PLAIN_BLOCK):
+        got = _outcome(lambda p: read_image(p)[0], path)
+    assert got == _outcome(read_plain, path) and "found b'x'" in got[0]
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r", b"\r\n", b" "], ids=["lf", "cr", "crlf", "one-line"])
+def test_plain_decode_at_any_line_end(tmp_path, eol):
+    values = np.random.default_rng(3).integers(0, 256, (30, 40))
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n40 30\n255\n" + eol.join(b" ".join(b"%d" % v for v in row) for row in values))
+    for block in (1, 7, 100, netpbm._PLAIN_BLOCK):
+        with mock.patch.object(netpbm, "_PLAIN_BLOCK", block):
+            assert read_image(path)[0].tolist() == values.tolist()
 
 def _p2_file(path, size, top, before=b"", after=b""):
     """A size x size P2 file of random samples in [0, top], its raster between before and after."""
@@ -363,7 +398,7 @@ def test_plain_decode_peak_memory_is_linear_in_file_bytes(tmp_path, before, afte
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * path.stat().st_size
+    assert peak <= 3 * path.stat().st_size
 
 
 def test_header_comments_and_whitespace(tmp_path):
