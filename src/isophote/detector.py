@@ -133,27 +133,43 @@ class LevelCurveSet:
 class DetectionMask:
     """Per-pixel count of schedule thresholds whose level curve set contains the pixel.
 
-    A pixel is flagged when the count is at least two. witness_hi/witness_lo
-    hold the two largest such thresholds at flagged pixels and are zero
-    elsewhere, which makes masks comparable bit-for-bit. The members are the
-    schedule levels in the pixel's membership interval, which are
-    consecutive, so witness_lo = witness_hi - increment wherever flagged.
-    Both routes store the same dtypes: level_count the narrowest unsigned
-    one that holds the schedule's number of levels, and the witnesses the
-    grid's storage dtype, since a member threshold lies in [1, max_value].
+    A pixel is flagged when the count is at least two. witness_hi holds the
+    largest such threshold at flagged pixels and is zero elsewhere, which
+    makes masks comparable bit-for-bit. The members are the schedule levels
+    in the pixel's membership interval, which are consecutive, so the second
+    largest is one increment below: witness_lo is derived from witness_hi
+    and the schedule's increment rather than stored. Both routes store the
+    same dtypes: level_count the narrowest unsigned one that holds the
+    schedule's number of levels, and witness_hi the grid's storage dtype,
+    since a member threshold lies in [1, max_value].
     """
 
     level_count: np.ndarray
     witness_hi: np.ndarray
-    witness_lo: np.ndarray
+    increment: int
 
     def __post_init__(self):
-        for a in (self.level_count, self.witness_hi, self.witness_lo):
+        for a in (self.level_count, self.witness_hi):
             a.setflags(write=False)
 
     @property
     def flagged(self) -> np.ndarray:
         return self.level_count >= 2
+
+    @property
+    def witness_lo(self) -> np.ndarray:
+        """(witness_hi - increment) * flagged in witness_hi's dtype, read-only.
+
+        Multiplying by the flag zeroes unflagged pixels branch-free, unlike a
+        masked copy, whose cost grows with how unpredictably flags alternate.
+        An increment too wide for the dtype (256 on uint8) wraps, but then
+        no pixel is flagged.
+        """
+        hi = self.witness_hi
+        lo = np.subtract(hi, np.asarray(self.increment).astype(hi.dtype))
+        lo *= self.flagged
+        lo.setflags(write=False)
+        return lo
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -175,7 +191,8 @@ class DetectionMask:
         idx = array_index(p, self.level_count.ndim)
         if self.level_count[idx] < 2:
             return None
-        return int(self.witness_lo[idx]), int(self.witness_hi[idx])
+        hi = int(self.witness_hi[idx])
+        return hi - self.increment, hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DetectionMask):
@@ -279,15 +296,10 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
         # every member of this chunk lies above all earlier ones
         np.maximum(hi, table[low], out=hi)  # not np.take: as for below[values]
         del below, members, low  # before the next chunk allocates
-    # The second witness is one increment below the first. Multiplying by
-    # the flag zeroes unflagged pixels branch-free, unlike a masked copy,
-    # whose cost grows with how unpredictably flags alternate. An increment
-    # too wide for the witness dtype (256 on uint8) wraps, but flags nothing.
-    flagged = count >= 2
-    hi *= flagged
-    lo = np.subtract(hi, np.asarray(schedule.increment).astype(witness_dtype))
-    lo *= flagged
-    return DetectionMask(count, hi, lo)
+    # multiplying by the flag zeroes unflagged pixels branch-free, as in
+    # DetectionMask.witness_lo
+    hi *= count >= 2
+    return DetectionMask(count, hi, schedule.increment)
 
 
 def membership_interval(grid: Grid, p, topology: Topology) -> Optional[tuple[int, int]]:
@@ -326,7 +338,6 @@ def detect_pointwise(
     values = grid.values
     count = np.empty(values.shape, dtype=count_dtype)
     hi = np.empty(values.shape, dtype=witness_dtype)
-    lo = np.empty(values.shape, dtype=witness_dtype)
     inc, offset = schedule.increment, schedule.offset
     cap = schedule.cap(grid.max_value)
     *frames, height, width = values.shape
@@ -363,16 +374,13 @@ def detect_pointwise(
         np.maximum(members, zero, out=members)
         count[strip] = members
         np.greater_equal(members, 2, out=flagged)
-        # the witnesses are the last two members, offset + (k_end - 1) * inc
-        # and one increment less, zeroed by the flag as in detect_multilevel
+        # witness_hi is the last member, offset + (k_end - 1) * inc, zeroed
+        # by the flag as in detect_multilevel
         k_end *= inc
         k_end += offset - inc
         k_end *= flagged
         hi[strip] = k_end
-        k_end -= inc
-        k_end *= flagged
-        lo[strip] = k_end
-    return DetectionMask(count, hi, lo)
+    return DetectionMask(count, hi, inc)
 
 
 def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Topology) -> bool:

@@ -11,18 +11,16 @@ All differences are doubled instead of halved so the fields stay exact
 integers: central differences in the interior, one-sided at the borders.
 
 Traced chains stay flat arrays of pixel coordinates: trace_level_contours
-returns a read-only sequence that builds each Contour when it is accessed,
-and the SVG and text exports lay out every pixel in array passes, formatting
-each distinct coordinate once.
+returns a frozen record of read-only arrays that builds its Contour objects
+only when it is iterated, and the SVG and text exports lay out every pixel
+of such a record in array passes, formatting each distinct coordinate once.
 """
 
 from __future__ import annotations
 
 import gc
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -295,7 +293,7 @@ def _walk_chains(starts, interior, remaining: bytearray, ring) -> tuple[np.ndarr
     return np.array(path, dtype=np.intp), ends, closed
 
 
-def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Sequence[Contour]:
+def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Chains:
     """Partition the level curve set at c into ordered pixel chains.
 
     Components come in scan order of their first pixel. Each is walked
@@ -307,10 +305,10 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Seq
     adjacent; no curve completion is attempted. The cost is linear in the
     size of the level curve set, apart from sorting it by component.
 
-    The result is a read-only sequence of Contour that holds the chains as
-    flat arrays. It compares equal to the list of the same contours, and
-    each Contour is built only when it is accessed; contours_to_svg and
-    contours_to_text read the arrays without building any.
+    The result holds the chains as flat read-only arrays. It has a length,
+    the number of chains, and iterating it builds the list of Contour;
+    contours_to_svg and contours_to_text read the arrays without building
+    any.
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
@@ -339,39 +337,24 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Seq
     return _Chains(col, row, np.array(ends, dtype=np.intp), np.array(closed, dtype=bool))
 
 
-def _pixel_tuple(xs: list, ys: list) -> tuple[PixelCoord, ...]:
-    # tuple.__new__ builds each PixelCoord without a Python-level call
-    return tuple(map(tuple.__new__, repeat(PixelCoord), zip(xs, ys)))
-
-
-class _Chains(Sequence):
-    """Contours held as flat arrays: the columns x and rows y of every chain's
-    pixels, one chain after another, each chain's end in them, and whether
-    it is closed. A read-only sequence of Contour that builds each one on
-    access and compares equal to the list of the same contours.
+@dataclass(frozen=True, eq=False)
+class _Chains:
+    """Traced chains as flat read-only arrays: the columns x and rows y of
+    every chain's pixels, one chain after another, each chain's end in them,
+    and whether it is closed.
     """
 
-    __slots__ = ("x", "y", "ends", "closed")
+    x: np.ndarray
+    y: np.ndarray
+    ends: np.ndarray
+    closed: np.ndarray
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, ends: np.ndarray, closed: np.ndarray):
-        for a in (x, y, ends, closed):
+    def __post_init__(self):
+        for a in (self.x, self.y, self.ends, self.closed):
             a.setflags(write=False)
-        self.x, self.y, self.ends, self.closed = x, y, ends, closed
 
     def __len__(self) -> int:
         return len(self.ends)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("contour index out of range")
-        begin, end = (int(self.ends[i - 1]) if i else 0), int(self.ends[i])
-        pixels = _pixel_tuple(self.x[begin:end].tolist(), self.y[begin:end].tolist())
-        return Contour(pixels, bool(self.closed[i]))
 
     def __iter__(self):
         # Every Contour built here lives as long as the caller keeps the list,
@@ -381,7 +364,8 @@ class _Chains(Sequence):
         collecting = gc.isenabled()
         gc.disable()
         try:
-            pixels = _pixel_tuple(self.x.tolist(), self.y.tolist())
+            # tuple.__new__ builds each PixelCoord without a Python-level call
+            pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(self.x.tolist(), self.y.tolist())))
             contours = []
             begin = 0
             for end, closed in zip(self.ends.tolist(), self.closed.tolist()):
@@ -391,29 +375,6 @@ class _Chains(Sequence):
             if collecting:
                 gc.enable()
         return iter(contours)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _Chains)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-    @classmethod
-    def of(cls, contours) -> "_Chains":
-        """A traced result as it is; any other iterable of Contour flattened into the same arrays."""
-        if isinstance(contours, cls):
-            return contours
-        contours = list(contours)
-        ends = np.cumsum([len(c.pixels) for c in contours], dtype=np.int64)
-        flat = list(chain.from_iterable(chain.from_iterable(c.pixels for c in contours)))
-        xy = np.array(flat) if flat else np.zeros(0, np.int64)
-        if xy.size != 2 * (int(ends[-1]) if ends.size else 0) or xy.dtype.kind not in "iu":
-            raise TypeError("contour pixels must be (x, y) pairs of integers that fit int64 or uint64")
-        xy = xy.reshape(-1, 2)
-        closed = np.array([bool(c.closed) for c in contours], dtype=bool)
-        return cls(xy[:, 0], xy[:, 1], ends, closed)
 
 
 def _padded(texts: list[bytes]) -> np.ndarray:
@@ -447,9 +408,8 @@ def _export(chains: _Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes
 
     Every pixel fills one fixed-width row of bytes: the chain's head if it
     is the first pixel, its two coordinates and the comma, and then a space,
-    or the chain's tail after its last pixel. A chain without pixels gets a
-    row of its head and tail alone. The places left over hold NUL, and the
-    NULs are dropped at the end.
+    or the chain's tail after its last pixel. The places left over hold NUL,
+    and the NULs are dropped at the end. Every traced chain has a pixel.
     """
     (x_table, x), (y_table, y) = _cells(chains.x, fmt), _cells(chains.y, fmt)
     head, tail = _padded(list(heads)), _padded(list(tails))
@@ -463,27 +423,19 @@ def _export(chains: _Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes
     rows[:, sep] = ord(" ")
     kind = chains.closed.view(np.uint8)
     ends = chains.ends
-    begins = ends - np.diff(ends, prepend=0)
-    full = begins < ends
-    rows[begins[full], :hw] = head[kind[full]]
-    rows[ends[full] - 1, sep:] = tail[kind[full]]
-    if not full.all():
-        lone = np.zeros((np.count_nonzero(~full), rows.shape[1]), np.uint8)
-        lone[:, :hw] = head[kind[~full]]
-        lone[:, sep:] = tail[kind[~full]]
-        rows = np.insert(rows, begins[~full], lone, axis=0)
+    rows[ends - np.diff(ends, prepend=0), :hw] = head[kind]
+    rows[ends - 1, sep:] = tail[kind]
     return rows.tobytes().translate(None, b"\0")
 
 
-def contours_to_svg(contours, width: int, height: int) -> str:
-    """Render contours as SVG polylines/polygons at pixel centers.
+def contours_to_svg(contours: _Chains, width: int, height: int) -> str:
+    """Render traced contours as SVG polylines/polygons at pixel centers.
 
-    Takes the result of trace_level_contours or any iterable of Contour
-    with integer pixels. Each distinct coordinate is formatted once, as
-    f"{v + 0.5:g}", and the points are laid out in array passes, between
-    one-byte markers that the tags then replace.
+    Takes the result of trace_level_contours. Each distinct coordinate is
+    formatted once, as f"{v + 0.5:g}", and the points are laid out in array
+    passes, between one-byte markers that the tags then replace.
     """
-    body = _export(_Chains.of(contours), lambda v: f"{v + 0.5:g}", (b"\1", b"\2"), (b"\3", b"\3"))
+    body = _export(contours, lambda v: f"{v + 0.5:g}", (b"\1", b"\2"), (b"\3", b"\3"))
     body = body.replace(b"\1", b'<polyline points="').replace(b"\2", b'<polygon points="')
     body = body.replace(b"\3", b'" fill="none" stroke="black" stroke-width="0.25"/>\n')
     head = (
@@ -493,10 +445,10 @@ def contours_to_svg(contours, width: int, height: int) -> str:
     return "".join((head, body.decode("ascii"), "</svg>\n"))
 
 
-def contours_to_text(contours) -> str:
-    """One contour per line as x,y pairs; closed chains end with a Z marker.
+def contours_to_text(contours: _Chains) -> str:
+    """One traced contour per line as x,y pairs; closed chains end with a Z marker.
 
-    Takes what contours_to_svg takes. Each distinct coordinate is formatted
-    once, as f"{v}", and the lines are laid out in array passes.
+    Takes the result of trace_level_contours. Each distinct coordinate is
+    formatted once, as f"{v}", and the lines are laid out in array passes.
     """
-    return _export(_Chains.of(contours), str, (b"", b""), (b"\n", b" Z\n")).decode("ascii")
+    return _export(contours, str, (b"", b""), (b"\n", b" Z\n")).decode("ascii")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from conftest import (
 from hypothesis import given, settings
 
 from isophote import (
+    DetectionMask,
     FrameStack,
     IntensityGrid,
     ThresholdSchedule,
@@ -168,8 +170,9 @@ def assert_matches_brute(mask, rows, grid, schedule, topology):
 
 
 def assert_witnesses_adjacent(rows, grid, schedule, topology, words=4):
-    """The brute member levels of every pixel step by the increment, and both
-    routes store witness_lo = (witness_hi - increment) * flagged.
+    """The brute member levels of every pixel step by the increment, and on
+    both routes witness_lo reads (witness_hi - increment) * flagged, read-only
+    and in the storage dtype.
 
     words patches the oracle's word dtypes down to the first 1-4 of them.
     """
@@ -186,8 +189,11 @@ def assert_witnesses_adjacent(rows, grid, schedule, topology, words=4):
         oracle = detect_multilevel(grid, schedule, topology)
     closed_form = detect_pointwise(grid, schedule, topology)
     for mask in (oracle, closed_form):
+        assert mask.increment == schedule.increment
         lo = np.where(mask.flagged, mask.witness_hi.astype(np.int64) - schedule.increment, 0)
         assert np.array_equal(mask.witness_lo, lo)
+        assert not mask.witness_lo.flags.writeable
+        assert mask.witness_lo.dtype == mask.witness_hi.dtype == storage_dtype(grid.max_value)
         assert_matches_brute(mask, rows, grid, schedule, topology)
     assert oracle == closed_form
     return oracle
@@ -409,7 +415,7 @@ class TestDetectMultilevel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        mask_bytes = sum(a.nbytes for a in (mask.level_count, mask.witness_hi, mask.witness_lo))
+        mask_bytes = mask.level_count.nbytes + mask.witness_hi.nbytes
         assert peak < mask_bytes + 24 * g.values.size + 24 * (max_value + 1)
 
     @given(grid_rows(), schedules, topologies)
@@ -559,7 +565,7 @@ class TestDetectPointwise:
     @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
     def test_transient_memory_is_the_mask_plus_a_few_strips(self, topology):
         # the closed form runs on strips, so beyond the narrow mask (one
-        # byte per array here) only strip-sized scratch is ever alive
+        # byte per stored array here) only strip-sized scratch is ever alive
         rng = np.random.default_rng(4)
         g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
         tracemalloc.start()
@@ -568,8 +574,8 @@ class TestDetectPointwise:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        mask_bytes = 3 * g.values.size
-        assert sum(a.nbytes for a in (mask.level_count, mask.witness_hi, mask.witness_lo)) == mask_bytes
+        mask_bytes = 2 * g.values.size
+        assert mask.level_count.nbytes + mask.witness_hi.nbytes == mask_bytes
         assert peak < mask_bytes + 6 * detector._STRIP_BUDGET
 
     def test_single_pixel_grid_never_flagged(self):
@@ -612,6 +618,22 @@ class TestMaskDtypes:
         assert mask.level_count.dtype == count
         # the members of (0, max_value]: every level but max_value + 1
         assert mask.count_at((1, 0)) == levels - 1
+
+
+class TestDerivedWitness:
+    """A mask stores level_count and witness_hi; witness_lo follows from those and the increment."""
+
+    def test_stores_two_arrays_and_the_increment(self):
+        assert [f.name for f in dataclasses.fields(DetectionMask)] == ["level_count", "witness_hi", "increment"]
+
+    @pytest.mark.parametrize("rows, flagged", [([[0, 0, 0], [0, 9, 0], [0, 0, 0]], True), ([[4] * 3] * 3, False)])
+    def test_increment_compares_only_where_a_pixel_is_flagged(self, rows, flagged):
+        mask = detect_pointwise(IntensityGrid.from_rows(rows, 9), ThresholdSchedule(1), N4)
+        wider = DetectionMask(mask.level_count, mask.witness_hi, 2)
+        assert mask.flagged.any() == flagged
+        assert (mask == wider) != flagged and (mask != wider) == flagged
+        assert mask.witnesses_at((1, 1)) == ((8, 9) if flagged else None)
+        assert wider.witnesses_at((1, 1)) == ((7, 9) if flagged else None)
 
 
 class TestNecessaryCondition:

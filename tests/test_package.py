@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import isophote
 
 # The package's public surface: the union of its modules' __all__, plus the version.
@@ -22,3 +25,29 @@ def test_package_exports_each_public_name_once():
     exec("from isophote import *", star)
     assert PUBLIC <= star.keys()
     assert all(star[name] is getattr(isophote, name) for name in PUBLIC)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module at path imports but never reads, nor lists in __all__."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(Path(isophote.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    assert [unused for path in modules for unused in _unused_imports(path)] == []
