@@ -496,6 +496,25 @@ class TestExports:
             '<svg xmlns="http://www.w3.org/2000/svg" width="3" height="2" viewBox="0 0 3 2">\n</svg>\n'
         )
 
+    @pytest.mark.parametrize(
+        "closed", [(False,), (True,), (True, False), (False, True, True), (True, True, False, False)]
+    )
+    def test_open_and_closed_chains_in_each_order(self, closed):
+        # closed rings of 3x3 blocks and open 1x3 bars side by side, so the
+        # heads and tails of both kinds fall at the start, between and at the end
+        vals = np.zeros((5, 4 * len(closed) + 1), dtype=np.int64)
+        for i, ring in enumerate(closed):
+            x = 1 + 4 * i
+            vals[1 : 4 if ring else 2, x : x + 3] = 9
+        grid = IntensityGrid(vals, 9)
+        for topology in (N4, N8):
+            got = trace_level_contours(grid, 5, topology)
+            want = reference_trace_level_contours(grid, 5, topology)
+            assert [c.closed for c in got] == list(closed)
+            assert_traced_as(got, want)
+            assert_exports_match(got, want, grid.width, grid.height)
+            assert contours_to_text(got).count(" Z\n") == sum(closed)
+
     def test_large_coordinates_keep_the_g_rounding(self):
         # a row and a column of 100003 pixels, bright at 99999 and 100001
         row = np.zeros((1, 100003), dtype=np.int64)
