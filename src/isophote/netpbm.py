@@ -7,6 +7,7 @@ identical data produces identical bytes.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 _WS = b" \t\r\n\x0b\x0c"
+# whitespace and '#' comments to their line ends, then one header token (a
+# '#' inside it belongs to it), which is empty only at the end of the data
+_HEADER_TOKEN = re.compile(rb"[%b]*(?:#[^\r\n]*[%b]*)*([^%b]*)" % (_WS, _WS, _WS))
+_KINDS = ("pbm", "pgm", "ppm")  # of magic digits 1-3 (plain) and 4-6 (binary)
 
 
 def _number(token: bytes) -> str:
@@ -50,26 +55,12 @@ class _Scanner:
         offset = self.pos if at is None else at
         raise NetpbmError(f"{self.name}: {message} at byte {offset}", offset)
 
-    def skip_space(self):
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos]
-            if c in _WS:
-                self.pos += 1
-            elif c == 0x23:  # '#' comment runs to end of line
-                while self.pos < len(data) and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                return
-
     def uint(self, what: str, limit: int) -> int:
-        self.skip_space()
-        if self.pos >= len(self.data):
+        match = _HEADER_TOKEN.match(self.data, self.pos)
+        start, self.pos = match.span(1)
+        token = match[1]
+        if not token:
             self.fail(f"expected {what}, found end of file")
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in _WS:
-            self.pos += 1
-        token = self.data[start : self.pos]
         if not token.isdigit():
             self.fail(f"expected {what}, found {token[:16]!r}", at=start)
         # the length decides first: int() refuses tokens above 4300 digits
@@ -146,8 +137,11 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     decoded in blocks of at least _PLAIN_BLOCK bytes that end at a line
     end, so that no sample or comment straddles two.
     """
+    bits = maxval is None
+    # each bit is a byte at least; each sample a separator and a digit
+    sc.require(n if bits else 2 * n, f"{n} ASCII {'bits' if bits else 'samples'}")
     data, pos = sc.data, sc.pos
-    out = np.empty(n, np.uint8 if maxval is None else storage_dtype(maxval))
+    out = np.empty(n, np.uint8 if bits else storage_dtype(maxval))
     done = 0
     while done < n and pos < len(data):
         end = _line_end(data, pos + _PLAIN_BLOCK)
@@ -156,14 +150,14 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
         raw[1:-1] = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
         is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
         if data.find(b"#", pos, end) >= 0:
-            _comments(raw, is_space, maxval is None)
-        if maxval is None:
+            _comments(raw, is_space, bits)
+        if bits:
             done += _plain_bits(sc, pos, raw, is_space, out[done:])
         else:
             done += _plain_samples(sc, pos, raw, is_space, out[done:], maxval)
         pos = end
     if done < n:
-        sc.fail(f"expected {'bit' if maxval is None else 'sample value'}, found end of file", at=len(data))
+        sc.fail(f"expected {'bit' if bits else 'sample value'}, found end of file", at=len(data))
     return out
 
 
@@ -236,30 +230,21 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     sc = _Scanner(data, str(path))
     if len(data) < 2:
         sc.fail("not a Netpbm file: truncated magic")
-    magic = data[:2]
+    if data[0] != ord("P") or data[1] not in b"123456":
+        sc.fail(f"unknown magic {data[:2]!r}", at=0)
+    digit = data[1] - ord("0")
+    kind, binary = _KINDS[(digit - 1) % 3], digit > 3
     sc.pos = 2
-    if magic not in (b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"):
-        sc.fail(f"unknown magic {magic!r}", at=0)
     width = sc.uint("width", 1 << 30)
     height = sc.uint("height", 1 << 30)
-
-    if magic in (b"P1", b"P4"):
-        if magic == b"P1":
-            n = width * height
-            sc.require(n, f"{n} ASCII bits")  # at least one byte per bit
-            bits = _plain_raster(sc, n, None).reshape(height, width)
-        else:
-            rowbytes = (width + 7) // 8
-            raw = np.frombuffer(sc.raster_bytes(rowbytes * height), dtype=np.uint8)
-            bits = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
-        return bits, 1, "pbm"
-
-    maxval = sc.uint("maxval", 65535)
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    n = width * height * channels
-    if magic in (b"P2", b"P3"):
-        sc.require(2 * n, f"{n} ASCII samples")  # each is a separator and a digit at least
-        flat = _plain_raster(sc, n, maxval)
+    maxval = 1 if kind == "pbm" else sc.uint("maxval", 65535)
+    n = width * height * (3 if kind == "ppm" else 1)
+    if not binary:
+        flat = _plain_raster(sc, n, None if kind == "pbm" else maxval)
+    elif kind == "pbm":
+        rowbytes = (width + 7) // 8
+        raw = np.frombuffer(sc.raster_bytes(rowbytes * height), dtype=np.uint8)
+        flat = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
     else:
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         flat = np.frombuffer(sc.raster_bytes(dtype.itemsize * n), dtype=dtype)
@@ -271,9 +256,7 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
                 sc.fail(f"sample value {flat[i]} exceeds maxval {maxval}", at=start + i * dtype.itemsize)
         if maxval > 255:
             flat = flat.astype(np.uint16)
-    if channels == 3:
-        return flat.reshape(height, width, 3), maxval, "ppm"
-    return flat.reshape(height, width), maxval, "pgm"
+    return flat.reshape((height, width, 3) if kind == "ppm" else (height, width)), maxval, kind
 
 
 def _extract_channel(rgb: np.ndarray, channel: str) -> np.ndarray:
@@ -309,12 +292,13 @@ def read_pbm(path) -> np.ndarray:
 
 
 def _plain_rows(values: np.ndarray) -> bytes:
-    """Each row of a 2D array of non-negative integers in decimal, joined
-    by spaces and ended by a newline.
+    """Each row (along the first axis) of an array of non-negative integers
+    in decimal, its samples joined by spaces and ended by a newline.
     """
-    h, m = values.shape
+    h = values.shape[0]
     if values.size == 0:
         return b"\n" * h
+    m = values.size // h
     top = int(values.max())
     flat = values.ravel().astype(np.min_scalar_type(top), copy=False)  # narrow: cheaper digits
     width = len(str(top))
@@ -332,14 +316,24 @@ def _plain_rows(values: np.ndarray) -> bytes:
     return cells.tobytes().replace(b"\0", b"")
 
 
-def _write_samples(fh, values: np.ndarray, maxval: int) -> None:
-    """Write integer samples as binary Netpbm: one byte each, or two big-endian above 255.
+def _write(path, magic: int, values: np.ndarray, maxval: int, binary: bool) -> None:
+    """Write (h, w) or (h, w, 3) values as plain P<magic> or binary P<magic + 3>; see _KINDS.
 
-    The bytes come from the array's own buffer when it already holds them,
-    without a copy.
+    Binary PBM packs 8 bits a byte; binary samples are bytes, or big-endian
+    pairs above maxval 255, from the array's own buffer when it holds them.
+    The body is made before the file is opened, so a failure leaves no file.
     """
-    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-    fh.write(np.ascontiguousarray(values, dtype=dtype).data)
+    h, w = values.shape[:2]
+    header = f"P{magic + 3 * binary}\n{w} {h}\n" + (f"{maxval}\n" if magic > 1 else "")
+    if not binary:
+        body = _plain_rows(values)
+    elif magic == 1:
+        body = np.packbits(values, axis=1).data
+    else:
+        body = np.ascontiguousarray(values, dtype=np.uint8 if maxval < 256 else ">u2").data
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(body)
 
 
 def pgm_maxval(max_value: int) -> int:
@@ -352,14 +346,7 @@ def pgm_maxval(max_value: int) -> int:
 
 def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
     """Write a grid as PGM; P5 (binary) by default, P2 with binary=False."""
-    maxval = pgm_maxval(grid.max_value)
-    header = f"{'P5' if binary else 'P2'}\n{grid.width} {grid.height}\n{maxval}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            _write_samples(fh, grid.values, maxval)
-        else:
-            fh.write(_plain_rows(grid.values))
+    _write(path, 2, grid.values, pgm_maxval(grid.max_value), binary)
 
 
 def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
@@ -367,14 +354,7 @@ def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"mask must be 2D, got shape {mask.shape}")
-    h, w = mask.shape
-    header = f"{'P4' if binary else 'P1'}\n{w} {h}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(np.packbits(mask, axis=1).data)
-        else:
-            fh.write(_plain_rows(mask.view(np.uint8)))
+    _write(path, 1, mask.view(np.uint8), 1, binary)
 
 
 def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
@@ -386,11 +366,4 @@ def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> 
         raise ValueError(f"PPM maxval must lie in [1, 65535], got {maxval}")
     if rgb.min() < 0 or rgb.max() > maxval:
         raise ValueError(f"samples must lie in [0, {maxval}]")
-    h, w = rgb.shape[:2]
-    header = f"{'P6' if binary else 'P3'}\n{w} {h}\n{maxval}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            _write_samples(fh, rgb, maxval)
-        else:
-            fh.write(_plain_rows(rgb.reshape(h, 3 * w)))
+    _write(path, 3, rgb, maxval, binary)

@@ -21,7 +21,7 @@ from isophote import (
     write_ppm,
 )
 from isophote import netpbm
-from reference_netpbm import read_plain
+from reference_netpbm import ReferenceScanner, read_plain
 
 
 @pytest.mark.parametrize("binary", [True, False])
@@ -360,6 +360,56 @@ def test_plain_decode_at_any_line_end(tmp_path, eol):
         with mock.patch.object(netpbm, "_PLAIN_BLOCK", block):
             assert read_image(path)[0].tolist() == values.tolist()
 
+
+@st.composite
+def headers(draw):
+    """P1, P2 or P5 headers: runs of every whitespace byte, comments ended by
+    CR, LF, CRLF or nothing, '#' inside tokens, zero-padded tokens, tokens
+    at and just past 65535 and 2^30, junk bytes, and cuts anywhere."""
+    magic = draw(st.sampled_from([b"P1", b"P2", b"P5"]))
+    space = st.binary(max_size=4).map(lambda b: bytes(_SPACE[c % 6] for c in b))
+    comment = st.tuples(st.binary(max_size=6), st.sampled_from([b"\r", b"\n", b"\r\n"] * 2 + [b""])).map(
+        lambda t: b"#" + bytes(c for c in t[0] if c not in b"\r\n") + t[1]
+    )
+    separator = st.lists(st.one_of(space, comment), max_size=3).map(b"".join)
+    # whitespace first, or a comment would join the token before it, and
+    # digits that run together would pass 16
+    gap = st.tuples(st.sampled_from(list(_SPACE)).map(lambda c: bytes([c])), separator).map(b"".join)
+    edges = [1, 65534, 65535, 65536, (1 << 30) - 1, 1 << 30, (1 << 30) + 1]
+    value = st.one_of(st.integers(1, 300), st.sampled_from([0] + edges), st.integers(0, 1 << 31))
+    number = st.tuples(value, st.integers(0, 16)).map(lambda t: str(t[0]).zfill(t[1]).encode())
+    junk = st.binary(min_size=1, max_size=4)
+    data = magic + draw(separator)
+    for i in range(draw(st.sampled_from([0, 1, 2, 3, 3, 3, 4]))):
+        kind = draw(st.sampled_from(["number"] * 8 + ["hashed", "junk"]))
+        token = draw(junk if kind == "junk" else number)
+        if kind == "hashed":
+            token += draw(st.sampled_from([b"#", b"#1", b"1#"]))  # '#' inside a token
+        data += (draw(gap) if i else b"") + token
+    data += draw(st.one_of(st.just(b""), gap, st.tuples(gap, junk).map(b"".join)))
+    return data[: draw(st.integers(2, len(data)))] if draw(st.integers(0, 7)) == 0 else data
+
+
+def _header_fields(scanner, data):
+    """Width, height, maxval (unless P1) and where the raster starts, or the message and offset."""
+    sc = scanner(data, "img.pnm")
+    sc.pos = 2
+    try:
+        fields = [sc.uint("width", 1 << 30), sc.uint("height", 1 << 30)]
+        if not data.startswith(b"P1"):
+            fields.append(sc.uint("maxval", 65535))
+    except NetpbmError as err:
+        return str(err), err.offset
+    return fields, sc.pos
+
+
+@given(headers())
+@settings(max_examples=300)
+def test_header_scan_matches_byte_scanner(data):
+    # tokens stay within 16 digits, beyond which the two quote numbers differently
+    assert _header_fields(netpbm._Scanner, data) == _header_fields(ReferenceScanner, data)
+
+
 def _p2_file(path, size, top, before=b"", after=b""):
     """A size x size P2 file of random samples in [0, top], its raster between before and after."""
     values = np.random.default_rng(size).integers(0, top + 1, (size, size))
@@ -383,6 +433,34 @@ def test_comment_costs_no_more_than_any_plain_file(tmp_path):
     commented = _decode_seconds(_p2_file(tmp_path / "commented.pgm", 2048, 255, b"# after the header\n"))
     assert commented < 3.0
     assert commented < 3 * plain
+
+
+_MIB8 = 8 << 20
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P2\n#" + b"c" * _MIB8 + b"\n2 1\n255\n",
+        b"P2" + _SPACE * (_MIB8 // 6) + b"2 1\n255\n",
+        b"P2\n" + b"0" * _MIB8 + b"2 1\n255\n",
+    ],
+    ids=["comment", "whitespace", "zero-padded-width"],
+)
+def test_hostile_header_costs_no_more_than_a_plain_file(tmp_path, header):
+    # the byte-at-a-time header scanner took 0.9-1.2 s on each of these
+    # files, against 0.07 s for the plain decode (2-vCPU x86 machine)
+    plain = _decode_seconds(_p2_file(tmp_path / "plain.pgm", 2048, 255))
+    path = tmp_path / "hostile.pgm"
+    path.write_bytes(header + b"1 2\n")
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        values, _, _ = read_image(path)
+        seconds.append(time.perf_counter() - t0)
+        assert values.tolist() == [[1, 2]]
+    assert min(seconds) < 3.0
+    assert min(seconds) < 3 * plain
 
 
 @pytest.mark.parametrize(
@@ -541,6 +619,26 @@ class TestWriterLimits:
     def test_ppm_shape_checked(self, tmp_path):
         with pytest.raises(ValueError, match="3"):
             write_ppm(tmp_path / "img.ppm", np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path, binary: write_pgm(path, IntensityGrid(np.zeros((1, 1), np.int64), 70000), binary),
+            lambda path, binary: write_pbm(path, np.zeros(4, dtype=bool), binary),
+            lambda path, binary: write_pbm(path, np.zeros((2, 2, 2), dtype=bool), binary),
+            lambda path, binary: write_ppm(path, np.zeros((2, 2), np.int64), binary=binary),
+            lambda path, binary: write_ppm(path, np.zeros((2, 2, 4), np.int64), binary=binary),
+            lambda path, binary: write_ppm(path, np.full((1, 1, 3), 256), binary=binary),
+            lambda path, binary: write_ppm(path, np.full((1, 1, 3), -1), binary=binary),
+        ],
+        ids=["pgm-maxval", "pbm-1d", "pbm-3d", "ppm-2d", "ppm-4-channels", "ppm-above-maxval", "ppm-negative"],
+    )
+    def test_rejected_write_leaves_no_file(self, tmp_path, write, binary):
+        path = tmp_path / "img.pnm"
+        with pytest.raises(ValueError):
+            write(path, binary)
+        assert not path.exists()
 
     def test_writers_are_deterministic(self, tmp_path):
         grid = IntensityGrid(np.arange(12, dtype=np.int64).reshape(3, 4), 20)
