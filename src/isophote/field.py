@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from typing import Optional
 
@@ -219,24 +220,31 @@ _RINGS = {
 }
 
 
-def _component_roots(members: np.ndarray, offsets) -> np.ndarray:
+def _component_roots(members: np.ndarray, below) -> np.ndarray:
     """Per member, the position in members of its component's first pixel.
 
-    members holds the sorted flat indices of a padded mask; offsets are
-    flat neighbor offsets. Min-label hooking: every edge between two roots
-    points the larger root at the smaller, then pointer jumping flattens
-    the trees, until no edge joins two roots. Parents only ever decrease,
-    so each root is the smallest, i.e. first in scan order, of its component.
+    members holds the sorted flat indices of a padded mask; below lists
+    the consecutive flat offsets of a pixel's neighbors in the next row.
+    Each edge is found once, from its earlier member: the right neighbor
+    can only be the next member, and the neighbors below sit at
+    consecutive places of members from where one searchsorted puts the
+    first of them. Min-label hooking: every edge between two roots points
+    the larger root at the smaller, then pointer jumping flattens the
+    trees, until no edge joins two roots. Parents only ever decrease, so
+    each root is the smallest, i.e. first in scan order, of its component.
     """
     n = members.size
-    u_parts, v_parts = [], []
-    for off in offsets:
-        if off > 0:  # one direction of every undirected edge
-            target = members + off
-            v = np.searchsorted(members, target)
-            hit = members[np.minimum(v, n - 1)] == target
-            u_parts.append(np.flatnonzero(hit))
-            v_parts.append(v[hit])
+    right = np.flatnonzero(np.diff(members) == 1)
+    u_parts, v_parts = [right], [right + 1]
+    low, width = below[0], len(below)
+    first = np.searchsorted(members, members + low)
+    for k in range(width):
+        v = first + k
+        # members[v] is at least members + low wherever v < n
+        hit = np.flatnonzero(members[np.minimum(v, n - 1)] - members - low < width)
+        hit = hit[v[hit] < n]
+        u_parts.append(hit)
+        v_parts.append(v[hit])
     u, v = np.concatenate(u_parts), np.concatenate(v_parts)
     parent = np.arange(n)
     while True:
@@ -253,25 +261,23 @@ def _component_roots(members: np.ndarray, offsets) -> np.ndarray:
             parent = grand
 
 
-def _walk_chains(starts, interior, remaining: bytearray, ring) -> tuple[np.ndarray, list, list]:
+def _walk_chains(starts, remaining: bytearray, ring) -> tuple[list, list]:
     """Walk a chain from every start that is still unvisited when the cursor reaches it.
 
     starts lists the members grouped by component, in scan order inside
-    each; interior flags a start whose component stays off the image
-    border; remaining holds 1 at members not visited yet. Returns the flat
-    indices of every chain, one chain after another, with each chain's
-    end in that array and whether it is closed.
+    each; remaining holds 1 at members not visited yet. Returns the flat
+    indices of every chain, one chain after another, and each chain's end
+    in that list.
     """
     n = len(ring)
     first_turn = tuple(zip(ring, range(n)))
     # after arriving in direction d, search clockwise from just past the way back
     past = [(d + n // 2 + 1) % n for d in range(n)]
     turns = [first_turn[k:] + first_turn[:k] for k in past]
-    adjacent = frozenset(ring)
-    path, ends, closed = [], [], []
+    path, ends = [], []
     # walks never leave a component, so all earlier components are used up
     # by the time the cursor reaches a pixel: an unvisited one starts a chain
-    for start, inside in zip(starts, interior):
+    for start in starts:
         if not remaining[start]:
             continue
         cur = start
@@ -289,8 +295,104 @@ def _walk_chains(starts, interior, remaining: bytearray, ring) -> tuple[np.ndarr
             path.append(cur)
             steps = turns[d]
         ends.append(len(path))
-        closed.append(inside and (cur == start or cur - start in adjacent))
-    return np.array(path, dtype=np.intp), ends, closed
+    return path, ends
+
+
+@cache
+def _turn_table(n: int) -> tuple[np.ndarray, int]:
+    """_walk_chains' clockwise search as a table, for a ring of n directions.
+
+    Returns the table and a multiplier. Bit k of a free-neighbor code is
+    set when the neighbor in direction k is unvisited; the code of n such
+    bytes, read as one little-endian word w, is (w * multiplier) >> 8(n-1).
+    Entry (d << n) | code of the table is the direction of the next step
+    after arriving in direction d, or -1 when no neighbor is free. A chain
+    starts searching from direction 0, as after arriving in n // 2 - 1.
+    """
+    codes = np.arange(1 << n)
+    free = (codes[:, None] >> np.arange(n)) & 1  # (code, direction)
+    order = (np.arange(n)[:, None] + (n // 2 + 1) + np.arange(n)) % n  # (arrival, try)
+    hits = free[:, order]  # (code, arrival, try)
+    turn = np.where(hits.any(axis=2), order[np.arange(n), hits.argmax(axis=2)], -1)
+    # byte j of the word weighs 2**(n - 1 - j), so the top byte of the product sums byte k's bit at 2**k
+    multiplier = int((1 << (7 * np.arange(n) + n - 1)).sum())
+    return turn.T.ravel(), multiplier
+
+
+_LOOKAHEAD = 8  # places of a segment read at once when looking for the next chain's start
+
+
+def _walk_lockstep(starts, lo, hi, remaining: np.ndarray, ring, path, end_at) -> None:
+    """Walk the components whose members are starts[lo[i]:hi[i]], one pixel of each per array pass.
+
+    The chains are those of _walk_chains over the same starts: every
+    cursor takes its next step from _turn_table; when it has none, its
+    chain ends and the first unvisited member of its segment after the
+    chain's start starts the next. remaining is the uint8 image of
+    unvisited members. The chains of component i fill path[lo[i]:hi[i]],
+    and end_at is set at each chain's end in path.
+    """
+    if not lo.size:
+        return
+    n = len(ring)
+    turn, multiplier = _turn_table(n)
+    word, signed = np.dtype(f"<u{n}"), np.dtype(f"<i{n}")
+    multiplier, shift = word.type(multiplier), word.type(8 * (n - 1))
+    step = np.array((*ring, 0), dtype=np.intp)  # direction -1 stays put
+    fresh = n // 2 - 1
+    around, ahead = step[:n], np.arange(1, _LOOKAHEAD + 1)
+    # largest first: pass t walks the (t+1)-th pixel of every component of more
+    # than t pixels, so the components still walking are a prefix
+    by_size = np.argsort(lo - hi)
+    lo, hi = lo[by_size], hi[by_size]
+    walking = np.searchsorted(lo - hi, -np.arange(1, hi[0] - lo[0]), side="left")
+    cur = starts[lo]
+    scan = lo.copy()  # each current chain's start, as a place in starts
+    d = np.full(lo.size, fresh, dtype=np.intp)
+    remaining[cur] = 0
+    path[lo] = cur
+    for t, k in enumerate(walking.tolist(), 1):
+        c, dk = cur[:k], d[:k]
+        free = remaining[c[:, None] + around]
+        code = ((free.view(word).ravel() * multiplier) >> shift).view(signed)
+        np.take(turn, (dk << n) | code, out=dk)
+        c += step[dk]
+        pending = np.flatnonzero(dk < 0)
+        if pending.size:
+            end_at[lo[pending] + t] = True
+            # a stopped component has pixels left; look a few places ahead at a
+            # time, so that the search reads each place of a segment only once
+            while pending.size:
+                place = np.minimum(scan[pending, None] + ahead, hi[pending, None] - 1)
+                free = remaining[starts[place]].view(bool)
+                rows, seen = np.arange(pending.size), free.argmax(axis=1)
+                hit = free[rows, seen]
+                scan[pending] = np.where(hit, place[rows, seen], place[:, -1])
+                go = pending[hit]
+                c[go] = starts[scan[go]]
+                dk[go] = fresh
+                pending = pending[~hit]
+        remaining[c] = 0
+        path[lo[:k] + t] = c
+    end_at[hi] = True  # every component's last chain ends where its segment does
+
+
+# Estimated costs of the lockstep walk, in pixels walked by _walk_chains:
+# a pass, and a pixel walked in one
+_PASS_COST, _LOCKSTEP_PIXEL_COST = 100.0, 0.35
+
+
+def _lockstep_size(sizes: np.ndarray) -> int:
+    """The largest component size to walk in lockstep; larger components are walked by _walk_chains.
+
+    The lockstep makes as many passes as its largest component has pixels,
+    at a fixed cost each, and spends less per pixel than _walk_chains. The
+    size returned minimises the estimated cost of both walks together; 0
+    walks every component by _walk_chains.
+    """
+    size = np.append(0, np.sort(sizes))  # size 0 walks none in lockstep and saves nothing
+    saved = np.cumsum(size) * (1.0 - _LOCKSTEP_PIXEL_COST) - size * _PASS_COST
+    return int(size[saved.argmax()])
 
 
 def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Chains:
@@ -302,8 +404,14 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Ch
     of the same component starts the next chain, so the chains always
     partition the level curve set exactly. A chain is closed when its
     component never touches the image border and its endpoints are
-    adjacent; no curve completion is attempted. The cost is linear in the
-    size of the level curve set, apart from sorting it by component.
+    adjacent; no curve completion is attempted.
+
+    Walks never leave their component, so each component is walked on its
+    own, into its own stretch of the result. Small components are walked
+    together in lockstep, one pixel of each per array pass; the few large
+    ones, which would cost more passes than the lockstep saves, are walked
+    one pixel at a time (_lockstep_size splits them). The cost is linear in
+    the size of the level curve set, apart from sorting it by component.
 
     The result holds the chains as flat read-only arrays. It has a length,
     the number of chains, and iterating it builds the list of Contour;
@@ -315,26 +423,38 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Ch
     mask = level_curve_set(grid, c, topology).mask
     h, w = mask.shape
     stride = w + 2
-    # padding by one cell makes every neighbor of a member a valid flat index
-    padded = np.zeros((h + 2, stride), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    members = np.flatnonzero(padded)
+    # padding by one cell makes every neighbor of a member a valid flat index;
+    # both walks read and clear the members in this one image
+    remaining = bytearray((h + 2) * stride)
+    padded = np.frombuffer(remaining, dtype=np.uint8)
+    padded.reshape(h + 2, stride)[1:-1, 1:-1] = mask
+    members = np.flatnonzero(padded.view(bool))
     ring = tuple(dy * stride + dx for dx, dy in _RINGS[topology])
-    roots = _component_roots(members, ring)
+    roots = _component_roots(members, sorted(off for off in ring if off > 1))
     row, col = np.divmod(members, stride)
     # set at each component's root when any of its members lies on the image border
     touches = np.zeros(members.size, dtype=bool)
     touches[roots[(row == 1) | (row == h) | (col == 1) | (col == w)]] = True
     # grouped by component in scan order of first pixels, scan order inside each
     by_component = np.argsort(roots, kind="stable")
-    path, ends, closed = _walk_chains(
-        members[by_component].tolist(),
-        (~touches[roots[by_component]]).tolist(),
-        bytearray(padded),
-        ring,
-    )
+    starts = members[by_component]
+    lo = np.flatnonzero(np.diff(roots[by_component], prepend=-1))
+    hi = np.append(lo[1:], members.size)
+    lockstep = hi - lo <= _lockstep_size(hi - lo)
+    # every chain lies in the segment of starts that holds its component
+    path = np.empty(members.size, dtype=np.intp)
+    end_at = np.zeros(members.size + 1, dtype=bool)
+    _walk_lockstep(starts, lo[lockstep], hi[lockstep], padded, ring, path, end_at)
+    if not lockstep.all():
+        place = np.flatnonzero(np.repeat(~lockstep, hi - lo))
+        walked, ends = _walk_chains(starts[place].tolist(), remaining, ring)
+        path[place] = walked
+        end_at[place[np.array(ends, dtype=np.intp) - 1] + 1] = True
+    ends = np.flatnonzero(end_at)
+    begins = ends - np.diff(ends, prepend=0)
+    closed = np.isin(path[ends - 1] - path[begins], (0, *ring)) & ~touches[roots[by_component[begins]]]
     row, col = np.divmod(path - (stride + 1), stride)
-    return _Chains(col, row, np.array(ends, dtype=np.intp), np.array(closed, dtype=bool))
+    return _Chains(col, row, ends, closed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 _WS = b" \t\r\n\x0b\x0c"
-# whitespace and '#' comments to their line ends, then one header token (a
-# '#' inside it belongs to it), which is empty only at the end of the data
-_HEADER_TOKEN = re.compile(rb"[%b]*(?:#[^\r\n]*[%b]*)*([^%b]*)" % (_WS, _WS, _WS))
+_SPACES = re.compile(rb"[%b]*" % _WS)
+# one header token (a '#' inside it belongs to it), empty only at the end of the data
+_TOKEN = re.compile(rb"[^%b]*" % _WS)
 _KINDS = ("pbm", "pgm", "ppm")  # of magic digits 1-3 (plain) and 4-6 (binary)
 
 
@@ -55,10 +55,37 @@ class _Scanner:
         offset = self.pos if at is None else at
         raise NetpbmError(f"{self.name}: {message} at byte {offset}", offset)
 
+    def token_start(self) -> int:
+        """The offset of the next header token: past whitespace, and past '#' comments to their line ends.
+
+        Lines of comments are skipped in array passes over blocks of whole
+        lines, so a header of a million one-line comments costs about what
+        one comment of as many bytes does.
+        """
+        data, at = self.data, self.pos
+        while True:
+            at = _SPACES.match(data, at).end()
+            if not data.startswith(b"#", at):
+                return at
+            cut = max(data.rfind(b"\n", at, at + _PLAIN_BLOCK), data.rfind(b"\r", at, at + _PLAIN_BLOCK)) + 1
+            if cut <= at:  # the comment fills the block
+                at = _line_end(data, at)
+                continue
+            raw = np.frombuffer(data, dtype=np.uint8, count=cut - at, offset=at)
+            eol = (raw == ord("\n")) | (raw == ord("\r"))
+            kept = np.flatnonzero(eol | ((raw != ord(" ")) & (raw - np.uint8(ord("\t")) >= 5)))
+            # the line ends and the bytes that are not whitespace, in order: the first
+            # token starts the first line whose first such byte is not a '#'
+            ends, nonblank = eol[kept], raw[kept]
+            starts = np.flatnonzero(ends[:-1] & ~ends[1:] & (nonblank[1:] != ord("#")))
+            if starts.size:
+                return at + int(kept[starts[0] + 1])
+            at = cut
+
     def uint(self, what: str, limit: int) -> int:
-        match = _HEADER_TOKEN.match(self.data, self.pos)
-        start, self.pos = match.span(1)
-        token = match[1]
+        start = self.token_start()
+        self.pos = _TOKEN.match(self.data, start).end()
+        token = self.data[start : self.pos]
         if not token:
             self.fail(f"expected {what}, found end of file")
         if not token.isdigit():

@@ -10,8 +10,13 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from isophote import IntensityGrid, Topology
+
+# CI runs three times the default examples per property (pytest --hypothesis-profile=ci);
+# local runs keep the default profile.
+settings.register_profile("ci", max_examples=300)
 
 # Independent offset tables; not imported from the package on purpose.
 BRUTE_OFFSETS = {

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -332,6 +334,20 @@ def seeded_noise(side, seed=7):
     return IntensityGrid(np.random.default_rng(seed).integers(0, 256, size=(side, side)), 255)
 
 
+def traced_shape(shape, side, seed=3):
+    """A side x side 8-bit grid: one-pixel stripes, concentric 4-pixel rings, or 16-pixel random blocks."""
+    if shape == "stripes":
+        values = np.zeros((side, side), dtype=np.int64)
+        values[:, 1:-1:3] = 255
+    elif shape == "rings":
+        yy, xx = np.mgrid[0:side, 0:side]
+        values = (np.hypot(yy - side / 2, xx - side / 2) // 4 % 2 * 255).astype(np.int64)
+    else:
+        small = np.random.default_rng(seed).integers(0, 256, size=(-(-side // 16),) * 2)
+        values = np.repeat(np.repeat(small, 16, axis=0), 16, axis=1)[:side, :side]
+    return IntensityGrid(values, 255)
+
+
 def assert_traced_as(got, want):
     """got holds the chains of the list want: same length, and each iteration builds want."""
     assert len(got) == len(want)
@@ -346,12 +362,28 @@ def assert_exports_match(got, want, w, h):
     assert contours_to_text(got) == reference_contours_to_text(want)
 
 
-class TestTraceMatchesReference:
-    """The flat-index tracer returns what the set-based reference tracer returns."""
+# The split rule sends the components of small grids to the sequential
+# walker, so the tests below force each walker in turn on every component.
+WALKERS = {
+    "lockstep": lambda sizes: int(sizes.max(initial=0)),
+    "sequential": lambda sizes: 0,
+}
 
-    @given(trace_grids(), st.integers(0, 4), topologies)
-    def test_random_grids(self, grid, c, topology):
-        got = trace_level_contours(grid, c, topology)
+
+def walked_by(walker):
+    """A context in which trace_level_contours walks every component with the named
+    walker, or splits them by its rule when walker is None."""
+    return nullcontext() if walker is None else mock.patch.object(field, "_lockstep_size", WALKERS[walker])
+
+
+class TestTraceMatchesReference:
+    """The flat-index tracer returns what the set-based reference tracer returns, with either walker."""
+
+    @pytest.mark.parametrize("walker", WALKERS)
+    @given(grid=trace_grids(), c=st.integers(0, 4), topology=topologies)
+    def test_random_grids(self, walker, grid, c, topology):
+        with walked_by(walker):
+            got = trace_level_contours(grid, c, topology)
         want = reference_trace_level_contours(grid, c, topology)
         assert_traced_as(got, want)
         assert_exports_match(got, want, grid.width, grid.height)
@@ -368,19 +400,35 @@ class TestTraceMatchesReference:
         ],
     )
     @pytest.mark.parametrize("topology", [N4, N8])
-    def test_small_cases(self, rows, topology):
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_small_cases(self, rows, topology, walker):
         grid = IntensityGrid.from_rows(rows, 9)
-        got = trace_level_contours(grid, 5, topology)
+        with walked_by(walker):
+            got = trace_level_contours(grid, 5, topology)
         assert list(got) == reference_trace_level_contours(grid, 5, topology)
 
     @pytest.mark.parametrize("topology", [N4, N8])
-    def test_seeded_noise(self, topology):
+    @pytest.mark.parametrize("walker", [None, *WALKERS])
+    def test_seeded_noise(self, topology, walker):
+        # under the rule, N4 walks most of its components in lockstep and N8 none
         grid = seeded_noise(128)
-        got = trace_level_contours(grid, 128, topology)
+        with walked_by(walker):
+            got = trace_level_contours(grid, 128, topology)
         want = reference_trace_level_contours(grid, 128, topology)
         assert_traced_as(got, want)
         assert_exports_match(got, want, grid.width, grid.height)
         assert any(len(c.pixels) == 1 for c in got) and any(len(c.pixels) > 20 for c in got)
+
+    @pytest.mark.parametrize("shape", ["stripes", "rings", "blocks"])
+    @pytest.mark.parametrize("topology", [N4, N8])
+    @pytest.mark.parametrize("walker", [None, *WALKERS])
+    def test_shapes(self, shape, topology, walker):
+        grid = traced_shape(shape, 96)
+        with walked_by(walker):
+            got = trace_level_contours(grid, 128, topology)
+        want = reference_trace_level_contours(grid, 128, topology)
+        assert_traced_as(got, want)
+        assert_exports_match(got, want, grid.width, grid.height)
 
     def test_n8_noise_is_not_quadratic(self):
         # N8 joins noise into one large component of thousands of chains, so a
@@ -392,6 +440,45 @@ class TestTraceMatchesReference:
         contours = trace_level_contours(grid, 128, N8)
         assert time.perf_counter() - start < 5.0
         assert sum(len(c.pixels) for c in contours) == level_curve_set(grid, 128, N8).mask.sum()
+
+
+class TestLockstepSplit:
+    """The split rule on component-size profiles. The lockstep makes as many passes as
+    the largest component it walks has pixels, so the size the rule returns counts them."""
+
+    @staticmethod
+    def passes(sizes):
+        return field._lockstep_size(np.array(sizes, dtype=np.intp))
+
+    @staticmethod
+    def within_bound(sizes, passes):
+        # the passes never cost more than the lockstep saves on the pixels it walks
+        sizes = np.array(sizes)
+        saved = sizes[sizes <= passes].sum() * (1 - field._LOCKSTEP_PIXEL_COST)
+        return passes * field._PASS_COST <= saved
+
+    def test_one_giant_component_walks_sequentially(self):
+        # N8 noise: one component of most pixels and a few hundred small ones
+        sizes = [128524] + [1, 2, 3, 4] * 250
+        passes = self.passes(sizes)
+        assert passes < 128524 and self.within_bound(sizes, passes)
+        assert self.passes([128524]) == 0
+
+    def test_many_small_components_all_go_lockstep(self):
+        sizes = np.arange(28000) % 147 + 1
+        assert self.passes(sizes) == 147
+
+    def test_rings_profile_stays_within_its_pass_bound(self):
+        # concentric rings: two boundaries per ring, each growing with its radius
+        sizes = np.repeat(32 * np.arange(1, 129), 2)
+        passes = self.passes(sizes)
+        assert passes <= 64 and self.within_bound(sizes, passes)
+
+    @pytest.mark.parametrize("sizes", [[], [1], [5, 5, 5], [1000] * 100, list(range(1, 400))])
+    def test_a_split_is_a_component_size_or_zero(self, sizes):
+        passes = self.passes(sizes)
+        assert passes == 0 or passes in sizes
+        assert self.within_bound(sizes, passes)
 
 
 class TestChainSequence:
@@ -499,7 +586,8 @@ class TestExports:
     @pytest.mark.parametrize(
         "closed", [(False,), (True,), (True, False), (False, True, True), (True, True, False, False)]
     )
-    def test_open_and_closed_chains_in_each_order(self, closed):
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_open_and_closed_chains_in_each_order(self, closed, walker):
         # closed rings of 3x3 blocks and open 1x3 bars side by side, so the
         # heads and tails of both kinds fall at the start, between and at the end
         vals = np.zeros((5, 4 * len(closed) + 1), dtype=np.int64)
@@ -508,7 +596,8 @@ class TestExports:
             vals[1 : 4 if ring else 2, x : x + 3] = 9
         grid = IntensityGrid(vals, 9)
         for topology in (N4, N8):
-            got = trace_level_contours(grid, 5, topology)
+            with walked_by(walker):
+                got = trace_level_contours(grid, 5, topology)
             want = reference_trace_level_contours(grid, 5, topology)
             assert [c.closed for c in got] == list(closed)
             assert_traced_as(got, want)
