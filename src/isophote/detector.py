@@ -201,7 +201,8 @@ class DetectionMask:
             self.level_count.shape == other.level_count.shape
             and np.array_equal(self.level_count, other.level_count)
             and np.array_equal(self.witness_hi, other.witness_hi)
-            and np.array_equal(self.witness_lo, other.witness_lo)
+            # witness_lo is witness_hi - increment at flagged pixels and 0 elsewhere
+            and (self.increment == other.increment or not self.flagged.any())
         )
 
     __hash__ = None  # type: ignore[assignment]

@@ -269,11 +269,8 @@ def _walk_chains(starts, remaining: bytearray, ring) -> tuple[list, list]:
     indices of every chain, one chain after another, and each chain's end
     in that list.
     """
-    n = len(ring)
-    first_turn = tuple(zip(ring, range(n)))
-    # after arriving in direction d, search clockwise from just past the way back
-    past = [(d + n // 2 + 1) % n for d in range(n)]
-    turns = [first_turn[k:] + first_turn[:k] for k in past]
+    order, fresh = _search_order(len(ring))
+    turns = [tuple((ring[d], d) for d in tries) for tries in order.tolist()]
     path, ends = [], []
     # walks never leave a component, so all earlier components are used up
     # by the time the cursor reaches a pixel: an unvisited one starts a chain
@@ -283,7 +280,7 @@ def _walk_chains(starts, remaining: bytearray, ring) -> tuple[list, list]:
         cur = start
         remaining[cur] = 0
         path.append(cur)
-        steps = first_turn
+        steps = turns[fresh]
         while True:
             for off, d in steps:
                 if remaining[cur + off]:
@@ -298,20 +295,28 @@ def _walk_chains(starts, remaining: bytearray, ring) -> tuple[list, list]:
     return path, ends
 
 
+def _search_order(n: int) -> tuple[np.ndarray, int]:
+    """Both walks' search on a ring of n directions: row d lists the directions to try after
+    arriving in direction d, clockwise from just past the way back. A chain starts searching
+    from direction 0, as after arriving in the direction returned with the rows.
+    """
+    order = (np.arange(n)[:, None] + (n // 2 + 1) + np.arange(n)) % n
+    return order, int(order[:, 0].argmin())
+
+
 @cache
 def _turn_table(n: int) -> tuple[np.ndarray, int]:
-    """_walk_chains' clockwise search as a table, for a ring of n directions.
+    """The search order of _search_order as a table, for a ring of n directions.
 
     Returns the table and a multiplier. Bit k of a free-neighbor code is
     set when the neighbor in direction k is unvisited; the code of n such
     bytes, read as one little-endian word w, is (w * multiplier) >> 8(n-1).
     Entry (d << n) | code of the table is the direction of the next step
-    after arriving in direction d, or -1 when no neighbor is free. A chain
-    starts searching from direction 0, as after arriving in n // 2 - 1.
+    after arriving in direction d, or -1 when no neighbor is free.
     """
     codes = np.arange(1 << n)
     free = (codes[:, None] >> np.arange(n)) & 1  # (code, direction)
-    order = (np.arange(n)[:, None] + (n // 2 + 1) + np.arange(n)) % n  # (arrival, try)
+    order, _ = _search_order(n)
     hits = free[:, order]  # (code, arrival, try)
     turn = np.where(hits.any(axis=2), order[np.arange(n), hits.argmax(axis=2)], -1)
     # byte j of the word weighs 2**(n - 1 - j), so the top byte of the product sums byte k's bit at 2**k
@@ -339,7 +344,7 @@ def _walk_lockstep(starts, lo, hi, remaining: np.ndarray, ring, path, end_at) ->
     word, signed = np.dtype(f"<u{n}"), np.dtype(f"<i{n}")
     multiplier, shift = word.type(multiplier), word.type(8 * (n - 1))
     step = np.array((*ring, 0), dtype=np.intp)  # direction -1 stays put
-    fresh = n // 2 - 1
+    _, fresh = _search_order(n)
     around, ahead = step[:n], np.arange(1, _LOOKAHEAD + 1)
     # largest first: pass t walks the (t+1)-th pixel of every component of more
     # than t pixels, so the components still walking are a prefix
@@ -377,9 +382,9 @@ def _walk_lockstep(starts, lo, hi, remaining: np.ndarray, ring, path, end_at) ->
     end_at[hi] = True  # every component's last chain ends where its segment does
 
 
-# Estimated costs of the lockstep walk, in pixels walked by _walk_chains:
-# a pass, and a pixel walked in one
-_PASS_COST, _LOCKSTEP_PIXEL_COST = 100.0, 0.35
+# The estimated cost of a lockstep pass, in pixels: a pass costs as much as
+# walking this many pixels in lockstep rather than by _walk_chains saves
+_PASS_COST = 154.0
 
 
 def _lockstep_size(sizes: np.ndarray) -> int:
@@ -391,7 +396,7 @@ def _lockstep_size(sizes: np.ndarray) -> int:
     walks every component by _walk_chains.
     """
     size = np.append(0, np.sort(sizes))  # size 0 walks none in lockstep and saves nothing
-    saved = np.cumsum(size) * (1.0 - _LOCKSTEP_PIXEL_COST) - size * _PASS_COST
+    saved = np.cumsum(size) - size * _PASS_COST
     return int(size[saved.argmax()])
 
 

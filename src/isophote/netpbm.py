@@ -322,10 +322,7 @@ def _plain_rows(values: np.ndarray) -> bytes:
     """Each row (along the first axis) of an array of non-negative integers
     in decimal, its samples joined by spaces and ended by a newline.
     """
-    h = values.shape[0]
-    if values.size == 0:
-        return b"\n" * h
-    m = values.size // h
+    m = values.size // values.shape[0]
     top = int(values.max())
     flat = values.ravel().astype(np.min_scalar_type(top), copy=False)  # narrow: cheaper digits
     width = len(str(top))
@@ -379,16 +376,16 @@ def write_pgm(path, grid: IntensityGrid, binary: bool = True) -> None:
 def write_pbm(path, mask: np.ndarray, binary: bool = True) -> None:
     """Write a boolean mask as PBM (1 = set); P4 by default, P1 with binary=False."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2D, got shape {mask.shape}")
+    if mask.ndim != 2 or not mask.size:
+        raise ValueError(f"mask must be 2D with at least one pixel, got shape {mask.shape}")
     _write(path, 1, mask.view(np.uint8), 1, binary)
 
 
 def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
     """Write an (h, w, 3) integer array as PPM; P6 by default, P3 with binary=False."""
     rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected shape (h, w, 3), got {rgb.shape}")
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or not rgb.size:
+        raise ValueError(f"expected shape (h, w, 3) with h, w >= 1, got {rgb.shape}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PPM maxval must lie in [1, 65535], got {maxval}")
     if rgb.min() < 0 or rgb.max() > maxval:

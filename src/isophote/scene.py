@@ -286,17 +286,17 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 
 
 def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
-    # `@` on an (h, w, 3) array rounds each pixel as on any array of rows at least 2 columns wide (or
-    # 1 column for a 1-wide image); one column of a wider image may not. So a sphere is shaded over a
-    # box widened to 2 columns, and a plane, whose normal is -n or n at every pixel, from a table of
-    # both normals as wide as the image up to 2 columns. A sphere box is 1 column only at an image
-    # edge outside the cone, where no hit or `near` lands whatever the rounding.
+    # `@` on an (h, w, 3) array rounds each pixel as on the whole image whenever its rows are at least
+    # 2 columns wide, or 1 column on a 1-wide image. So a sphere is hit-tested, shaded and tested for
+    # occlusion over its box, which is 1 column wide only at an image edge outside the cone, where no
+    # hit or `near` lands; and a plane, whose normal is -n or n at every pixel, is shaded from a table
+    # of both normals as wide as the image.
     shape = (spec.height, spec.width)
     depth, second = np.full(shape, np.inf), np.full(shape, np.inf)  # second counts ties
     ids = np.full(shape, -1, dtype=np.intp)
     whole = (slice(0, spec.height), slice(0, spec.width))
     boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in spec.objects]
-    spheres, flipped = [], {}
+    kept = {}  # per sphere its b and near; per plane where it faces away
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
         if isinstance(obj, Sphere):
             b = dirs[box] @ obj.center  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
@@ -305,7 +305,7 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
             # length 1) zero differences all leave `near` false
             gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
             near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
-            spheres.append((i, box, b, near))
+            kept[i] = b, near
             root = np.sqrt(np.maximum(disc, 0.0))
             tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
             tau = np.where(disc >= 0.0, tau, np.inf)
@@ -317,7 +317,7 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
             hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
             np.copyto(tau, np.inf, where=~hit)
             # where the plane is nearest, |denom| > eps, so its shading normal -sign(denom) n is -n or n
-            flipped[i] = denom > 0
+            kept[i] = denom > 0
         # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
         near_depth, near_second = depth[box], second[box]
         closer = tau < near_depth
@@ -327,28 +327,21 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
         np.copyto(ids[box], i, where=closer)
 
     image = np.zeros(shape, dtype=np.int64)
+    occluding = np.zeros(shape, dtype=bool)
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
         if isinstance(obj, Plane):
-            table = np.stack([obj.normal, -obj.normal])[:, None].repeat(min(spec.width, 2), axis=1)
+            table = np.stack([obj.normal, -obj.normal])[:, None].repeat(spec.width, axis=1)
             plus, minus = _shade(spec, obj, table)[:, 0]
             mine = ids == i
             np.copyto(image, plus, where=mine)
-            np.copyto(image, minus, where=mine & flipped[i])
+            np.copyto(image, minus, where=mine & kept[i])
             continue
+        b, near = kept[i]
         mine = ids[box] == i
-        rows, cols = np.flatnonzero(mine.any(axis=1)), np.flatnonzero(mine.any(axis=0))
-        if not rows.size:
-            continue
-        # shade the box of the sphere's nearest pixels, at least 2 columns wide for `@`
-        c0 = min(box[1].start + cols[0], max(spec.width - 2, 0))
-        c1 = max(box[1].start + cols[-1] + 1, c0 + min(spec.width, 2))
-        win = (slice(box[0].start + rows[0], box[0].start + rows[-1] + 1), slice(c0, c1))
-        points = dirs[win] * np.where(np.isfinite(depth[win]), depth[win], 0.0)[..., None]
-        np.copyto(image[win], _shade(spec, obj, (points - obj.center) / obj.radius), where=ids[win] == i)
-
-    occluding = np.zeros(shape, dtype=bool)
-    for i, box, b, near in spheres:
-        others = np.where(ids[box] == i, second[box], depth[box])  # the nearest hit of another object
+        if mine.any():
+            points = dirs[box] * np.where(np.isfinite(depth[box]), depth[box], 0.0)[..., None]
+            np.copyto(image[box], _shade(spec, obj, (points - obj.center) / obj.radius), where=mine)
+        others = np.where(mine, second[box], depth[box])  # the nearest hit of another object
         occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
 
     truth = GroundTruth(

