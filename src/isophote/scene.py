@@ -76,6 +76,14 @@ def _bounded_vector(value, n: int, what: str) -> np.ndarray:
     return vector
 
 
+def _dot(a, v):
+    """a . v over a's last axis, summed as (a0 v0 + a1 v1) + a2 v2 whatever the BLAS kernel."""
+    out = a[..., 0] * v[0]
+    out += a[..., 1] * v[1]
+    out += a[..., 2] * v[2]
+    return out
+
+
 def project(p: Sequence[float]) -> tuple[float, float]:
     """Pinhole projection (x, y, z) -> (x/z, y/z); constant along rays through the origin."""
     x, y, z = p
@@ -105,12 +113,12 @@ def is_occluding(surface_point: Sequence[float], normal: Sequence[float], tolera
     """
     p = np.asarray(surface_point, dtype=float)
     n = np.asarray(normal, dtype=float)
-    nn = float(np.linalg.norm(n))
+    nn = math.sqrt(_dot(n, n))
     if nn == 0.0:
         raise ValueError("normal must be nonzero")
     if p[2] == 0:
         raise FocalPlaneError("surface point lies on the focal plane z = 0")
-    return abs(float(p @ n)) <= tolerance * float(np.linalg.norm(p)) * nn
+    return abs(float(_dot(p, n))) <= tolerance * math.sqrt(_dot(p, p)) * nn
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +147,10 @@ class Plane:
     def __post_init__(self):
         p = _bounded_vector(self.point, 3, "plane point")
         n = _bounded_vector(self.normal, 3, "plane normal")
-        if np.linalg.norm(n) == 0:
+        norm = math.sqrt(_dot(n, n))
+        if norm == 0:
             raise SceneError("plane normal must be nonzero")
-        n = n / np.linalg.norm(n)
+        n = n / norm
         p.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "point", p)
@@ -172,13 +181,18 @@ class SceneSpec:
     principal: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
+        for name in ("width", "height", "max_value"):  # int() would silently change a float or a bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SceneError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.width < 1 or self.height < 1:
             raise SceneError("image must be at least 1x1")
-        if int(self.width) * int(self.height) > MAX_PIXELS:
+        if self.width * self.height > MAX_PIXELS:
             raise SceneError(f"a {self.width}x{self.height} image exceeds the limit of {MAX_PIXELS} pixels")
         object.__setattr__(self, "objects", tuple(self.objects))
         light = _bounded_vector(self.light_direction, 3, "light direction")
-        norm = np.linalg.norm(light)
+        norm = math.sqrt(_dot(light, light))
         if norm == 0:
             raise SceneError("light direction must be nonzero")
         light = light / norm
@@ -187,26 +201,26 @@ class SceneSpec:
         if not 0.0 <= self.ambient <= 1.0:
             raise SceneError(f"ambient must lie in [0, 1], got {self.ambient!r}")
         _check_bounded(self.fov, "fov", _MIN_SCALE)
-        if self.max_value < 1:
-            raise SceneError("max_value must be at least 1")
+        if not 1 <= self.max_value <= 1 << 53:  # so shading rounds to an exact integer
+            raise SceneError(f"max_value must lie in [1, 2**53], got {self.max_value!r}")
         if self.principal is None:
             object.__setattr__(self, "principal", (self.width / 2.0, self.height / 2.0))
         else:
             _bounded_vector(self.principal, 2, "principal point")
 
     def pixel_rays(self) -> np.ndarray:
-        """Unit ray directions through every pixel center, shape (height, width, 3)."""
+        """Unit ray directions through every pixel center, shape (height, width, 3), each component contiguous."""
         pitch = 2.0 * self.fov / self.width
         cx, cy = self.principal
         ts = (np.arange(self.width) + 0.5 - cx) * pitch
         ss = (np.arange(self.height) + 0.5 - cy) * pitch
         # the rays (t, s, 1) are separable; (s^2 + t^2) + 1 rounds as a norm's (t^2 + s^2) + 1 does
         norm = np.sqrt(np.add.outer(ss * ss, ts * ts) + 1.0)
-        dirs = np.empty((self.height, self.width, 3))
-        np.divide(ts, norm, out=dirs[..., 0])
-        np.divide(ss[:, None], norm, out=dirs[..., 1])
-        np.divide(1.0, norm, out=dirs[..., 2])
-        return dirs
+        dirs = np.empty((3, self.height, self.width))
+        np.divide(ts, norm, out=dirs[0])
+        np.divide(ss[:, None], norm, out=dirs[1])
+        np.divide(1.0, norm, out=dirs[2])
+        return np.moveaxis(dirs, 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +256,9 @@ def _sphere_box(spec: SceneSpec, sphere: Sphere) -> tuple[slice, slice]:
     roots of t^2 (cz^2 - R^2) - 2 t cu cz + cu^2 - R^2, R = |c| sin(half-angle).
     """
     c, pitch = sphere.center, 2.0 * spec.fov / spec.width
-    sin0, sinx = sphere.radius / np.sqrt(c @ c), min(2.0 * pitch + 1e-6, 1.0)
+    sin0, sinx = sphere.radius / np.sqrt(_dot(c, c)), min(2.0 * pitch + 1e-6, 1.0)
     cos0, cosx = np.sqrt(1.0 - sin0 * sin0), np.sqrt(1.0 - sinx * sinx)
-    radius = np.sqrt(c @ c) * (sin0 * cosx + cos0 * sinx)
+    radius = np.sqrt(_dot(c, c)) * (sin0 * cosx + cos0 * sinx)
     a = c[2] * c[2] - radius * radius
     if cos0 * cosx <= sin0 * sinx or a <= 0:  # the cone reaches 90 degrees from c or the focal plane
         return slice(0, spec.height), slice(0, spec.width)
@@ -266,10 +280,9 @@ def _identity_changes(ids: np.ndarray) -> np.ndarray:
     return changes
 
 
-def _shade(spec: SceneSpec, obj: SceneObject, normals: np.ndarray) -> np.ndarray:
-    """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, n.l))) per normal."""
-    lam = np.maximum(0.0, normals @ spec.light_direction)
-    value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * lam
+def _shade(spec: SceneSpec, obj: SceneObject, lam):
+    """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, lam))) per lam = n.l."""
+    value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * np.maximum(0.0, lam)
     return np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
 
 
@@ -286,11 +299,6 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 
 
 def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
-    # `@` on an (h, w, 3) array rounds each pixel as on the whole image whenever its rows are at least
-    # 2 columns wide, or 1 column on a 1-wide image. So a sphere is hit-tested, shaded and tested for
-    # occlusion over its box, which is 1 column wide only at an image edge outside the cone, where no
-    # hit or `near` lands; and a plane, whose normal is -n or n at every pixel, is shaded from a table
-    # of both normals as wide as the image.
     shape = (spec.height, spec.width)
     depth, second = np.full(shape, np.inf), np.full(shape, np.inf)  # second counts ties
     ids = np.full(shape, -1, dtype=np.intp)
@@ -299,8 +307,8 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
     kept = {}  # per sphere its b and near; per plane where it faces away
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
         if isinstance(obj, Sphere):
-            b = dirs[box] @ obj.center  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
-            disc = b * b - (obj.center @ obj.center - obj.radius**2)
+            b = _dot(dirs[box], obj.center)  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
+            disc = b * b - (_dot(obj.center, obj.center) - obj.radius**2)
             # the box's border lies outside the cone, where central, one-sided or (along an axis of
             # length 1) zero differences all leave `near` false
             gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
@@ -310,9 +318,9 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
             tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
             tau = np.where(disc >= 0.0, tau, np.inf)
         else:
-            denom = dirs @ obj.normal
+            denom = _dot(dirs, obj.normal)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
-                tau = float(obj.point @ obj.normal) / denom
+                tau = float(_dot(obj.point, obj.normal)) / denom
             hit = tau > _RAY_EPS
             hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
             np.copyto(tau, np.inf, where=~hit)
@@ -328,19 +336,21 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
 
     image = np.zeros(shape, dtype=np.int64)
     occluding = np.zeros(shape, dtype=bool)
+    light = spec.light_direction
     for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
         if isinstance(obj, Plane):
-            table = np.stack([obj.normal, -obj.normal])[:, None].repeat(spec.width, axis=1)
-            plus, minus = _shade(spec, obj, table)[:, 0]
+            nl = _dot(obj.normal, light)
             mine = ids == i
-            np.copyto(image, plus, where=mine)
-            np.copyto(image, minus, where=mine & kept[i])
+            np.copyto(image, _shade(spec, obj, nl), where=mine)
+            np.copyto(image, _shade(spec, obj, -nl), where=mine & kept[i])
             continue
         b, near = kept[i]
         mine = ids[box] == i
         if mine.any():
-            points = dirs[box] * np.where(np.isfinite(depth[box]), depth[box], 0.0)[..., None]
-            np.copyto(image[box], _shade(spec, obj, (points - obj.center) / obj.radius), where=mine)
+            lam = _dot(dirs[box], light) * np.where(mine, depth[box], 0.0)  # n.l = (tau d.l - c.l) / r
+            lam -= _dot(obj.center, light)
+            lam /= obj.radius
+            np.copyto(image[box], _shade(spec, obj, lam), where=mine)
         others = np.where(mine, second[box], depth[box])  # the nearest hit of another object
         occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
 

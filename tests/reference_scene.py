@@ -2,12 +2,14 @@
 
 Kept as a test-only oracle: the rays are built as a meshgrid normalized
 by `np.linalg.norm`, every object is intersected and shaded over the
-whole ray array, the hit distances are stacked into one
-(objects + 1, h, w) array, each sphere's occlusion test takes the
-minimum of that stack without the sphere's own row, and identity changes
-come from two `neighbor_min` passes. It shares no code with the renderer
-it checks beyond the scene types. The production renderer must match it
-exactly: rays, image values, both masks, depth and ids, with their dtypes.
+whole ray array, and every dot product is summed in `dot`'s fixed order,
+never with `@`, whose rounding depends on the BLAS kernel. The hit
+distances are stacked into one (objects + 1, h, w) array, each sphere's
+occlusion test takes the minimum of that stack without the sphere's own
+row, and identity changes come from two `neighbor_min` passes. It shares
+no code with the renderer it checks beyond the scene types. The
+production renderer must match it exactly: rays, image values, both
+masks, depth and ids, with their dtypes.
 """
 
 from __future__ import annotations
@@ -33,10 +35,15 @@ def pixel_rays(spec: SceneSpec) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 
+def dot(a: np.ndarray, v) -> np.ndarray:
+    """a . v over a's last axis, as (a0 v0 + a1 v1) + a2 v2: the order render promises on any BLAS kernel."""
+    return (a[..., 0] * v[0] + a[..., 1] * v[1]) + a[..., 2] * v[2]
+
+
 def _sphere_quadratic(dirs: np.ndarray, sphere: Sphere) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel (b, disc) for |tau*d - c|^2 = r^2 with unit d: tau^2 - 2 b tau + (c.c - r^2)."""
-    b = dirs @ sphere.center
-    disc = b * b - (sphere.center @ sphere.center - sphere.radius**2)
+    b = dot(dirs, sphere.center)
+    disc = b * b - (dot(sphere.center, sphere.center) - sphere.radius**2)
     return b, disc
 
 
@@ -49,8 +56,8 @@ def _hit_distances(dirs: np.ndarray, obj) -> np.ndarray:
         far = b + root
         tau = np.where(near > _RAY_EPS, near, np.where(far > _RAY_EPS, far, np.inf))
         return np.where(disc >= 0.0, tau, np.inf)
-    denom = dirs @ obj.normal
-    offset = float(obj.point @ obj.normal)
+    denom = dot(dirs, obj.normal)
+    offset = float(dot(obj.point, obj.normal))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
         tau = offset / denom
     return np.where(np.abs(denom) > _RAY_EPS, np.where(tau > _RAY_EPS, tau, np.inf), np.inf)
@@ -72,17 +79,17 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 
     image = np.zeros(shape, dtype=np.int64)
     light = spec.light_direction
-    points = dirs * np.where(np.isfinite(depth), depth, 0.0)[..., None]
+    reach = np.where(np.isfinite(depth), depth, 0.0)
     for i, obj in enumerate(spec.objects):
         sel = ids == i
         if not sel.any():
             continue
-        if isinstance(obj, Sphere):
-            normals = (points - obj.center) / obj.radius
+        if isinstance(obj, Sphere):  # the normal at the hit point reach * d is (reach * d - c) / r
+            lam = (dot(dirs, light) * reach - dot(obj.center, light)) / obj.radius
         else:
-            flip = -np.sign(dirs @ obj.normal)
-            normals = flip[..., None] * obj.normal
-        lam = np.maximum(0.0, normals @ light)
+            flip = -np.sign(dot(dirs, obj.normal))
+            lam = dot(flip[..., None] * obj.normal, light)
+        lam = np.maximum(0.0, lam)
         value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * lam
         shade = np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
         image[sel] = shade[sel]

@@ -385,7 +385,7 @@ _SPHERE = {"type": "sphere", "center": [0.0, 0.0, 5.0], "radius": 1.0}
 
 
 @given(scene_configs())
-# c @ c overflows; the pixel pitch is subnormal; a tiny radius divides a hit's offset
+# c.c overflows; the pixel pitch is subnormal; a tiny radius divides a hit's offset
 @example({"image": {"width": 16, "height": 16}, "light": {},
           "objects": [{"type": "sphere", "center": [1e308, 0.0, 1e308], "radius": 1.0}]})
 @example({"image": {"width": 16, "height": 16, "fov": 1e-320}, "light": {}, "objects": [_SPHERE]})
@@ -486,9 +486,10 @@ class TestRender:
         ("ambient", lambda cfg: cfg["light"].update(ambient=math.nan)),
         ("limit", lambda cfg: cfg["image"].update(width=100000, height=100000)),
         ("limit", lambda cfg: cfg["image"].update(width=10**12, height=1)),
-        ("maxval", lambda cfg: cfg["image"].update(max_value=10**20)),
+        ("max_value", lambda cfg: cfg["image"].update(max_value=10**20)),
+        ("maxval", lambda cfg: cfg["image"].update(max_value=65536)),
     ], ids=["principal-nan", "fov-inf", "center-inf", "center-huge-int", "radius-inf", "point-nan",
-            "ambient-nan", "size", "width", "max_value"])
+            "ambient-nan", "size", "width", "max_value", "max_value-pgm"])
     def test_unrenderable_scene_exits_2_writing_nothing(self, tmp_path, capsys, key, edit):
         scene = scene_file(tmp_path)
         cfg = json.loads(scene.read_text())

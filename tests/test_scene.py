@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -10,6 +14,7 @@ import reference_scene
 from conftest import BRUTE_OFFSETS, cheb_dilate
 from hypothesis import example, given, settings
 
+import isophote
 from isophote import (
     FocalPlaneError,
     Plane,
@@ -203,6 +208,25 @@ class TestValidation:
         spec = SceneSpec(width=10, height=6)
         assert spec.principal == (5.0, 3.0)
 
+    @pytest.mark.parametrize("bad", [8.0, True, "8", None], ids=["float", "bool", "str", "none"])
+    @pytest.mark.parametrize("field", ["width", "height", "max_value"])
+    def test_integer_fields_refuse_other_types(self, field, bad):
+        with pytest.raises(SceneError, match=f"{field} must be an integer"):
+            SceneSpec(**{"width": 8, "height": 6, field: bad})
+
+    def test_numpy_integers_become_ints(self):
+        spec = SceneSpec(np.int64(8), np.int32(6), max_value=np.uint16(255))
+        assert [type(v) for v in (spec.width, spec.height, spec.max_value)] == [int] * 3
+
+    def test_max_value_is_bounded(self):
+        # up to 2**53 every intensity is a float, so the shading rounds to it exactly
+        floor = Plane((0.0, 0.0, 5.0), (0.0, 0.0, -1.0), albedo=0.0)
+        grid, _ = render(SceneSpec(3, 2, (floor,), ambient=0.5, max_value=2**53))
+        assert (grid.values == 2**52).all()
+        for bad in (0, 2**53 + 1, 2**63):
+            with pytest.raises(SceneError, match="max_value"):
+                SceneSpec(3, 2, max_value=bad)
+
     def test_pixel_count_is_bounded(self):
         SceneSpec(width=MAX_PIXELS, height=1)
         with pytest.raises(SceneError, match="exceeds the limit"):
@@ -392,17 +416,18 @@ WIDE_ANGLE = SceneSpec(
            (68.54278283519734, -488.8629972217323, -8.457343744239067))),
     (0.0, 0.0, -1.0), 0.2, 1.8469983706337296, 255, (8.339761526842583, -40.313298912561024),
 )
-# A plane nearest in one column of two, with n.l within an ulp of 0.5 at max_value 1: shaded from a
-# 1-column view, `normals @ light` can round to the other side of rint's tie.
+# Rint-tie cases, found by search when `@` rounded by the width of the view it was given. A plane
+# nearest in one column of two, with n.l exactly -0.5 at max_value 1 and ambient 0: the side shaded
+# with -n sits on rint's tie at 0.5, so one ulp of the dot product decides the pixel.
 ONE_COLUMN = SceneSpec(
     2, 3,
     (Plane((0.9942201753498913, 0.10573810701203151, -0.018592892533001504),
            (0.9942201753498913, 0.10573810701203151, -0.018592892533001504)),),
     (-0.4290312480189637, -0.7759408668529136, -0.4624369788099126), 0.0, 1.0, 1,
 )
-# Spheres nearest in one column, at the right edge and inside, with n.l within ulps of 0.5 at
-# max_value 1: shaded from a 1-column view, `normals @ light` rounds to the other side of rint's tie
-# under OpenBLAS's Haswell and SkylakeX kernels (found by search).
+# Rint-tie cases: spheres nearest in one column, at the right edge and inside, with n.l within a few
+# ulps of 0.5 at max_value 1 and ambient 0, so the rounding of n.l decides which side of rint's tie
+# a pixel lands on.
 SPHERE_RIGHT_COLUMN = SceneSpec(
     3, 3, (Sphere((1.8861457834152853, 1.3524658700185395, 7.040032957672692), 0.7099382111663295),),
     (-0.6211694719437235, 0.7790726249367126, 0.08481940933168652), 0.0, 0.4147434184746459, 1,
@@ -431,14 +456,13 @@ def ray_specs(draw):
 
 def two_planes(width, height, front, back, light, fov):
     """Planes through (0, 0, 5), one facing the camera and one seen from its back, each nearest
-    somewhere, with n.l within an ulp of rint's tie at max_value 1: the shading table must round
-    n.l as the image's own `@` does."""
+    somewhere, with n.l within an ulp or two of +-0.5 at max_value 1 and ambient 0: rint-tie cases,
+    where the rounding of n.l decides each side's shade."""
     return SceneSpec(width, height, (Plane((0.0, 0.0, 5.0), front), Plane((0.0, 0.0, 5.0), back)),
                      light, 0.0, fov, 1)
 
 
-# Found by search; each fails when the table is 2 columns wide on a 1-wide image or 1 column on a
-# wider one.
+# Found by search, one per shape of view (1xN, Nx1, 2xN and wide), when `@` rounded by its width.
 PLANES_1xN = two_planes(
     1, 7, (0.7455233029790733, -0.44368907275300035, -0.4973278711622301),
     (0.9311093592596903, 0.3037634892709334, 0.20189874612031766),
@@ -493,7 +517,8 @@ class TestRenderIdentity:
     def test_plane_examples_show_both_sides(self):
         for spec in (PLANES_1xN, PLANES_Nx1, PLANES_2xN, PLANES_WIDE):
             _, truth = render(spec)
-            facing = [spec.pixel_rays()[truth.object_ids == i] @ p.normal for i, p in enumerate(spec.objects)]
+            rays = spec.pixel_rays()
+            facing = [reference_scene.dot(rays[truth.object_ids == i], p.normal) for i, p in enumerate(spec.objects)]
             assert (facing[0] < 0).all() and (facing[1] > 0).all()
             assert facing[0].size and facing[1].size
         _, truth = render(EDGE_ON_ROW)
@@ -542,8 +567,8 @@ class TestThinImages:
         spec = SceneSpec(width, height, (Sphere((0.05, -0.02, 5.0), 1.0),), fov=width / 160)
         grid, truth = render(spec)
         c = spec.objects[0].center
-        b = spec.pixel_rays() @ c
-        disc = b * b - (c @ c - 1.0)
+        b = reference_scene.dot(spec.pixel_rays(), c)
+        disc = b * b - (reference_scene.dot(c, c) - 1.0)
         grads = [np.gradient(disc, axis=k) if disc.shape[k] > 1 else np.zeros_like(disc) for k in (0, 1)]
         hit = disc >= 0
         assert np.array_equal(truth.object_ids, np.where(hit, 0, -1))
@@ -552,6 +577,76 @@ class TestThinImages:
         assert hit.any()
         if max(width, height) == 40:
             assert not hit.all()
+
+
+NAMED_EXAMPLES = {
+    "WIDE_ANGLE": WIDE_ANGLE, "ONE_COLUMN": ONE_COLUMN, "PLANES_1xN": PLANES_1xN, "PLANES_Nx1": PLANES_Nx1,
+    "PLANES_2xN": PLANES_2xN, "PLANES_WIDE": PLANES_WIDE, "EDGE_ON_ROW": EDGE_ON_ROW,
+    "SPHERE_RIGHT_COLUMN": SPHERE_RIGHT_COLUMN, "SPHERE_INNER_COLUMN": SPHERE_INNER_COLUMN,
+    "HIDDEN_SPHERE": HIDDEN_SPHERE,
+}
+
+
+def seeded_scenes(count: int, seed: int):
+    """count scenes from a numpy generator: 2-40 px, up to five spheres and planes (some edge-on
+    through the camera), any light, ambient 0 or drawn, max_value 1, 255 or 65535."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        w, h = (int(n) for n in rng.integers(2, 41, 2))
+        fov = float(rng.uniform(0.05, 2.0))
+        objects = []
+        for _ in range(int(rng.integers(0, 6))):
+            albedo = float(rng.uniform())
+            if rng.random() < 0.6:  # a sphere about a point of the view, or up to a fifth of it outside
+                z = float(rng.uniform(1.0, 20.0))
+                center = (float(rng.uniform(-1.2, 1.2)) * fov * z, float(rng.uniform(-1.2, 1.2)) * fov * z * h / w, z)
+                objects.append(Sphere(center, float(rng.uniform(0.001, 0.9 * z)), albedo))
+            else:
+                point = (0.0, 0.0, 0.0) if rng.random() < 0.25 else rng.uniform(-3.0, 3.0, 3)
+                objects.append(Plane(point, rng.uniform(-3.0, 3.0, 3), albedo))
+        ambient = 0.0 if rng.random() < 0.3 else float(rng.uniform())
+        max_value = int(rng.choice([1, 255, 65535]))
+        yield SceneSpec(w, h, tuple(objects), rng.uniform(-3.0, 3.0, 3), ambient, fov, max_value)
+
+
+def save_kernel_renders(path) -> None:
+    """Write every output of the named examples, 240 seeded scenes and one 3-frame sequence to an .npz."""
+    renders = [(name, render(spec)) for name, spec in NAMED_EXAMPLES.items()]
+    renders += [(f"seeded{k}", render(spec)) for k, spec in enumerate(seeded_scenes(240, seed=20))]
+    moving = SceneSpec(
+        96, 64, (Sphere((0.2, -0.1, 4.0), 1.0, 0.7), Plane((0.0, 1.0, 0.0), (0.0, -1.0, 0.2), 0.6),
+                 Sphere((-0.6, 0.3, 6.0), 1.5, 0.9)), (0.3, -0.5, -1.0), 0.2, 0.7, 255)
+    renders += [(f"frame{t}", pair) for t, pair in enumerate(zip(*render_sequence(moving, (0.05, -0.02, 0.1), 3)))]
+    arrays = {}
+    for name, (grid, truth) in renders:
+        arrays[f"{name}.image"] = grid.values
+        for field in ("occluding_mask", "discontinuity_mask", "depth_map", "object_ids"):
+            arrays[f"{name}.{field}"] = getattr(truth, field)
+    np.savez(path, **arrays)
+
+
+def dynamic_openblas() -> bool:
+    """True when numpy's BLAS is an OpenBLAS built for several CPUs, whose kernel OPENBLAS_CORETYPE picks."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, whose kernel "
+                    "OPENBLAS_CORETYPE could switch")
+def test_render_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """One process renders under the default kernel and one under Sandybridge's; every output is equal."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(isophote.__file__).parents[1]),
+                            base.get("PYTHONPATH", "")])
+    script = "import sys, test_scene; test_scene.save_kernel_renders(sys.argv[1])"
+    kernels = {"default": {}, "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"}}
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path / f"{name}.npz")],
+                              env={**base, **extra, "PYTHONPATH": path}) for name, extra in kernels.items()]
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    with np.load(tmp_path / "default.npz") as want, np.load(tmp_path / "sandybridge.npz") as got:
+        assert sorted(got.files) == sorted(want.files)
+        differ = [k for k in want.files if got[k].dtype != want[k].dtype or got[k].tobytes() != want[k].tobytes()]
+    assert differ == []
 
 
 class TestRenderSequence:
