@@ -121,7 +121,7 @@ def cmd_detect(args) -> int:
         ceiling = pgm_maxval(int(mask.level_count.max()))
     flagged = mask.flagged
     if args.filter_occluding:
-        flagged &= ~zero_mask(hamiltonian(grid, where=flagged), args.filter_tolerance)
+        flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
         narrow = mask.level_count.astype(storage_dtype(ceiling), copy=False)

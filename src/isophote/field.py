@@ -9,6 +9,10 @@ occluding points worth filtering from a detection mask.
 
 All differences are doubled instead of halved so the fields stay exact
 integers: central differences in the interior, one-sided at the borders.
+A VectorFieldGrid is the field of one whole 2-D grid and builds each
+component the first time it is read. zero_mask at tolerance 0 builds
+neither: the doubled differences vanish exactly where a pixel's two sides
+are equal along both axes, so it is two boolean passes over the grid.
 
 Traced chains stay flat arrays of pixel coordinates: trace_level_contours
 returns a frozen record of read-only arrays that builds its Contour objects
@@ -20,9 +24,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 
@@ -44,73 +47,77 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class VectorFieldGrid:
-    """Per-pixel integer 2-vectors (hx, hy) on the source grid.
+    """The rotated gradient (hx, hy) = (-gy, gx) of one 2-D grid, over the whole image.
 
-    Without a support the components have the grid's shape. With one, a
-    boolean mask of the grid's shape, they hold the vectors at its True
-    pixels only, in scan order, and the field is undefined elsewhere.
-    ``index`` then holds those pixels' flat indices in the same order; it
-    is found from the support unless the caller already has it.
+    Each component is a read-only integer array of the grid's shape, built
+    the first time it is read.
     """
 
-    hx: np.ndarray
-    hy: np.ndarray
-    support: Optional[np.ndarray] = None
-    index: Optional[np.ndarray] = None
+    grid: IntensityGrid
 
     def __post_init__(self):
-        if self.hx.shape != self.hy.shape:
-            raise ValueError("component arrays must share a shape")
-        if self.support is not None:
-            if self.index is None:
-                object.__setattr__(self, "index", np.flatnonzero(self.support))
-            if not self.hx.shape == self.index.shape == (np.count_nonzero(self.support),):
-                raise ValueError("components on a support hold one value per supported pixel")
-        elif self.index is not None:
-            raise ValueError("an index needs the support it indexes")
-        for a in (self.hx, self.hy, self.support, self.index):
-            if a is not None:
-                a.setflags(write=False)
+        if self.grid.values.ndim != 2:  # a frame stack would be differenced along t and y
+            raise ValueError(f"the field needs a 2-D grid, got values of shape {self.grid.values.shape}")
+
+    def _doubled_diff(self, axis: int) -> np.ndarray:
+        """Doubled central difference along an axis, doubled one-sided at the borders.
+
+        Differences are taken in a signed dtype, never in the (possibly
+        unsigned) dtype of the values: |hx| + |hy| in zero_mask reaches
+        4 * max_value, and int32 at least keeps products of two components
+        exact on 8-bit grids.
+        """
+        v = self.grid.values
+        dtype = np.promote_types(signed_dtype(4 * self.grid.max_value), np.int32)
+        out = _sides(v, axis, np.subtract, np.empty(v.shape, dtype=dtype), dtype=dtype)
+        sl = _axis_slicer(2, axis)
+        for edge in (out[sl(0, 1)], out[sl(-1, None)]):
+            edge *= 2
+        return out
+
+    @cached_property
+    def hx(self) -> np.ndarray:
+        hx = self._doubled_diff(0)
+        np.negative(hx, out=hx)
+        hx.setflags(write=False)
+        return hx
+
+    @cached_property
+    def hy(self) -> np.ndarray:
+        hy = self._doubled_diff(1)
+        hy.setflags(write=False)
+        return hy
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.hx.shape if self.support is None else self.support.shape
+        return self.grid.values.shape
 
     @property
     def width(self) -> int:
-        return self.shape[1]
+        return self.grid.width
 
     @property
     def height(self) -> int:
-        return self.shape[0]
+        return self.grid.height
 
 
 def _axis_slicer(ndim: int, axis: int):
     return lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(ndim))
 
 
-def _doubled_diff(v: np.ndarray, axis: int, dtype) -> np.ndarray:
-    """Doubled central difference along an axis, doubled one-sided at the borders.
+def _sides(v: np.ndarray, axis: int, op, out: np.ndarray, **kwargs) -> np.ndarray:
+    """op(after, before) of each pixel's two sides along an axis, written to out.
 
-    Differences are taken in the signed dtype, never in the (possibly
-    unsigned) dtype of v.
+    Inside, the sides are the pixel's two neighbors; at a border the
+    missing side is the pixel itself, and on an axis of length 1 both are.
     """
-    out = np.zeros(v.shape, dtype=dtype)
-    if v.shape[axis] < 2:
-        return out
     sl = _axis_slicer(v.ndim, axis)
-    np.subtract(v[sl(2, None)], v[sl(None, -2)], out=out[sl(1, -1)], dtype=dtype)
-    for dst, a, b in ((sl(0, 1), sl(1, 2), sl(0, 1)), (sl(-1, None), sl(-1, None), sl(-2, -1))):
-        edge = out[dst]
-        np.subtract(v[a], v[b], out=edge, dtype=dtype)
-        edge *= 2
+    if v.shape[axis] < 2:
+        return op(v, v, out=out, **kwargs)
+    op(v[sl(2, None)], v[sl(None, -2)], out=out[sl(1, -1)], **kwargs)
+    op(v[sl(1, 2)], v[sl(0, 1)], out=out[sl(0, 1)], **kwargs)
+    op(v[sl(-1, None)], v[sl(-2, -1)], out=out[sl(-1, None)], **kwargs)
     return out
-
-
-def _field_dtype(grid: IntensityGrid) -> np.dtype:
-    # |hx| + |hy| in zero_mask reaches 4 * max_value; int32 at least keeps
-    # products of two components exact on 8-bit grids
-    return np.promote_types(signed_dtype(4 * grid.max_value), np.int32)
 
 
 def discrete_gradient(grid: IntensityGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -119,66 +126,34 @@ def discrete_gradient(grid: IntensityGrid) -> tuple[np.ndarray, np.ndarray]:
     Both are int32, or int64 when max_value is too large for that. Widen
     them before multiplying two of them together.
     """
-    dtype = _field_dtype(grid)
-    gx = _doubled_diff(grid.values, 1, dtype)
-    gy = _doubled_diff(grid.values, 0, dtype)
-    return gx, gy
+    field = VectorFieldGrid(grid)  # refuses a grid that is not 2-D
+    return field._doubled_diff(1), field._doubled_diff(0)
 
 
-def _gathered_diff(flat, index, pos, n: int, step: int, dtype) -> np.ndarray:
-    """The differences of _doubled_diff at the given flat indices only.
-
-    pos is each index's place along the axis, n the axis length and step
-    its flat stride. A border pixel pairs with itself on its missing side
-    and its difference is doubled; on an axis of length 1 both sides are
-    the pixel itself, so the result is 0.
-    """
-    inner_hi, inner_lo = pos < n - 1, pos > 0
-    hi = index + step * inner_hi
-    lo = index - step * inner_lo
-    out = np.subtract(flat.take(hi), flat.take(lo), dtype=dtype)
-    out <<= ~(inner_hi & inner_lo)  # doubles the one-sided differences
-    return out
-
-
-def hamiltonian(grid: IntensityGrid, where: Optional[np.ndarray] = None) -> VectorFieldGrid:
+def hamiltonian(grid: IntensityGrid) -> VectorFieldGrid:
     """The rotated gradient (-gy, gx); orthogonal to the gradient by construction.
 
-    With ``where``, a boolean mask of the grid's shape, the field is
-    evaluated only at its True pixels and carries it as its support; each
-    vector equals the whole-image one at that pixel.
+    Returns at once: each component is computed when it is first read.
     """
-    if where is None:
-        gx, gy = discrete_gradient(grid)
-        np.negative(gy, out=gy)
-        return VectorFieldGrid(gy, gx)
-    support = np.array(where, dtype=bool)
-    if support.shape != grid.values.shape:
-        raise ValueError(f"where has shape {support.shape}, the grid {grid.values.shape}")
-    h, w = support.shape
-    index = np.flatnonzero(support)
-    row, col = np.divmod(index, w)
-    flat, dtype = grid.values.ravel(), _field_dtype(grid)
-    gx = _gathered_diff(flat, index, col, w, 1, dtype)
-    gy = _gathered_diff(flat, index, row, h, w, dtype)
-    np.negative(gy, out=gy)
-    return VectorFieldGrid(gy, gx, support, index)
+    return VectorFieldGrid(grid)
 
 
 def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
     """Pixels where |hx| + |hy| <= tolerance; exact integer zeros at tolerance 0.
 
-    On a field with a support the mask is False outside it.
+    At tolerance 0 that is two equality passes over the grid, of each
+    pixel's two sides along each axis; no component is built.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
+    if tolerance == 0:
+        values = field.grid.values
+        out = _sides(values, 1, np.equal, np.empty(values.shape, dtype=bool))
+        out &= _sides(values, 0, np.equal, np.empty(values.shape, dtype=bool))
+        return out
     total = np.abs(field.hx)
     total += np.abs(field.hy)
-    if field.support is None:
-        return total <= tolerance
-    out = np.zeros(field.shape, dtype=bool)
-    out.reshape(-1)[field.index] = total <= tolerance  # a scatter; no second scan of the support
-    return out
+    return total <= tolerance
 
 
 def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:

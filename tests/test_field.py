@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import time
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -26,11 +27,13 @@ from isophote import (
     contours_to_svg,
     contours_to_text,
     discrete_gradient,
+    frame_stack,
     hamiltonian,
     level_curve_set,
     trace_level_contours,
     zero_mask,
 )
+from isophote.raster import storage_dtype
 
 N4, N8 = Topology.N4, Topology.N8
 
@@ -115,59 +118,66 @@ class TestZeroMask:
 
 
 @st.composite
-def supported_fields(draw):
-    """A grid (thin shapes included; 8-bit, 16-bit or after dx) and a random mask of its shape."""
+def field_grids(draw):
+    """A grid: thin shapes included; 8-bit, 16-bit or int64 storage, or the result of dx."""
     h, w = draw(st.one_of(
         st.tuples(st.integers(1, 6), st.integers(1, 6)),
         st.sampled_from([(1, 1)]),
         st.tuples(st.just(1), st.integers(2, 9)),
         st.tuples(st.integers(2, 9), st.just(1)),
     ))
-    mv = draw(st.sampled_from([255, 65535]))
+    mv = draw(st.sampled_from([255, 65535, 2**40]))
     value = st.one_of(st.integers(0, mv), st.sampled_from([0, 1, mv - 1, mv]))
     rows = draw(st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h))
-    grid = IntensityGrid(np.array(rows), mv)
+    grid = IntensityGrid(np.array(rows, dtype=np.int64), mv)
     if draw(st.booleans()):
-        grid = apply_operator(grid, "dx")  # max_value 510 or 131070
-    bits = st.lists(st.lists(st.booleans(), min_size=w, max_size=w), min_size=h, max_size=h)
-    return grid, np.array(draw(bits), dtype=bool)
+        grid = apply_operator(grid, "dx")  # max_value 510, 131070 or 2**41
+    return grid
 
 
-class TestSupport:
-    """hamiltonian(grid, where=mask) is the whole-image field at the mask's pixels."""
-
-    @given(supported_fields(), st.sampled_from([0, 1, 7]))
+class TestWholeImageField:
+    @given(field_grids(), st.integers(0, 4))
     @settings(max_examples=200)
-    def test_equals_the_whole_image_field_at_the_mask(self, case, tolerance):
-        grid, mask = case
-        whole, part = hamiltonian(grid), hamiltonian(grid, where=mask)
-        assert np.array_equal(part.hx, whole.hx[mask]) and np.array_equal(part.hy, whole.hy[mask])
-        assert (part.width, part.height) == (grid.width, grid.height)
-        expect = mask & zero_mask(whole, tolerance)
-        assert np.array_equal(zero_mask(part, tolerance), expect)
+    def test_zero_mask_equals_int64_arithmetic(self, grid, tolerance):
+        gx, gy = (g.astype(np.int64) for g in discrete_gradient(grid))
+        expect = np.abs(gx) + np.abs(gy) <= tolerance
+        assert np.array_equal(zero_mask(hamiltonian(grid), tolerance), expect)
 
-    def test_mask_of_another_shape_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian(ramp_x(6, 5), where=np.ones((6, 5), dtype=bool))
-
-    @given(supported_fields())
+    @given(field_grids())
     @settings(max_examples=50)
-    def test_index_lists_the_supported_pixels(self, case):
-        grid, mask = case
-        part = hamiltonian(grid, where=mask)
-        assert np.array_equal(part.index, np.flatnonzero(mask))
-        rebuilt = VectorFieldGrid(part.hx, part.hy, mask)  # the index found from the support
-        assert np.array_equal(rebuilt.index, part.index)
-        assert np.array_equal(zero_mask(rebuilt), zero_mask(part))
+    def test_components_are_read_only_and_built_once(self, grid):
+        f = hamiltonian(grid)
+        gx, gy = discrete_gradient(grid)
+        assert (f.width, f.height, f.shape) == (grid.width, grid.height, grid.values.shape)
+        assert np.array_equal(f.hx, -gy) and np.array_equal(f.hy, gx)
+        assert f.hx is f.hx and f.hy is f.hy
+        assert not f.hx.flags.writeable and not f.hy.flags.writeable
 
-    def test_index_must_match_the_support(self):
-        mask = np.array([[True, False, True]])
-        hx = np.zeros(2, dtype=np.int32)
-        with pytest.raises(ValueError, match="one value per supported pixel"):
-            VectorFieldGrid(hx, hx, mask, np.array([0]))
-        with pytest.raises(ValueError, match="support"):
-            VectorFieldGrid(hx, hx, None, np.array([0, 2]))
-        assert hamiltonian(ramp_x()).index is None
+    @pytest.mark.parametrize("function", [hamiltonian, discrete_gradient, VectorFieldGrid])
+    def test_a_frame_stack_is_refused(self, function):
+        # differences along t and y would leave gx all 0 and every pixel a zero of the field
+        stack = frame_stack([ramp_x(6, 5), ramp_x(6, 5)])
+        with pytest.raises(ValueError, match=r"2-D grid, got values of shape \(2, 5, 6\)"):
+            function(stack)
+
+    @pytest.mark.parametrize("max_value", [255, 65535])
+    def test_zero_filter_memory_is_two_bytes_per_pixel(self, max_value):
+        # four-level noise, so that the field vanishes at some pixels and not at others
+        levels = np.array([0, 1, max_value - 1, max_value], dtype=storage_dtype(max_value))
+        values = np.random.default_rng(5).choice(levels, size=(512, 512))
+        grid = IntensityGrid(values, max_value)
+        tracemalloc.start()
+        try:
+            field = hamiltonian(grid)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            zero = zero_mask(field, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert zero.any() and not zero.all()
+        assert built < 1 << 14  # nothing image-sized: the image alone is 256 KiB at one byte a pixel
+        assert peak <= 2 * values.size + (1 << 16)
 
 
 class TestUnsignedStorage:

@@ -51,3 +51,35 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(Path(isophote.__file__).parent.glob("*.py"))
     assert len(modules) >= 8
     assert [unused for path in modules for unused in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level functions, classes and constants of tree whose names start with one _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_is_read_in_the_package():
+    modules = sorted(Path(isophote.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in modules}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{name}:{line} {defined}"
+        for name, tree in trees.items()
+        for defined, line in _private_definitions(tree)
+        if defined not in read
+    ]
+    assert unread == []
