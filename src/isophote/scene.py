@@ -39,8 +39,14 @@ __all__ = [
 ]
 
 _RAY_EPS = 1e-9
-# The largest width * height a scene may declare (8192 x 8192); render peaks near 100 bytes per pixel.
+# The largest width * height a scene may declare (8192 x 8192). Past a few
+# hundred thousand pixels render peaks near 58 bytes per pixel: the outputs (26),
+# the rays (24) and the grid's frozen copy of the image (8).
 MAX_PIXELS = 1 << 26
+# render works through the image in row strips of about this many pixels (at
+# least one row each), so each object's temporaries stay cache-sized; only the
+# outputs and the one ray array are image-sized.
+_STRIP_PIXELS = 1 << 16
 
 
 class FocalPlaneError(ValueError):
@@ -280,6 +286,24 @@ def _identity_changes(ids: np.ndarray) -> np.ndarray:
     return changes
 
 
+def _sphere_rows(dirs: np.ndarray, sphere: Sphere, box: tuple[slice, slice], rows: slice):
+    """b, disc and disc's gradient (gx, gy) over `rows` of the sphere's box.
+
+    The hit solves tau^2 - 2 b tau + c.c - r^2 = 0, disc = b^2 - (c.c - r^2).
+    disc is built one row past `rows` each way where the box has that row, so
+    np.gradient takes central differences inside the box and one-sided ones at
+    its edges, as over the whole box. The box's border lies outside the cone,
+    where central, one-sided or (along an axis of length 1) zero differences
+    all leave `near` false.
+    """
+    grown = slice(max(rows.start - 1, box[0].start), min(rows.stop + 1, box[0].stop))
+    b = _dot(dirs[grown, box[1]], sphere.center)
+    disc = b * b - (_dot(sphere.center, sphere.center) - sphere.radius**2)
+    gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
+    crop = slice(rows.start - grown.start, rows.stop - grown.start)
+    return b[crop], disc[crop], gx[crop], gy[crop]
+
+
 def _shade(spec: SceneSpec, obj: SceneObject, lam):
     """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, lam))) per lam = n.l."""
     value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * np.maximum(0.0, lam)
@@ -299,61 +323,20 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 
 
 def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
+    """render with the rays given, one row strip of about _STRIP_PIXELS pixels at a time.
+
+    Only the outputs and the rays are image-sized; each strip's temporaries
+    are freed before the next strip. Every value is computed per pixel, as
+    over the whole image, so the strip size changes no byte.
+    """
     shape = (spec.height, spec.width)
-    depth, second = np.full(shape, np.inf), np.full(shape, np.inf)  # second counts ties
-    ids = np.full(shape, -1, dtype=np.intp)
+    depth, ids = np.full(shape, np.inf), np.full(shape, -1, dtype=np.intp)
+    image, occluding = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
     whole = (slice(0, spec.height), slice(0, spec.width))
     boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in spec.objects]
-    kept = {}  # per sphere its b and near; per plane where it faces away
-    for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
-        if isinstance(obj, Sphere):
-            b = _dot(dirs[box], obj.center)  # the hit solves tau^2 - 2 b tau + c.c - r^2 = 0
-            disc = b * b - (_dot(obj.center, obj.center) - obj.radius**2)
-            # the box's border lies outside the cone, where central, one-sided or (along an axis of
-            # length 1) zero differences all leave `near` false
-            gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
-            near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
-            kept[i] = b, near
-            root = np.sqrt(np.maximum(disc, 0.0))
-            tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
-            tau = np.where(disc >= 0.0, tau, np.inf)
-        else:
-            denom = _dot(dirs, obj.normal)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
-                tau = float(_dot(obj.point, obj.normal)) / denom
-            hit = tau > _RAY_EPS
-            hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
-            np.copyto(tau, np.inf, where=~hit)
-            # where the plane is nearest, |denom| > eps, so its shading normal -sign(denom) n is -n or n
-            kept[i] = denom > 0
-        # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
-        near_depth, near_second = depth[box], second[box]
-        closer = tau < near_depth
-        np.minimum(near_second, tau, out=near_second)
-        np.copyto(near_second, near_depth, where=closer)
-        np.minimum(near_depth, tau, out=near_depth)
-        np.copyto(ids[box], i, where=closer)
-
-    image = np.zeros(shape, dtype=np.int64)
-    occluding = np.zeros(shape, dtype=bool)
-    light = spec.light_direction
-    for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
-        if isinstance(obj, Plane):
-            nl = _dot(obj.normal, light)
-            mine = ids == i
-            np.copyto(image, _shade(spec, obj, nl), where=mine)
-            np.copyto(image, _shade(spec, obj, -nl), where=mine & kept[i])
-            continue
-        b, near = kept[i]
-        mine = ids[box] == i
-        if mine.any():
-            lam = _dot(dirs[box], light) * np.where(mine, depth[box], 0.0)  # n.l = (tau d.l - c.l) / r
-            lam -= _dot(obj.center, light)
-            lam /= obj.radius
-            np.copyto(image[box], _shade(spec, obj, lam), where=mine)
-        others = np.where(mine, second[box], depth[box])  # the nearest hit of another object
-        occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
-
+    step = max(_STRIP_PIXELS // spec.width, 1)
+    for top in range(0, spec.height, step):
+        _render_strip(spec, dirs, boxes, top, min(top + step, spec.height), depth, ids, image, occluding)
     truth = GroundTruth(
         occluding_mask=occluding,
         discontinuity_mask=_identity_changes(ids),
@@ -361,6 +344,61 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
         object_ids=ids,
     )
     return IntensityGrid(image, spec.max_value), truth
+
+
+def _render_strip(spec: SceneSpec, dirs: np.ndarray, boxes: list, top: int, bottom: int,
+                  depth: np.ndarray, ids: np.ndarray, image: np.ndarray, occluding: np.ndarray) -> None:
+    """Hit-test, shade and test for occlusion rows [top, bottom), writing into the four outputs."""
+    second = np.full((bottom - top, spec.width), np.inf)  # counts ties
+    # per object meeting the strip: its box there, in image and in strip rows, and per sphere its
+    # b and near, per plane where it faces away
+    kept = {}
+    for i, (obj, (rows, cols)) in enumerate(zip(spec.objects, boxes)):
+        rows = slice(max(rows.start, top), min(rows.stop, bottom))
+        if rows.start >= rows.stop or cols.start >= cols.stop:
+            continue
+        box, local = (rows, cols), (slice(rows.start - top, rows.stop - top), cols)
+        if isinstance(obj, Sphere):
+            b, disc, gx, gy = _sphere_rows(dirs, obj, boxes[i], rows)
+            near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
+            kept[i] = box, local, (b, near)
+            root = np.sqrt(np.maximum(disc, 0.0))
+            tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
+            tau = np.where(disc >= 0.0, tau, np.inf)
+        else:
+            denom = _dot(dirs[box], obj.normal)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
+                tau = float(_dot(obj.point, obj.normal)) / denom
+            hit = tau > _RAY_EPS
+            hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
+            np.copyto(tau, np.inf, where=~hit)
+            # where the plane is nearest, |denom| > eps, so its shading normal -sign(denom) n is -n or n
+            kept[i] = box, local, denom > 0
+        # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
+        near_depth, near_second = depth[box], second[local]
+        closer = tau < near_depth
+        np.minimum(near_second, tau, out=near_second)
+        np.copyto(near_second, near_depth, where=closer)
+        np.minimum(near_depth, tau, out=near_depth)
+        np.copyto(ids[box], i, where=closer)
+
+    light = spec.light_direction
+    for i, (box, local, fact) in kept.items():
+        obj = spec.objects[i]
+        mine = ids[box] == i
+        if isinstance(obj, Plane):
+            nl = _dot(obj.normal, light)
+            np.copyto(image[box], _shade(spec, obj, nl), where=mine)
+            np.copyto(image[box], _shade(spec, obj, -nl), where=mine & fact)
+            continue
+        b, near = fact
+        if mine.any():
+            lam = _dot(dirs[box], light) * np.where(mine, depth[box], 0.0)  # n.l = (tau d.l - c.l) / r
+            lam -= _dot(obj.center, light)
+            lam /= obj.radius
+            np.copyto(image[box], _shade(spec, obj, lam), where=mine)
+        others = np.where(mine, second[local], depth[box])  # the nearest hit of another object
+        occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
 
 
 def _displace(obj: SceneObject, shift: np.ndarray) -> SceneObject:
@@ -372,15 +410,19 @@ def _displace(obj: SceneObject, shift: np.ndarray) -> SceneObject:
 def render_sequence(
     spec: SceneSpec, motion: Sequence[float], frames: int
 ) -> tuple[list[IntensityGrid], list[GroundTruth]]:
-    """Render `frames` images, translating every object by `motion` per frame."""
+    """Render `frames` images, translating every object by `motion` per frame.
+
+    Every frame's scene is built, and so checked, before any is rendered.
+    """
     if frames < 2:
         raise SceneError("a sequence needs at least two frames")
     shift = _bounded_vector(motion, 3, "motion")
+    moved = [dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
+             for i in range(frames)]
     dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
     grids, truths = [], []
-    for i in range(frames):
-        moved = dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
-        grid, truth = _render(moved, dirs)
+    for frame in moved:
+        grid, truth = _render(frame, dirs)
         grids.append(grid)
         truths.append(truth)
     return grids, truths

@@ -570,6 +570,18 @@ class TestRenderSeq:
         assert "motion must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("f*.pgm"))
 
+    def test_a_frame_left_invalid_by_the_motion_exits_2_writing_nothing(self, tmp_path, capsys):
+        # the sphere (z = 5, radius 2) reaches the camera in the last of four frames: z = 5 - 3 = 2
+        scene = scene_file(tmp_path)
+        code = main(["render-seq", "--scene", str(scene), "--frames", "4", "--motion", "0,0,-1",
+                     "--out-pattern", str(tmp_path / "f{i}.pgm"),
+                     "--truth-pattern", str(tmp_path / "t{i}.pbm")])
+        assert code == 2
+        assert "in front of the camera" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*.pgm")) and not list(tmp_path.glob("t*.pbm"))
+        assert main(["render-seq", "--scene", str(scene), "--frames", "3", "--motion", "0,0,-1",
+                     "--out-pattern", str(tmp_path / "f{i}.pgm")]) == 0
+
 
 class TestDetectTemporal:
     def test_matches_library_stack(self, tmp_path):

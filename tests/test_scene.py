@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -32,7 +33,8 @@ from isophote import (
     render,
     render_sequence,
 )
-from isophote.scene import MAX_PIXELS, _identity_changes
+from isophote import scene
+from isophote.scene import MAX_PIXELS, _identity_changes, _sphere_box
 
 N4 = Topology.N4
 
@@ -443,6 +445,16 @@ HIDDEN_SPHERE = SceneSpec(
      Sphere((0.5, -0.25, 10.0), 2.0)),
     (0.3, -0.5, -1.0), 0.2, 0.5, 255, (10.0, 9.0),
 )
+# Sphere boxes of rows [0, 1) and [11, 12), one row tall at the view's edges (their spheres lie just
+# outside it), and of rows [1, 10) and [2, 11), which start and end inside strips of two or three
+# rows; the two inner spheres overlap in front of a wall.
+STRIP_EDGES = SceneSpec(
+    24, 12,
+    (Sphere((-0.875, -2.625, 6.0), 0.5, 0.9), Sphere((0.875, 2.625, 6.0), 0.5, 0.6),
+     Sphere((-1.15, -0.1, 5.0), 0.25, 0.8), Sphere((-0.833333, 0.166667, 8.0), 0.6, 0.7),
+     Plane((0.0, 0.0, 12.0), (0.1, 0.0, -1.0), 0.4)),
+    (0.3, -0.5, -1.0), 0.2, 0.5, 255,
+)
 
 
 
@@ -503,6 +515,7 @@ class TestRenderIdentity:
     @example(SPHERE_RIGHT_COLUMN)
     @example(SPHERE_INNER_COLUMN)
     @example(HIDDEN_SPHERE)
+    @example(STRIP_EDGES)
     @settings(max_examples=300, deadline=None)
     def test_render_matches_reference(self, spec):
         assert_same_render(render(spec), reference_scene.render(spec))
@@ -562,29 +575,92 @@ class TestThinImages:
     """1x1, 1xN and Nx1 views of a sphere; the derivative along an axis of length 1 is 0."""
 
     @pytest.mark.parametrize("width, height", [(1, 1), (40, 1), (1, 40), (2, 1), (1, 2)])
-    def test_sphere_masks_follow_the_definition(self, width, height):
+    def test_sphere_masks_follow_the_definition(self, width, height, monkeypatch):
         # a pitch of 1/80 retina units: the 40-px axis shows the whole silhouette and some background
         spec = SceneSpec(width, height, (Sphere((0.05, -0.02, 5.0), 1.0),), fov=width / 160)
-        grid, truth = render(spec)
         c = spec.objects[0].center
         b = reference_scene.dot(spec.pixel_rays(), c)
         disc = b * b - (reference_scene.dot(c, c) - 1.0)
         grads = [np.gradient(disc, axis=k) if disc.shape[k] > 1 else np.zeros_like(disc) for k in (0, 1)]
         hit = disc >= 0
-        assert np.array_equal(truth.object_ids, np.where(hit, 0, -1))
-        assert np.array_equal(truth.occluding_mask, hit & (np.abs(disc) <= 0.5 * np.hypot(*grads)))
-        assert (grid.values[hit] > 0).all() and not grid.values[~hit].any()
         assert hit.any()
         if max(width, height) == 40:
             assert not hit.all()
+        # one strip, then strips of one row: the reference takes no gradient along an axis of
+        # length 1, so strips on these views are checked here
+        for strip in (scene._STRIP_PIXELS, width):
+            monkeypatch.setattr(scene, "_STRIP_PIXELS", strip)
+            grid, truth = render(spec)
+            assert np.array_equal(truth.object_ids, np.where(hit, 0, -1))
+            assert np.array_equal(truth.occluding_mask, hit & (np.abs(disc) <= 0.5 * np.hypot(*grads)))
+            assert (grid.values[hit] > 0).all() and not grid.values[~hit].any()
 
 
 NAMED_EXAMPLES = {
     "WIDE_ANGLE": WIDE_ANGLE, "ONE_COLUMN": ONE_COLUMN, "PLANES_1xN": PLANES_1xN, "PLANES_Nx1": PLANES_Nx1,
     "PLANES_2xN": PLANES_2xN, "PLANES_WIDE": PLANES_WIDE, "EDGE_ON_ROW": EDGE_ON_ROW,
     "SPHERE_RIGHT_COLUMN": SPHERE_RIGHT_COLUMN, "SPHERE_INNER_COLUMN": SPHERE_INNER_COLUMN,
-    "HIDDEN_SPHERE": HIDDEN_SPHERE,
+    "HIDDEN_SPHERE": HIDDEN_SPHERE, "STRIP_EDGES": STRIP_EDGES,
 }
+
+
+def strip_examples(test):
+    """Every named example in 1-row strips, and STRIP_EDGES in strips of 1, 2 and 3 rows, each
+    given as width * rows + extra pixels."""
+    cases = [(spec, 1, 0) for spec in NAMED_EXAMPLES.values()]
+    cases += [(STRIP_EDGES, rows, extra) for rows, extra in ((2, 0), (2, 23), (3, 5))]
+    for case in cases:
+        test = example(*case, (0.05, -0.02, 0.1))(test)
+    return test
+
+
+class TestRenderStrips:
+    """render and render_sequence in strips of 1-3 rows, so most sphere boxes begin, end or take a
+    gradient's neighbor row in another strip, against the whole-image reference."""
+
+    @given(scenes(), st.integers(1, 3), st.integers(0, 39),
+           st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+    @strip_examples
+    @settings(max_examples=200, deadline=None)
+    def test_strip_boundaries_match_reference(self, spec, rows, extra, motion):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene, "_STRIP_PIXELS", rows * spec.width + extra % spec.width)
+            assert_same_render(render(spec), reference_scene.render(spec))
+            try:
+                want = reference_scene.render_sequence(spec, motion, 2)
+            except SceneError:  # a moved sphere reached the camera
+                with pytest.raises(SceneError):
+                    render_sequence(spec, motion, 2)
+                return
+            got = render_sequence(spec, motion, 2)
+        for pair in zip(zip(*got), zip(*want)):
+            assert_same_render(*pair)
+
+    def test_strip_edges_show_their_boxes(self):
+        rows = [_sphere_box(STRIP_EDGES, s)[0] for s in STRIP_EDGES.objects[:4]]
+        assert [(r.start, r.stop) for r in rows] == [(0, 1), (11, 12), (1, 10), (2, 11)]
+        _, truth = render(STRIP_EDGES)
+        assert [(truth.object_ids == i).any() for i in range(5)] == [False, False, True, True, True]
+        assert (truth.occluding_mask & (truth.object_ids == 3)).any()
+
+    def test_memory_is_the_outputs_and_the_rays_plus_a_few_strips(self):
+        spec = SceneSpec(
+            1024, 1024,
+            (Plane((0.0, 1.5, 0.0), (0.0, -1.0, 0.1), 0.7), Plane((0.0, 0.0, 14.0), (0.1, 0.0, -1.0), 0.5),
+             Sphere((-1.0, 0.2, 6.0), 1.0, 0.8), Sphere((0.8, -0.3, 5.0), 0.7, 0.9),
+             Sphere((0.3, 0.4, 8.0), 1.1, 0.6)),
+            (0.3, -0.5, -1.0), 0.2, 0.35, 255,
+        )
+        tracemalloc.start()
+        try:
+            _, truth = render(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all((truth.object_ids == i).any() for i in range(5))
+        # image-sized: depth, ids and image at 8 B/px and both masks at 1 (the outputs), the rays
+        # at 24 and the grid's frozen copy of the image at 8; all else is a few strips' worth
+        assert peak < (8 + 8 + 8 + 1 + 1 + 24 + 8) * spec.width * spec.height + 4 * 8 * scene._STRIP_PIXELS
 
 
 def seeded_scenes(count: int, seed: int):
