@@ -11,7 +11,8 @@ kept as independent code paths so each can check the other:
 
 * :func:`detect_multilevel` enumerates a threshold schedule and builds
   each boundary from its sublevel set, one bit per threshold in a word
-  per pixel that holds up to 64 of them.
+  per pixel that holds up to 64 of them, counted from the schedule's
+  arithmetic on row strips of the image.
 * :func:`detect_pointwise` characterizes, per pixel, exactly which
   thresholds capture it (an integer interval) and counts schedule
   members inside that interval in closed form.
@@ -21,6 +22,7 @@ Everything here uses integer arithmetic only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,10 +56,11 @@ __all__ = [
 # per pixel, one bit per level, in the narrowest of these that holds them.
 _WORD_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
 
-# detect_pointwise runs its closed form on row strips of about this many
-# bytes of its arithmetic dtype (at least one row each), so the scratch
-# buffers the steps pass between them stay in L2 cache; only the mask it
-# returns is image-sized.
+# Both routes run on row strips of every frame of about this many bytes of
+# their widest scratch dtype (at least one row each): detect_pointwise's
+# closed form, and each 64-level chunk of detect_multilevel. The scratch
+# buffers the steps pass between them stay in L2 cache; only the mask a
+# route returns is image-sized.
 _STRIP_BUDGET = 256 << 10
 
 
@@ -245,61 +248,111 @@ def _mask_dtypes(grid: Grid, schedule: ThresholdSchedule) -> tuple[np.dtype, np.
     return np.min_scalar_type(schedule.size(grid.max_value)), storage_dtype(grid.max_value)
 
 
+def _row_strips(shape: tuple, itemsize: int) -> tuple[int, list[tuple[slice, slice, slice]]]:
+    """Split the rows of every frame of an array of this shape into strips.
+
+    A strip holds about _STRIP_BUDGET bytes at itemsize bytes a pixel, and
+    at least one row. Returns the most rows a strip has, and per strip the
+    slice of its rows, that slice widened by one halo row on each side the
+    frame has, and the strip's rows within the halo. The halo gives each
+    pixel of the strip all its neighbors.
+    """
+    *frames, height, width = shape
+    step = max(_STRIP_BUDGET // (math.prod(frames) * width * itemsize), 1)
+    strips = []
+    for top in range(0, height, step):
+        end = min(top + step, height)
+        first = max(top - 1, 0)
+        strips.append((slice(top, end), slice(first, end + 1), slice(top - first, end - first)))
+    return step, strips
+
+
+def _sublevel_words(values: np.ndarray, levels: range, k: np.ndarray, zeros: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sublevel sets of the n <= 64 levels at each value, one bit per level, into out.
+
+    Bit j stands for levels[n - 1 - j], so the highest level is the lowest
+    bit. k = clip((v - levels.start) // levels.step + 1, 0, n) counts the
+    levels at or below v, np.searchsorted(levels, v, "right"); adding the
+    step before dividing adds the 1. v lies below the levels of the low
+    n - k bits: (2**n - 1) >> k. numpy shifts by the word width or more to
+    0, so k needs no cap at n unless out's words are too narrow to hold it.
+    k is scratch in a signed dtype that holds every intermediate, and zeros
+    is zero in that dtype, since numpy's SIMD max loop takes two arrays.
+    """
+    n = len(levels)
+    np.subtract(values, levels.start - levels.step, out=k, dtype=k.dtype, casting="unsafe")
+    k //= levels.step
+    np.maximum(k, zeros, out=k)
+    if out.itemsize < k.itemsize:
+        np.minimum(k, n, out=k)
+    np.copyto(out, k, casting="unsafe")
+    return np.right_shift(out.dtype.type((1 << n) - 1), out, out=out)
+
+
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
     The witness pair at a flagged pixel is the two largest member
     thresholds. Only the largest is searched for: the members are
     consecutive schedule levels, so the other is one increment below it.
-    Time grows as levels x pixels. Transient memory is a fixed number of
-    bytes per pixel whatever the schedule length: one word per pixel holds
-    a chunk of up to 64 levels, one bit each.
+    Time grows as levels x pixels. One word per pixel holds the sublevel
+    sets of a chunk of up to 64 levels, one bit each, and each chunk runs
+    on row strips of every frame at once, so transient memory is a few
+    times _STRIP_BUDGET beyond the mask whatever the schedule length.
     """
     topology.check_grid(grid)
-    _check_range(grid, schedule)
-    values = grid.values
-    if values.dtype == np.uint64:  # it would promote with int64 levels to float64
-        values = values.astype(np.int64)
-    levels = schedule.levels(grid.max_value)
+    # every intermediate of the sublevel counts lies within this bound of zero
+    dtype = signed_dtype(_check_range(grid, schedule))
     count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
+    values = grid.values
     count = np.zeros(values.shape, dtype=count_dtype)
     hi = np.zeros(values.shape, dtype=witness_dtype)
-    step = max(min(levels.size, 8 * _WORD_DTYPES[-1].itemsize), 1)
+    inc, offset = schedule.increment, schedule.offset
+    size = schedule.size(grid.max_value)
+    step = max(min(size, 8 * _WORD_DTYPES[-1].itemsize), 1)
     word = next(w for w in _WORD_DTYPES if 8 * w.itemsize >= step)
-    # one word per intensity, gathered by value, unless intensities outnumber pixels
-    by_value = grid.max_value < values.size
-    at = np.arange(grid.max_value + 1) if by_value else values
-    for start in range(0, levels.size, step):
-        ls = levels[start : start + step]
-        # Bit j stands for level ls[n - 1 - j], so the highest level is the
-        # lowest bit. v lies below the levels past the k = searchsorted(ls, v,
-        # "right") at or below it: the low n - k bits. numpy shifts 1 by the
-        # word width to 0, and 0 - 1 wraps to all ones.
-        below = np.searchsorted(ls, at, side="right")
-        below = np.subtract(ls.size, below, out=below).astype(word)
-        np.left_shift(word.type(1), below, out=below)
-        below -= 1
-        if by_value:
-            below = below[values]  # not np.take, which copies the index as intp
-        members = neighbor_any(below, topology)
-        members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
-        count += np.bitwise_count(members)
-        # The lowest member bit is the highest member level: m & -m isolates
-        # it and the bits under it give its index. No member gives the width,
-        # which the table sends to 0, as a member threshold is at least 1 (it
-        # lies above a neighbor's intensity). Levels outside [1, max_value]
-        # may wrap in the witness dtype, but no pixel has them as members.
-        low = np.negative(members, out=below)
-        low &= members
-        low = np.bitwise_count(np.subtract(low, 1, out=low))
-        table = np.zeros(8 * word.itemsize + 1, dtype=witness_dtype)
-        table[: ls.size] = ls[::-1]
-        # every member of this chunk lies above all earlier ones
-        np.maximum(hi, table[low], out=hi)  # not np.take: as for below[values]
-        del below, members, low  # before the next chunk allocates
-    # multiplying by the flag zeroes unflagged pixels branch-free, as in
-    # DetectionMask.witness_lo
-    hi *= count >= 2
+    rows, strips = _row_strips(values.shape, max(word.itemsize, dtype.itemsize))
+    halo_size = values[..., : rows + 2, :].size  # the most pixels a strip and its halo hold
+    # scratch reused by every strip of every chunk
+    zero = np.zeros(halo_size, dtype=dtype)
+    k_buf = np.empty(halo_size, dtype=dtype)
+    below_buf = np.empty(halo_size, dtype=word)
+    bits_buf = np.empty(halo_size, dtype=np.uint8)
+    flag_buf = np.empty(halo_size, dtype=bool)
+    top_buf = np.empty(halo_size, dtype=witness_dtype)
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        levels = range(offset + start * inc, offset + (start + n) * inc, inc)
+        # arithmetic in the witness dtype wraps, but a member level lies in
+        # [1, max_value], which the dtype holds
+        past = np.asarray(levels.stop).astype(witness_dtype)
+        step_up = np.asarray(inc).astype(witness_dtype)
+        for strip, halo, inner in strips:
+            block = values[..., halo, :]
+            zeros, k, below = (b[: block.size].reshape(block.shape) for b in (zero, k_buf, below_buf))
+            _sublevel_words(block, levels, k, zeros, out=below)
+            members = neighbor_any(below, topology)[..., inner, :]
+            below = below[..., inner, :]
+            members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
+            bits, has, top = (b[: members.size].reshape(members.shape) for b in (bits_buf, flag_buf, top_buf))
+            count_strip, hi_strip = count[..., strip, :], hi[..., strip, :]
+            count_strip += np.bitwise_count(members, out=bits)
+            # The lowest member bit j is the highest member level: m ^ (m - 1)
+            # sets the bits up to it, j + 1 of them. Every member of this
+            # chunk lies above all earlier ones, so it replaces the witness;
+            # a pixel without one keeps it, its top zeroed by the flag.
+            np.not_equal(bits, 0, out=has)
+            low = np.subtract(members, 1, out=below)
+            low ^= members
+            np.multiply(np.bitwise_count(low, out=bits), step_up, out=top)
+            np.subtract(past, top, out=top)  # levels[n - 1 - j]
+            top *= has
+            np.maximum(hi_strip, top, out=hi_strip)
+            if start + step >= size:
+                # multiplying by the flag zeroes unflagged pixels branch-free,
+                # as in DetectionMask.witness_lo
+                hi_strip *= np.greater_equal(count_strip, 2, out=has)
+            del members  # before the next strip's neighbor_any allocates
     return DetectionMask(count, hi, schedule.increment)
 
 
@@ -341,24 +394,18 @@ def detect_pointwise(
     hi = np.empty(values.shape, dtype=witness_dtype)
     inc, offset = schedule.increment, schedule.offset
     cap = schedule.cap(grid.max_value)
-    *frames, height, width = values.shape
-    row = values[..., :1, :].size  # pixels in one row of every frame
-    step = max(_STRIP_BUDGET // (row * dtype.itemsize), 1)
+    rows, strips = _row_strips(values.shape, dtype.itemsize)
+    size = values[..., :rows, :].size  # the most pixels a strip holds
     # scratch reused by every strip; numpy's SIMD min/max loops take two
     # arrays, so a max against 0 reads an array of zeros, not a scalar
-    scratch = np.zeros((3, row * step), dtype=dtype)
-    flags = np.empty(row * step, dtype=bool)
-    for top in range(0, height, step):
-        rows = min(step, height - top)
-        strip = (..., slice(top, top + rows), slice(None))
-        shape = (*frames, rows, width)
-        zero, k_lo, k_end, flagged = (b[: row * rows].reshape(shape) for b in (*scratch, flags))
-        # one halo row on each side gives the strip's pixels all their
-        # neighbors; a pixel without neighbors gets m = max_value >= I(p),
-        # an empty interval, and the fill fits the grid's dtype, so m keeps it
-        first = max(top - 1, 0)
-        m = neighbor_min(values[..., first : top + rows + 1, :], topology, grid.max_value)
-        m = m[..., top - first : top - first + rows, :]
+    scratch = np.zeros((3, size), dtype=dtype)
+    flags = np.empty(size, dtype=bool)
+    for strip, halo, inner in strips:
+        pixels = values[..., strip, :]
+        zero, k_lo, k_end, flagged = (b[: pixels.size].reshape(pixels.shape) for b in (*scratch, flags))
+        # a pixel without neighbors gets m = max_value >= I(p), an empty
+        # interval, and the fill fits the grid's dtype, so m keeps it
+        m = neighbor_min(values[..., halo, :], topology, grid.max_value)[..., inner, :]
         # The members in (m, I(p)] are offset + k * inc for k_lo <= k < k_end:
         # k_lo = max((m - offset) // inc + 1, 0) is the first above m and
         # k_end = (min(I(p), cap) - offset) // inc + 1 is one past the last at
@@ -366,21 +413,21 @@ def detect_pointwise(
         np.subtract(m, offset - inc, out=k_lo, dtype=dtype)
         k_lo //= inc
         np.maximum(k_lo, zero, out=k_lo)
-        np.copyto(k_end, values[strip], casting="unsafe")  # the bound holds every value
+        np.copyto(k_end, pixels, casting="unsafe")  # the bound holds every value
         if cap <= grid.max_value:
             np.minimum(k_end, cap, out=k_end)
         k_end -= offset - inc
         k_end //= inc
         members = np.subtract(k_end, k_lo, out=k_lo)  # k_lo is not needed again
         np.maximum(members, zero, out=members)
-        count[strip] = members
+        count[..., strip, :] = members
         np.greater_equal(members, 2, out=flagged)
         # witness_hi is the last member, offset + (k_end - 1) * inc, zeroed
         # by the flag as in detect_multilevel
         k_end *= inc
         k_end += offset - inc
         k_end *= flagged
-        hi[strip] = k_end
+        hi[..., strip, :] = k_end
     return DetectionMask(count, hi, inc)
 
 

@@ -100,7 +100,8 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
         if not isinstance(obj, Sphere):
             continue
         b, disc = _sphere_quadratic(dirs, obj)
-        gy, gx = np.gradient(disc)
+        # no difference along an axis of length 1, which np.gradient refuses
+        gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else np.zeros_like(disc) for k in (0, 1))
         near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
         blocked = np.delete(taus, i + 1, axis=0).min(axis=0) < b - _RAY_EPS
         occluding |= near & (b > 0) & hit_any & ~blocked

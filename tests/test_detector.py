@@ -83,11 +83,7 @@ def dtype_boundary_cases(draw):
 
 @st.composite
 def chunk_cases(draw):
-    """A grid at N4/N8 or a stack at N4T, a schedule of 0-2 or 9-40 levels, and words of 8 or 16 bits.
-
-    max_value is 47, so grids of more than 47 pixels gather their sublevel
-    words by value and the others build them per pixel.
-    """
+    """A grid at N4/N8 or a stack at N4T of values up to 47, a schedule of 0-2 or 9-40 levels, and words of 8 or 16 bits."""
     mv = 47
     topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
     w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -152,6 +148,63 @@ def adjacency_cases(draw):
         ceiling=draw(st.one_of(st.none(), st.integers(-2, mv + 2))),
     )
     return rows, grid, schedule, topology, draw(st.integers(1, 4))
+
+
+@st.composite
+def oracle_strip_cases(draw):
+    """A grid at N4/N8 or a stack at N4T up to 9 rows tall, max_value at a storage width
+    boundary, a schedule of up to about 200 levels, so most cross a 64-level chunk, with an
+    offset <= 0 or in [1, increment] and maybe a ceiling, and strips of 1-3 rows plus part of one.
+
+    Some grids are stored as uint64, the widest dtype a grid keeps.
+    """
+    mv = draw(st.sampled_from([255, 256, 65535, 65536]))
+    topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    value = st.one_of(st.integers(0, mv), st.integers(0, 3), st.integers(mv - 3, mv))
+    frame = st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h)
+    rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))] if topology is Topology.N4T else draw(frame)
+    values = np.array(rows, dtype=draw(st.sampled_from([storage_dtype(mv), np.uint64])))
+    grid = FrameStack(values, mv) if topology is Topology.N4T else IntensityGrid(values, mv)
+    least = max((mv + 1) // 200, 1)
+    inc = draw(st.integers(least, 3 * least))
+    schedule = ThresholdSchedule(
+        inc,
+        offset=draw(st.one_of(st.integers(-3 * inc, 0), st.integers(1, inc))),
+        ceiling=draw(st.one_of(st.none(), st.integers(-2, mv + 2))),
+    )
+    return rows, grid, schedule, topology, draw(st.integers(1, 3)), draw(st.floats(0, 1, exclude_max=True))
+
+
+@st.composite
+def sandwich_cases(draw):
+    """A grid at N4/N8 or a stack at N4T and an increment d; most values lie within 3d of one
+    another, so drops fall on both sides of d and 2d."""
+    mv = draw(st.sampled_from([1, 3, 255, 65535]))
+    topology = draw(st.sampled_from([N4, N8, Topology.N4T]))
+    d = draw(st.integers(1, min(mv + 2, 40)))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    low = draw(st.integers(0, max(mv - 3 * d, 0)))
+    value = st.one_of(st.integers(low, min(low + 3 * d, mv)), st.integers(0, mv))
+    frame = st.lists(st.lists(value, min_size=w, max_size=w), min_size=h, max_size=h)
+    rows = [draw(frame) for _ in range(draw(st.integers(2, 3)))] if topology is Topology.N4T else draw(frame)
+    grid = FrameStack(np.array(rows), mv) if topology is Topology.N4T else IntensityGrid.from_rows(rows, mv)
+    return rows, grid, d, topology
+
+
+def brute_drops(rows, topology):
+    """I(p) - min neighbor per pixel, from the definition; 0 for a pixel without neighbors.
+    rows are a stack's frames at N4T."""
+    frames = rows if topology is Topology.N4T else [rows]
+    n, h, w = len(frames), len(frames[0]), len(frames[0][0])
+    spatial = N4 if topology is Topology.N4T else topology
+    drops = np.zeros((n, h, w), dtype=np.int64)
+    for t, y, x in np.ndindex(n, h, w):
+        qs = [frames[t][qy][qx] for qx, qy in brute_neighbors((x, y), w, h, spatial)]
+        if topology is Topology.N4T:
+            qs += [frames[s][y][x] for s in (t - 1, t + 1) if 0 <= s < n]
+        drops[t, y, x] = frames[t][y][x] - min(qs) if qs else 0
+    return drops if topology is Topology.N4T else drops[0]
 
 
 def assert_matches_brute(mask, rows, grid, schedule, topology):
@@ -399,11 +452,9 @@ class TestDetectMultilevel:
         (255, 1024, 1, N4), (255, 1024, 1, N8), (65535, 512, 16, N8),
     ], ids=["N4", "N8", "16bit-N8"])
     def test_transient_memory_is_a_few_bytes_per_pixel(self, max_value, side, increment, topology):
-        # 256 levels on 1024^2 8-bit, and 4096 on 512^2 16-bit: beyond the
-        # mask, a pixel holds two 8-byte words of 64 levels (the sublevel
-        # sets and their dilation) and a few narrow arrays, and an
-        # intensity three 8-byte words of the table gathered by value,
-        # whatever the schedule length
+        # 256 levels on 1024^2 8-bit, and 4096 on 512^2 16-bit: an upper
+        # bound of a few bytes a pixel and an intensity beyond the mask,
+        # whatever the schedule length; the strips stay far below it
         rng = np.random.default_rng(3)
         values = rng.integers(0, max_value + 1, size=(side, side), dtype=storage_dtype(max_value))
         g = IntensityGrid(values, max_value)
@@ -480,6 +531,88 @@ class TestDetectMultilevel:
             grid, p = IntensityGrid.from_rows(rows, 47), (1, 0)
         mask = assert_witnesses_adjacent(rows, grid, ThresholdSchedule(1, offset=1, ceiling=20), topology, words=1)
         assert mask.count_at(p) == 2 and mask.witnesses_at(p) == (8, 9)
+
+
+    @given(oracle_strip_cases())
+    @settings(max_examples=200)
+    def test_strip_boundaries_match_pointwise_and_brute(self, case):
+        # strips of 1-3 rows put neighbors of most pixels in another strip,
+        # in every 64-level chunk
+        rows, grid, sch, topology, strip, part = case
+        n = min(max(sch.size(grid.max_value), 1), 64)
+        word = next(w for w in detector._WORD_DTYPES if 8 * w.itemsize >= n)
+        itemsize = max(word.itemsize, signed_dtype(detector._check_range(grid, sch)).itemsize)
+        row_bytes = grid.values[..., :1, :].size * itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_STRIP_BUDGET", strip * row_bytes + int(part * row_bytes))
+            assert detector._row_strips(grid.values.shape, itemsize)[0] == strip
+            mask = detect_multilevel(grid, sch, topology)
+        assert mask == detect_pointwise(grid, sch, topology)
+        assert_matches_brute(mask, rows, grid, sch, topology)
+
+    @pytest.mark.parametrize("max_value", [1, 255, 256, 65535, 65536])
+    @given(
+        st.integers(1, 2**20), st.integers(-3, 3), st.one_of(st.none(), st.integers(-2, 2**17)),
+        st.sampled_from(range(4)), st.sampled_from([None, np.uint64]),
+    )
+    @settings(max_examples=40)
+    def test_sublevel_words_count_the_levels_at_or_below(self, max_value, inc, offset, ceiling, words, stored):
+        # Every intensity against every chunk of the schedule in words of 8-64
+        # bits: the zero bits count the chunk's levels at or below the value,
+        # and the set bits are the low ones.
+        inc = max(inc % (max_value + 3), (max_value + 1) // 256, 1)
+        sch = ThresholdSchedule(inc, offset=offset * inc, ceiling=ceiling)
+        values = np.arange(max_value + 1, dtype=stored or storage_dtype(max_value))
+        grid = IntensityGrid(values[None, :], max_value)
+        k = np.empty(values.size, dtype=signed_dtype(detector._check_range(grid, sch)))
+        word = detector._WORD_DTYPES[words]
+        chunk = 8 * word.itemsize
+        levels = sch.levels(max_value)
+        for start in range(0, levels.size, chunk):
+            ls = levels[start : start + chunk]
+            chunk_levels = range(int(ls[0]), int(ls[-1]) + inc, inc)
+            out = np.empty(values.size, dtype=word)
+            got = detector._sublevel_words(values, chunk_levels, k, np.zeros_like(k), out=out)
+            assert got is out
+            ranks = np.searchsorted(ls, values.astype(np.int64), side="right")
+            assert np.array_equal(ls.size - np.bitwise_count(out).astype(np.int64), ranks)
+            assert not (out & (out + word.type(1))).any()
+
+    @given(sandwich_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_offsets_that_flag_a_pixel_are_its_drop_past_the_increment(self, case):
+        # With increment d and no ceiling, the offsets 1..d each admit every
+        # level in one residue class mod d, and the drop I(p) - min neighbor
+        # spans that many consecutive thresholds: exactly clamp(drop - d, 0, d)
+        # residues occur twice among them. So every pixel with drop >= 2d is
+        # flagged, none with drop <= d.
+        rows, grid, d, topology = case
+        flags = sum(
+            detect_multilevel(grid, ThresholdSchedule(d, offset=o), topology).flagged.astype(np.int64)
+            for o in range(1, d + 1)
+        )
+        assert np.array_equal(flags, np.clip(brute_drops(rows, topology) - d, 0, d))
+
+    @pytest.mark.parametrize("max_value, side, increment, topology", [
+        (255, 1024, 1, N4), (65535, 512, 16, N8),
+    ], ids=["8bit-N4", "16bit-N8"])
+    def test_transient_memory_is_the_mask_plus_a_few_strips(self, max_value, side, increment, topology):
+        # 256 levels on 1024^2 8-bit, and 4096 on 512^2 16-bit: each chunk
+        # runs on strips, so beyond the mask only strip-sized scratch (and
+        # numpy's fixed ufunc buffers) is ever alive, whatever the schedule
+        # length or max_value
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, max_value + 1, size=(side, side), dtype=storage_dtype(max_value))
+        g = IntensityGrid(values, max_value)
+        sch = ThresholdSchedule(increment)
+        assert sch.levels(max_value).size == (max_value + 1) // increment
+        tracemalloc.start()
+        try:
+            mask = detect_multilevel(g, sch, topology)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mask.level_count.nbytes + mask.witness_hi.nbytes + 6 * detector._STRIP_BUDGET
 
 
 class TestDetectPointwise:

@@ -586,11 +586,12 @@ class TestThinImages:
         assert hit.any()
         if max(width, height) == 40:
             assert not hit.all()
-        # one strip, then strips of one row: the reference takes no gradient along an axis of
-        # length 1, so strips on these views are checked here
+        # one strip, then strips of one row, against the definition and the whole-image reference
+        want = reference_scene.render(spec)
         for strip in (scene._STRIP_PIXELS, width):
             monkeypatch.setattr(scene, "_STRIP_PIXELS", strip)
             grid, truth = render(spec)
+            assert_same_render((grid, truth), want)
             assert np.array_equal(truth.object_ids, np.where(hit, 0, -1))
             assert np.array_equal(truth.occluding_mask, hit & (np.abs(disc) <= 0.5 * np.hypot(*grads)))
             assert (grid.values[hit] > 0).all() and not grid.values[~hit].any()
