@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threshold spacing (default 8)")
         p.add_argument("--offset", type=int, default=None,
                        help="first threshold (default: one increment)")
-        p.add_argument("--mode", choices=("multilevel", "pointwise"), default="pointwise",
+        p.add_argument("--mode", choices=tuple(_DETECTORS), default="pointwise",
                        help="detector route: the pointwise closed form (default) or the "
                        "multilevel enumeration; both produce identical masks")
         p.add_argument("--preprocess", choices=("none", "dx", "dy"), default="none",

@@ -31,8 +31,8 @@ import numpy as np
 from .raster import (
     Grid,
     Topology,
+    _integer,
     array_index,
-    coordinate,
     neighbor_any,
     neighbor_min,
     neighbors,
@@ -84,10 +84,7 @@ class ThresholdSchedule:
         for name, value in (("increment", self.increment), ("offset", offset), ("ceiling", self.ceiling)):
             if value is None and name == "ceiling":
                 continue
-            # int() would silently change a float, a string or a bool
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(value, name))
         if self.increment < 1:
             raise ValueError(f"increment must be a positive integer, got {self.increment!r}")
 
@@ -119,11 +116,6 @@ class LevelCurveSet:
 
     def __post_init__(self):
         self.mask.setflags(write=False)
-
-    @property
-    def members(self) -> frozenset:
-        """Member coordinates as PixelCoord (grids) or StackCoord (stacks)."""
-        return frozenset(map(coordinate, np.argwhere(self.mask)))
 
     def __contains__(self, p) -> bool:
         return bool(self.mask[array_index(p, self.mask.ndim)])
@@ -212,14 +204,14 @@ class DetectionMask:
 
 
 def sublevel(grid: Grid, c: int) -> np.ndarray:
-    """Boolean mask of {p : I(p) < c}. Monotone in c."""
-    return grid.values < c
+    """Boolean mask of {p : I(p) < c}. Monotone in c; c must be an integer."""
+    return grid.values < _integer(c, "threshold")
 
 
 def level_curve_set(grid: Grid, c: int, topology: Topology) -> LevelCurveSet:
     """Boundary of the sublevel set at c: pixels with I(p) >= c next to some I(q) < c."""
     topology.check_grid(grid)
-    below = sublevel(grid, c)
+    below = sublevel(grid, c)  # refuses a c that is not an integer
     mask = neighbor_any(below, topology) & ~below
     return LevelCurveSet(int(c), mask)
 

@@ -15,14 +15,13 @@ neither: the doubled differences vanish exactly where a pixel's two sides
 are equal along both axes, so it is two boolean passes over the grid.
 
 Traced chains stay flat arrays of pixel coordinates: trace_level_contours
-returns a frozen record of read-only arrays that builds its Contour objects
-only when it is iterated, and the SVG and text exports lay out every pixel
-of such a record in array passes, formatting each distinct coordinate once.
+returns a Chains, a frozen record of read-only arrays, and the SVG and text
+exports lay out every pixel of such a record in array passes, formatting
+each distinct coordinate once.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
@@ -34,6 +33,7 @@ from .raster import IntensityGrid, PixelCoord, Topology, signed_dtype
 
 __all__ = [
     "VectorFieldGrid",
+    "Chains",
     "Contour",
     "discrete_gradient",
     "hamiltonian",
@@ -182,7 +182,12 @@ def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
 
 @dataclass(frozen=True)
 class Contour:
-    """An ordered chain of topology-adjacent pixels along one level curve."""
+    """An ordered chain of topology-adjacent pixels along one level curve.
+
+    Only iterating a Chains builds these. They remain for the benchmark's
+    traced counter (bench/spans.py), which iterates the chains, and go when
+    it reads the arrays instead.
+    """
 
     pixels: tuple[PixelCoord, ...]
     closed: bool
@@ -236,38 +241,40 @@ def _component_roots(members: np.ndarray, below) -> np.ndarray:
             parent = grand
 
 
-def _walk_chains(starts, remaining: bytearray, ring) -> tuple[list, list]:
-    """Walk a chain from every start that is still unvisited when the cursor reaches it.
+def _walk_chains(starts, lo, hi, remaining: bytearray, ring, path, end_at) -> None:
+    """Walk the components whose members are starts[lo[i]:hi[i]], one pixel at a time.
 
     starts lists the members grouped by component, in scan order inside
-    each; remaining holds 1 at members not visited yet. Returns the flat
-    indices of every chain, one chain after another, and each chain's end
-    in that list.
+    each; remaining holds 1 at members not visited yet. A chain starts at
+    every member of a segment that is still unvisited when the cursor
+    reaches it. The chains of component i fill path[lo[i]:hi[i]], and
+    end_at is set at each chain's end in path.
     """
     order, fresh = _search_order(len(ring))
     turns = [tuple((ring[d], d) for d in tries) for tries in order.tolist()]
-    path, ends = [], []
-    # walks never leave a component, so all earlier components are used up
-    # by the time the cursor reaches a pixel: an unvisited one starts a chain
-    for start in starts:
-        if not remaining[start]:
-            continue
-        cur = start
-        remaining[cur] = 0
-        path.append(cur)
-        steps = turns[fresh]
-        while True:
-            for off, d in steps:
-                if remaining[cur + off]:
-                    break
-            else:
-                break
-            cur += off
+    ends = []
+    for begin, end in zip(lo.tolist(), hi.tolist()):
+        walked = []
+        for start in starts[begin:end].tolist():
+            if not remaining[start]:
+                continue
+            cur = start
             remaining[cur] = 0
-            path.append(cur)
-            steps = turns[d]
-        ends.append(len(path))
-    return path, ends
+            walked.append(cur)
+            steps = turns[fresh]
+            while True:
+                for off, d in steps:
+                    if remaining[cur + off]:
+                        break
+                else:
+                    break
+                cur += off
+                remaining[cur] = 0
+                walked.append(cur)
+                steps = turns[d]
+            ends.append(begin + len(walked))
+        path[begin:end] = walked
+    end_at[ends] = True
 
 
 def _search_order(n: int) -> tuple[np.ndarray, int]:
@@ -302,18 +309,17 @@ def _turn_table(n: int) -> tuple[np.ndarray, int]:
 _LOOKAHEAD = 8  # places of a segment read at once when looking for the next chain's start
 
 
-def _walk_lockstep(starts, lo, hi, remaining: np.ndarray, ring, path, end_at) -> None:
+def _walk_lockstep(starts, lo, hi, remaining: bytearray, ring, path, end_at) -> None:
     """Walk the components whose members are starts[lo[i]:hi[i]], one pixel of each per array pass.
 
-    The chains are those of _walk_chains over the same starts: every
-    cursor takes its next step from _turn_table; when it has none, its
-    chain ends and the first unvisited member of its segment after the
-    chain's start starts the next. remaining is the uint8 image of
-    unvisited members. The chains of component i fill path[lo[i]:hi[i]],
-    and end_at is set at each chain's end in path.
+    The contract and the chains are those of _walk_chains: every cursor
+    takes its next step from _turn_table; when it has none, its chain ends
+    and the first unvisited member of its segment after the chain's start
+    starts the next.
     """
     if not lo.size:
         return
+    remaining = np.frombuffer(remaining, dtype=np.uint8)
     n = len(ring)
     turn, multiplier = _turn_table(n)
     word, signed = np.dtype(f"<u{n}"), np.dtype(f"<i{n}")
@@ -375,7 +381,7 @@ def _lockstep_size(sizes: np.ndarray) -> int:
     return int(size[saved.argmax()])
 
 
-def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Chains:
+def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Chains:
     """Partition the level curve set at c into ordered pixel chains.
 
     Components come in scan order of their first pixel. Each is walked
@@ -393,10 +399,8 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Ch
     one pixel at a time (_lockstep_size splits them). The cost is linear in
     the size of the level curve set, apart from sorting it by component.
 
-    The result holds the chains as flat read-only arrays. It has a length,
-    the number of chains, and iterating it builds the list of Contour;
-    contours_to_svg and contours_to_text read the arrays without building
-    any.
+    Both walks fill the same flat arrays, which the returned Chains holds;
+    contours_to_svg and contours_to_text read them.
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
@@ -424,24 +428,23 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> _Ch
     # every chain lies in the segment of starts that holds its component
     path = np.empty(members.size, dtype=np.intp)
     end_at = np.zeros(members.size + 1, dtype=bool)
-    _walk_lockstep(starts, lo[lockstep], hi[lockstep], padded, ring, path, end_at)
-    if not lockstep.all():
-        place = np.flatnonzero(np.repeat(~lockstep, hi - lo))
-        walked, ends = _walk_chains(starts[place].tolist(), remaining, ring)
-        path[place] = walked
-        end_at[place[np.array(ends, dtype=np.intp) - 1] + 1] = True
+    _walk_lockstep(starts, lo[lockstep], hi[lockstep], remaining, ring, path, end_at)
+    _walk_chains(starts, lo[~lockstep], hi[~lockstep], remaining, ring, path, end_at)
     ends = np.flatnonzero(end_at)
     begins = ends - np.diff(ends, prepend=0)
     closed = np.isin(path[ends - 1] - path[begins], (0, *ring)) & ~touches[roots[by_component[begins]]]
     row, col = np.divmod(path - (stride + 1), stride)
-    return _Chains(col, row, ends, closed)
+    return Chains(col, row, ends, closed)
 
 
 @dataclass(frozen=True, eq=False)
-class _Chains:
+class Chains:
     """Traced chains as flat read-only arrays: the columns x and rows y of
     every chain's pixels, one chain after another, each chain's end in them,
-    and whether it is closed.
+    and whether it is closed. Its length is the number of chains.
+
+    x, y and ends are intp and closed is bool; chain i is
+    x[ends[i - 1]:ends[i]], y[ends[i - 1]:ends[i]] (from 0 for i = 0).
     """
 
     x: np.ndarray
@@ -457,24 +460,17 @@ class _Chains:
         return len(self.ends)
 
     def __iter__(self):
-        # Every Contour built here lives as long as the caller keeps the list,
-        # so the cyclic collector, which the allocations would trigger over and
-        # over, finds nothing to free: pause it, and restore its state however
-        # this ends.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            # tuple.__new__ builds each PixelCoord without a Python-level call
-            pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(self.x.tolist(), self.y.tolist())))
-            contours = []
-            begin = 0
-            for end, closed in zip(self.ends.tolist(), self.closed.tolist()):
-                contours.append(Contour(pixels[begin:end], closed))
-                begin = end
-        finally:
-            if collecting:
-                gc.enable()
-        return iter(contours)
+        """One Contour per chain, in order.
+
+        Kept only for the benchmark's traced counter (bench/spans.py), which
+        iterates the chains; it goes with Contour when that reads the arrays.
+        """
+        # tuple.__new__ builds each PixelCoord without a Python-level call
+        pixels = tuple(map(tuple.__new__, repeat(PixelCoord), zip(self.x.tolist(), self.y.tolist())))
+        begin = 0
+        for end, closed in zip(self.ends.tolist(), self.closed.tolist()):
+            yield Contour(pixels[begin:end], closed)
+            begin = end
 
 
 def _padded(texts: list[bytes]) -> np.ndarray:
@@ -502,7 +498,7 @@ def _cells(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
     return _padded([fmt(v).encode("ascii") for v in distinct]), index
 
 
-def _export(chains: _Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes, bytes]) -> bytes:
+def _export(chains: Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes, bytes]) -> bytes:
     """Each chain as its head, fmt(x),fmt(y) per pixel joined by spaces, and
     its tail; an open chain takes heads[0] and tails[0], a closed one [1].
 
@@ -528,7 +524,7 @@ def _export(chains: _Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes
     return rows.tobytes().translate(None, b"\0")
 
 
-def contours_to_svg(contours: _Chains, width: int, height: int) -> str:
+def contours_to_svg(contours: Chains, width: int, height: int) -> str:
     """Render traced contours as SVG polylines/polygons at pixel centers.
 
     Takes the result of trace_level_contours. Each distinct coordinate is
@@ -545,7 +541,7 @@ def contours_to_svg(contours: _Chains, width: int, height: int) -> str:
     return "".join((head, body.decode("ascii"), "</svg>\n"))
 
 
-def contours_to_text(contours: _Chains) -> str:
+def contours_to_text(contours: Chains) -> str:
     """One traced contour per line as x,y pairs; closed chains end with a Z marker.
 
     Takes the result of trace_level_contours. Each distinct coordinate is

@@ -126,6 +126,17 @@ def signed_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _integer(value, name, error=ValueError) -> int:
+    """value as an int; error unless it is an int or a numpy integer.
+
+    int() would silently change a float, a string or a bool, so all of
+    those are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
     """A validated read-only copy of values.
 
@@ -141,7 +152,7 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("grid must contain at least one pixel")
-    if not isinstance(max_value, (int, np.integer)) or max_value < 0:
+    if _integer(max_value, "max_value") < 0:
         raise ValueError(f"max_value must be a nonnegative integer, got {max_value!r}")
     lo, hi = int(arr.min()), int(arr.max())
     if lo < 0 or hi > max_value:

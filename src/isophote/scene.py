@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .raster import IntensityGrid
+from .raster import IntensityGrid, _integer
 
 __all__ = [
     "FocalPlaneError",
@@ -187,11 +187,8 @@ class SceneSpec:
     principal: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        for name in ("width", "height", "max_value"):  # int() would silently change a float or a bool
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SceneError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("width", "height", "max_value"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, SceneError))
         if self.width < 1 or self.height < 1:
             raise SceneError("image must be at least 1x1")
         if self.width * self.height > MAX_PIXELS:

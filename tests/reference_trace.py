@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from isophote import Contour, IntensityGrid, PixelCoord, Topology, level_curve_set
+from isophote import Chains, IntensityGrid, Topology, level_curve_set
 
 # Clockwise direction rings (y grows downward), used for deterministic walks.
 _RINGS = {
@@ -72,7 +72,7 @@ def _walk_chain(remaining: set, start, ring) -> list:
         path.append(cur)
 
 
-def reference_trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> list[Contour]:
+def reference_trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Chains:
     """Partition the level curve set at c into ordered pixel chains.
 
     Each connected component is walked clockwise starting from its
@@ -81,13 +81,16 @@ def reference_trace_level_contours(grid: IntensityGrid, c: int, topology: Topolo
     chains, so the chains always partition the level curve set exactly.
     A chain is closed when its component never touches the image border
     and its endpoints are adjacent; no curve completion is attempted.
+    Returns the chains as the production tracer does: every chain's pixels
+    one chain after another, each chain's end among them, and whether it
+    is closed.
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
     mask = level_curve_set(grid, c, topology).mask
     ring = _RINGS[topology]
     h, w = mask.shape
-    contours = []
+    pixels, ends, closed = [], [], []
     for comp in _components(mask, ring):
         interior = all(0 < x < w - 1 and 0 < y < h - 1 for x, y in comp)
         remaining = set(comp)
@@ -96,32 +99,40 @@ def reference_trace_level_contours(grid: IntensityGrid, c: int, topology: Topolo
             path = _walk_chain(remaining, start, ring)
             first, last = path[0], path[-1]
             wraps = len(path) == 1 or (last[0] - first[0], last[1] - first[1]) in ring
-            contours.append(
-                Contour(tuple(PixelCoord(x, y) for x, y in path), closed=interior and wraps)
-            )
-    return contours
+            pixels.extend(path)
+            ends.append(len(pixels))
+            closed.append(interior and wraps)
+    x, y = np.array(pixels, dtype=np.intp).reshape(-1, 2).T
+    return Chains(x, y, np.array(ends, dtype=np.intp), np.array(closed, dtype=bool))
 
 
-def reference_contours_to_svg(contours, width: int, height: int) -> str:
-    """Render contours as SVG polylines/polygons at pixel centers."""
+def chain_pixels(chains: Chains) -> list[list[tuple[int, int]]]:
+    """Each chain's (x, y) pixels, in order, read from the arrays."""
+    points = list(zip(chains.x.tolist(), chains.y.tolist()))
+    begins = [0, *chains.ends.tolist()]
+    return [points[a:b] for a, b in zip(begins, begins[1:])]
+
+
+def reference_contours_to_svg(chains: Chains, width: int, height: int) -> str:
+    """Render traced chains as SVG polylines/polygons at pixel centers."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for contour in contours:
-        pts = " ".join(f"{p.x + 0.5:g},{p.y + 0.5:g}" for p in contour.pixels)
-        tag = "polygon" if contour.closed else "polyline"
+    for pixels, closed in zip(chain_pixels(chains), chains.closed.tolist()):
+        pts = " ".join(f"{x + 0.5:g},{y + 0.5:g}" for x, y in pixels)
+        tag = "polygon" if closed else "polyline"
         lines.append(f'<{tag} points="{pts}" fill="none" stroke="black" stroke-width="0.25"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def reference_contours_to_text(contours) -> str:
-    """One contour per line as x,y pairs; closed chains end with a Z marker."""
+def reference_contours_to_text(chains: Chains) -> str:
+    """One traced chain per line as x,y pairs; closed chains end with a Z marker."""
     out = []
-    for contour in contours:
-        line = " ".join(f"{p.x},{p.y}" for p in contour.pixels)
-        if contour.closed:
+    for pixels, closed in zip(chain_pixels(chains), chains.closed.tolist()):
+        line = " ".join(f"{x},{y}" for x, y in pixels)
+        if closed:
             line += " Z"
         out.append(line)
     return "\n".join(out) + ("\n" if out else "")

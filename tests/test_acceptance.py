@@ -239,11 +239,10 @@ def test_criterion_8_field_module():
             for c in (3, 7):
                 for topology in (N4, N8):
                     expected = level_curve_set(grid, c, topology).mask
+                    chains = trace_level_contours(grid, c, topology)
                     seen = np.zeros_like(expected)
-                    for contour in trace_level_contours(grid, c, topology):
-                        for p in contour.pixels:
-                            assert not seen[p.y, p.x]  # chains are disjoint
-                            seen[p.y, p.x] = True
+                    seen[chains.y, chains.x] = True
+                    assert chains.x.size == expected.sum()  # chains are disjoint
                     assert np.array_equal(seen, expected)
 
         grid, _ = render(acceptance_scene())

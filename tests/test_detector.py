@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -28,6 +29,7 @@ from isophote import (
     membership_interval,
     neighbors,
     sublevel,
+    trace_level_contours,
 )
 from isophote import detector
 from isophote.raster import signed_dtype, storage_dtype
@@ -337,9 +339,26 @@ class TestSublevel:
         assert not (sublevel(g, lo) & ~sublevel(g, hi)).any()
 
 
+class TestThresholdIsAnInteger:
+    """A float or a bool threshold would compare as some other level, so every function that takes one refuses it."""
+
+    @pytest.mark.parametrize("c", [4.5, 5.0, True, "5"])
+    def test_refused(self, ring_grid, c):
+        calls = (sublevel, lambda g, c: level_curve_set(g, c, N4), lambda g, c: trace_level_contours(g, c, N4))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^threshold must be an integer, got {re.escape(repr(c))}$"):
+                call(ring_grid, c)
+
+    def test_numpy_integers_are_accepted(self, ring_grid):
+        lcs = level_curve_set(ring_grid, np.int64(4), N4)
+        assert lcs.c == 4 and type(lcs.c) is int
+        assert np.array_equal(lcs.mask, level_curve_set(ring_grid, 4, N4).mask)
+        assert np.array_equal(sublevel(ring_grid, np.uint8(4)), sublevel(ring_grid, 4))
+
+
 class TestLevelCurveSet:
     def test_ring_center_only(self, ring_grid):
-        assert level_curve_set(ring_grid, 4, N4).members == {(1, 1)}
+        assert np.argwhere(level_curve_set(ring_grid, 4, N4).mask).tolist() == [[1, 1]]
 
     def test_ring_low_threshold_empty(self, ring_grid):
         # no pixel has a neighbor below 2, so the boundary is empty
@@ -355,14 +374,14 @@ class TestLevelCurveSet:
     def test_matches_boundary_definition(self, rows_mv, c, topology):
         rows, mv = rows_mv
         g = IntensityGrid.from_rows(rows, mv)
-        got = {(p.x, p.y) for p in level_curve_set(g, c, topology).members}
+        got = {(x, y) for y, x in np.argwhere(level_curve_set(g, c, topology).mask).tolist()}
         assert got == brute_level_curve(rows, c, topology)
 
     @given(grid_rows(), st.integers(0, 14), topologies)
     def test_members_satisfy_invariant(self, rows_mv, c, topology):
         rows, mv = rows_mv
         g = IntensityGrid.from_rows(rows, mv)
-        for p in level_curve_set(g, c, topology).members:
+        for p in np.argwhere(level_curve_set(g, c, topology).mask)[:, ::-1].tolist():
             assert g.value_at(p) >= c
             assert any(g.value_at(q) < c for q in neighbors(p, g, topology))
 

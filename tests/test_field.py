@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -11,6 +10,7 @@ import pytest
 from conftest import grid_rows, topologies
 from hypothesis import given, settings
 from reference_trace import (
+    chain_pixels,
     reference_contours_to_svg,
     reference_contours_to_text,
     reference_trace_level_contours,
@@ -18,7 +18,7 @@ from reference_trace import (
 
 from isophote import field
 from isophote import (
-    Contour,
+    Chains,
     IntensityGrid,
     PixelCoord,
     Topology,
@@ -246,54 +246,28 @@ class TestApplyOperator:
 
 class TestTraceLevelContours:
     def test_block_yields_one_closed_ring(self):
-        contours = trace_level_contours(block_grid(), 5, N4)
-        assert len(contours) == 1
-        [contour] = contours
-        assert contour.closed
-        assert contour.pixels == (
-            PixelCoord(1, 1), PixelCoord(2, 1), PixelCoord(3, 1), PixelCoord(3, 2),
-            PixelCoord(3, 3), PixelCoord(2, 3), PixelCoord(1, 3), PixelCoord(1, 2),
-        )
+        chains = trace_level_contours(block_grid(), 5, N4)
+        assert len(chains) == 1 and chains.closed.tolist() == [True]
+        assert chain_pixels(chains) == [[(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2)]]
 
     def test_constant_grid_has_no_contours(self):
         g = IntensityGrid(np.full((4, 4), 3, dtype=np.int64), 9)
-        assert list(trace_level_contours(g, 2, N4)) == []
+        assert len(trace_level_contours(g, 2, N4)) == 0
 
     def test_two_blocks_give_two_contours(self):
         vals = np.zeros((5, 9), dtype=np.int64)
         vals[1:4, 1:4] = 9
         vals[1:4, 5:8] = 9
         g = IntensityGrid(vals, 9)
-        contours = trace_level_contours(g, 5, N4)
-        assert len(contours) == 2
-        assert all(c.closed for c in contours)
+        chains = trace_level_contours(g, 5, N4)
+        assert len(chains) == 2 and chains.closed.all()
 
     def test_border_touching_contour_is_open(self):
         vals = np.zeros((5, 5), dtype=np.int64)
         vals[0:3, 0:3] = 9
         g = IntensityGrid(vals, 9)
-        contours = trace_level_contours(g, 5, N4)
-        assert contours and all(not c.closed for c in contours)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_paused_while_contours_are_built(self, enabled, monkeypatch):
-        states = []
-
-        class Recording(Contour):
-            def __init__(self, *args):
-                states.append(gc.isenabled())
-                super().__init__(*args)
-
-        monkeypatch.setattr(field, "Contour", Recording)
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            # the result builds its Contour objects when it is iterated
-            contours = list(trace_level_contours(block_grid(), 5, N4))
-            assert gc.isenabled() == enabled
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert len(contours) == len(states) == 1 and states == [False]
+        chains = trace_level_contours(g, 5, N4)
+        assert chains and not chains.closed.any()
 
     def test_temporal_topology_rejected(self):
         with pytest.raises(ValueError):
@@ -303,11 +277,9 @@ class TestTraceLevelContours:
     def test_chains_partition_the_level_curve_set(self, rows_mv, c, topology):
         rows, mv = rows_mv
         g = IntensityGrid.from_rows(rows, mv)
-        contours = trace_level_contours(g, c, topology)
-        expected = {(p.x, p.y) for p in level_curve_set(g, c, topology).members}
-        seen = []
-        for contour in contours:
-            seen.extend((p.x, p.y) for p in contour.pixels)
+        chains = trace_level_contours(g, c, topology)
+        expected = {(x, y) for y, x in np.argwhere(level_curve_set(g, c, topology).mask).tolist()}
+        seen = list(zip(chains.x.tolist(), chains.y.tolist()))
         assert len(seen) == len(set(seen))  # pairwise disjoint, no repeats
         assert set(seen) == expected
 
@@ -316,15 +288,13 @@ class TestTraceLevelContours:
         rows, mv = rows_mv
         g = IntensityGrid.from_rows(rows, mv)
         offsets = set(topology.spatial_offsets)
-        for contour in trace_level_contours(g, c, topology):
-            pts = contour.pixels
-            for a, b in zip(pts, pts[1:]):
-                assert (b.x - a.x, b.y - a.y) in offsets
-            if contour.closed and len(pts) > 1:
-                assert (pts[0].x - pts[-1].x, pts[0].y - pts[-1].y) in offsets
-                assert all(
-                    0 < p.x < g.width - 1 and 0 < p.y < g.height - 1 for p in pts
-                )
+        chains = trace_level_contours(g, c, topology)
+        for pts, closed in zip(chain_pixels(chains), chains.closed.tolist()):
+            for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+                assert (bx - ax, by - ay) in offsets
+            if closed and len(pts) > 1:
+                assert (pts[0][0] - pts[-1][0], pts[0][1] - pts[-1][1]) in offsets
+                assert all(0 < x < g.width - 1 and 0 < y < g.height - 1 for x, y in pts)
 
 
 @st.composite
@@ -358,16 +328,16 @@ def traced_shape(shape, side, seed=3):
     return IntensityGrid(values, 255)
 
 
-def assert_traced_as(got, want):
-    """got holds the chains of the list want: same length, and each iteration builds want."""
-    assert len(got) == len(want)
-    assert list(got) == want and list(got) == want
-    assert [c for c in got] == want
-    assert len(got.x) == len(got.y) == sum(len(c.pixels) for c in want)
+def assert_same_chains(got, want):
+    """got and want hold the same chains: equal arrays of equal dtypes, and the same length."""
+    assert isinstance(got, Chains) and len(got) == len(want)
+    for name in ("x", "y", "ends", "closed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def assert_exports_match(got, want, w, h):
-    """Both exports of the traced got equal the reference exporters on the list want."""
+    """Both exports of the traced got equal the reference exporters on the chains want."""
     assert contours_to_svg(got, w, h) == reference_contours_to_svg(want, w, h)
     assert contours_to_text(got) == reference_contours_to_text(want)
 
@@ -395,7 +365,7 @@ class TestTraceMatchesReference:
         with walked_by(walker):
             got = trace_level_contours(grid, c, topology)
         want = reference_trace_level_contours(grid, c, topology)
-        assert_traced_as(got, want)
+        assert_same_chains(got, want)
         assert_exports_match(got, want, grid.width, grid.height)
 
     @pytest.mark.parametrize(
@@ -415,7 +385,7 @@ class TestTraceMatchesReference:
         grid = IntensityGrid.from_rows(rows, 9)
         with walked_by(walker):
             got = trace_level_contours(grid, 5, topology)
-        assert list(got) == reference_trace_level_contours(grid, 5, topology)
+        assert_same_chains(got, reference_trace_level_contours(grid, 5, topology))
 
     @pytest.mark.parametrize("topology", [N4, N8])
     @pytest.mark.parametrize("walker", [None, *WALKERS])
@@ -425,9 +395,10 @@ class TestTraceMatchesReference:
         with walked_by(walker):
             got = trace_level_contours(grid, 128, topology)
         want = reference_trace_level_contours(grid, 128, topology)
-        assert_traced_as(got, want)
+        assert_same_chains(got, want)
         assert_exports_match(got, want, grid.width, grid.height)
-        assert any(len(c.pixels) == 1 for c in got) and any(len(c.pixels) > 20 for c in got)
+        lengths = np.diff(got.ends, prepend=0)
+        assert (lengths == 1).any() and (lengths > 20).any()
 
     @pytest.mark.parametrize("shape", ["stripes", "rings", "blocks"])
     @pytest.mark.parametrize("topology", [N4, N8])
@@ -437,19 +408,19 @@ class TestTraceMatchesReference:
         with walked_by(walker):
             got = trace_level_contours(grid, 128, topology)
         want = reference_trace_level_contours(grid, 128, topology)
-        assert_traced_as(got, want)
+        assert_same_chains(got, want)
         assert_exports_match(got, want, grid.width, grid.height)
 
     def test_n8_noise_is_not_quadratic(self):
         # N8 joins noise into one large component of thousands of chains, so a
         # tracer that scans the component for each chain start is quadratic here
         small = seeded_noise(64)
-        assert list(trace_level_contours(small, 128, N8)) == reference_trace_level_contours(small, 128, N8)
+        assert_same_chains(trace_level_contours(small, 128, N8), reference_trace_level_contours(small, 128, N8))
         grid = seeded_noise(256)
         start = time.perf_counter()
-        contours = trace_level_contours(grid, 128, N8)
+        chains = trace_level_contours(grid, 128, N8)
         assert time.perf_counter() - start < 5.0
-        assert sum(len(c.pixels) for c in contours) == level_curve_set(grid, 128, N8).mask.sum()
+        assert len(chains.x) == level_curve_set(grid, 128, N8).mask.sum()
 
 
 class TestLockstepSplit:
@@ -491,32 +462,26 @@ class TestLockstepSplit:
 
 
 class TestChainSequence:
-    """The traced result is a frozen record of flat arrays that builds its Contour list when iterated."""
+    """The traced result is a frozen record of flat arrays."""
 
-    def test_empty_result_behaves_as_an_empty_list(self):
-        got = trace_level_contours(IntensityGrid(np.zeros((3, 4), dtype=np.int64), 9), 5, N4)
-        assert_traced_as(got, [])
-        assert not got
+    def test_empty_result_has_no_chains(self):
+        grid = IntensityGrid(np.zeros((3, 4), dtype=np.int64), 9)
+        got = trace_level_contours(grid, 5, N4)
+        assert_same_chains(got, reference_trace_level_contours(grid, 5, N4))
+        assert not got and got.x.size == got.y.size == 0
         assert contours_to_text(got) == ""
-        assert contours_to_svg(got, 4, 3) == reference_contours_to_svg([], 4, 3)
+        assert contours_to_svg(got, 4, 3) == reference_contours_to_svg(got, 4, 3)
 
-    def test_contours_are_built_only_on_access(self, monkeypatch):
-        built = []
-
-        class Recording(Contour):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(field, "Contour", Recording)
+    def test_iterating_builds_one_contour_per_chain(self):
+        # iteration remains only for callers that count each Contour's pixels
         vals = np.zeros((5, 9), dtype=np.int64)
         vals[1:4, 1:4] = 9
-        vals[1:4, 5:8] = 9
+        vals[0:3, 7] = 9
         got = trace_level_contours(IntensityGrid(vals, 9), 5, N4)
-        assert len(got) == 2
-        contours_to_svg(got, 9, 5), contours_to_text(got)
-        assert built == []
-        assert list(got)[-1].pixels[0] == PixelCoord(5, 1) and len(built) == 2
+        contours = list(got)
+        assert [c.closed for c in contours] == got.closed.tolist() == [False, True]
+        assert [list(c.pixels) for c in contours] == chain_pixels(got)
+        assert all(type(p) is PixelCoord for c in contours for p in c.pixels)
 
     def test_arrays_are_read_only(self):
         got = trace_level_contours(block_grid(), 5, N4)
@@ -567,7 +532,7 @@ class TestExports:
     def test_match_per_point_formulas(self, case):
         grid, c, topology = case
         got = trace_level_contours(grid, c, topology)
-        assert_exports_match(got, list(got), grid.width, grid.height)
+        assert_exports_match(got, got, grid.width, grid.height)
 
     def test_svg_golden(self):
         contours = trace_level_contours(block_grid(), 5, N4)
@@ -588,7 +553,7 @@ class TestExports:
 
     def test_empty_list(self):
         got = trace_level_contours(IntensityGrid.from_rows([[0, 0, 0], [0, 0, 0]], 9), 5, N4)
-        assert contours_to_svg(got, 3, 2) == reference_contours_to_svg([], 3, 2) == (
+        assert contours_to_svg(got, 3, 2) == reference_contours_to_svg(got, 3, 2) == (
             '<svg xmlns="http://www.w3.org/2000/svg" width="3" height="2" viewBox="0 0 3 2">\n</svg>\n'
         )
 
@@ -608,8 +573,8 @@ class TestExports:
             with walked_by(walker):
                 got = trace_level_contours(grid, 5, topology)
             want = reference_trace_level_contours(grid, 5, topology)
-            assert [c.closed for c in got] == list(closed)
-            assert_traced_as(got, want)
+            assert got.closed.tolist() == list(closed)
+            assert_same_chains(got, want)
             assert_exports_match(got, want, grid.width, grid.height)
             assert contours_to_text(got).count(" Z\n") == sum(closed)
 
@@ -626,7 +591,7 @@ class TestExports:
             assert contours_to_text(contours) == text
             svg = contours_to_svg(contours, w, h)
             assert all(f'<polyline points="{p}" ' in svg for p in svg_points)
-            assert_exports_match(contours, list(contours), w, h)
+            assert_exports_match(contours, contours, w, h)
 
     def test_sparse_coordinates_take_the_table_of_distinct_values(self):
         # a few values spread over a wide range take the table of distinct values
@@ -635,4 +600,4 @@ class TestExports:
         contours = trace_level_contours(IntensityGrid(row, 9), 5, N4)
         table, _ = field._cells(contours.x, str)
         assert len(table) == 4
-        assert_exports_match(contours, list(contours), 100003, 1)
+        assert_exports_match(contours, contours, 100003, 1)

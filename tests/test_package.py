@@ -1,4 +1,6 @@
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import isophote
@@ -7,7 +9,7 @@ import isophote
 PUBLIC = {
     "DetectionMask", "LevelCurveSet", "ThresholdSchedule", "check_necessary_condition",
     "detect_multilevel", "detect_pointwise", "level_curve_set", "membership_interval", "sublevel",
-    "Contour", "VectorFieldGrid", "apply_operator", "contours_to_svg", "contours_to_text",
+    "Chains", "Contour", "VectorFieldGrid", "apply_operator", "contours_to_svg", "contours_to_text",
     "discrete_gradient", "hamiltonian", "trace_level_contours", "zero_mask",
     "NetpbmError", "read_grid", "read_image", "read_pbm", "write_pbm", "write_pgm", "write_ppm",
     "FrameStack", "IntensityGrid", "PixelCoord", "StackCoord", "Topology", "frame_stack",
@@ -25,6 +27,23 @@ def test_package_exports_each_public_name_once():
     exec("from isophote import *", star)
     assert PUBLIC <= star.keys()
     assert all(star[name] is getattr(isophote, name) for name in PUBLIC)
+
+
+def test_public_callables_name_no_private_type():
+    # a public function that returns or takes a private type leaves its callers no documented name for it
+    private = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
+    found = []
+    for name in isophote.__all__:
+        obj = getattr(isophote, name)
+        if not callable(obj):
+            continue
+        try:
+            signature = inspect.signature(obj)
+        except ValueError:  # the exception classes have none
+            continue
+        annotations = [p.annotation for p in signature.parameters.values()] + [signature.return_annotation]
+        found += [f"{name}: {a}" for a in annotations if isinstance(a, str) and private.search(a)]
+    assert found == []
 
 
 def _unused_imports(path: Path) -> list[str]:
