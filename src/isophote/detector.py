@@ -430,6 +430,7 @@ def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Top
     c'; the converse fails, so a single large step never suffices as
     evidence on its own.
     """
+    c, c_prime = _integer(c, "threshold"), _integer(c_prime, "threshold")
     if c == c_prime:
         raise ValueError("thresholds must differ")
     v = grid.value_at(p)

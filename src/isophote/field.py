@@ -22,6 +22,7 @@ each distinct coordinate once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
@@ -29,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .detector import level_curve_set
-from .raster import IntensityGrid, PixelCoord, Topology, signed_dtype
+from .raster import IntensityGrid, PixelCoord, Topology, _integer, signed_dtype
 
 __all__ = [
     "VectorFieldGrid",
@@ -110,11 +111,18 @@ def _sides(v: np.ndarray, axis: int, op, out: np.ndarray, **kwargs) -> np.ndarra
 
     Inside, the sides are the pixel's two neighbors; at a border the
     missing side is the pixel itself, and on an axis of length 1 both are.
+    out is C-contiguous. The inside is one contiguous pass over the
+    flattened arrays, whose neighbors along axis lie a fixed distance
+    apart: a view offset by a column would run in numpy's buffered
+    iterator. Along the last axis that pass pairs the first and last
+    pixel of each row with the adjacent row, and the border passes then
+    overwrite those columns.
     """
     sl = _axis_slicer(v.ndim, axis)
     if v.shape[axis] < 2:
         return op(v, v, out=out, **kwargs)
-    op(v[sl(2, None)], v[sl(None, -2)], out=out[sl(1, -1)], **kwargs)
+    step, flat = math.prod(v.shape[axis + 1:]), v.reshape(-1)
+    op(flat[2 * step:], flat[: -2 * step], out=out.reshape(-1)[step:-step], **kwargs)
     op(v[sl(1, 2)], v[sl(0, 1)], out=out[sl(0, 1)], **kwargs)
     op(v[sl(-1, None)], v[sl(-2, -1)], out=out[sl(-1, None)], **kwargs)
     return out
@@ -144,7 +152,7 @@ def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
     At tolerance 0 that is two equality passes over the grid, of each
     pixel's two sides along each axis; no component is built.
     """
-    if tolerance < 0:
+    if _integer(tolerance, "tolerance") < 0:
         raise ValueError("tolerance must be nonnegative")
     if tolerance == 0:
         values = field.grid.values

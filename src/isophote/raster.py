@@ -138,12 +138,13 @@ def _integer(value, name, error=ValueError) -> int:
 
 
 def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
-    """A validated read-only copy of values.
+    """A validated read-only C-contiguous copy of values.
 
     The copy keeps an integer dtype that holds [0, max_value], so a grid
     never widens what it is given and the caller's arithmetic on
     ``values`` behaves as on their own array; booleans and dtypes too
-    narrow for max_value become :func:`storage_dtype`.
+    narrow for max_value become :func:`storage_dtype`. The flat passes of
+    the neighbor folds and the zero filter then never copy a grid's values.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iub":
@@ -158,7 +159,7 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
     if lo < 0 or hi > max_value:
         raise ValueError(f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]")
     holds = arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= max_value
-    arr = arr.astype(arr.dtype if holds else storage_dtype(max_value))
+    arr = arr.astype(arr.dtype if holds else storage_dtype(max_value), order="C")
     arr.setflags(write=False)
     return arr
 
@@ -195,9 +196,9 @@ class _FrozenRaster:
 class IntensityGrid(_FrozenRaster):
     """A height x width raster of exact integer intensities in [0, max_value].
 
-    ``values`` is a read-only copy of the input. It keeps the input's
-    integer dtype when that holds max_value, else it is the smallest one
-    that does (uint8, uint16, or int64 above 65535). Images read from
+    ``values`` is a read-only C-contiguous copy of the input. It keeps the
+    input's integer dtype when that holds max_value, else it is the
+    smallest one that does (uint8, uint16, or int64 above 65535). Images read from
     files arrive as uint8 or uint16, and unsigned differences wrap
     silently: do arithmetic on ``values`` only after ``astype(np.int64)``.
     """
@@ -291,20 +292,40 @@ def _trailing_offsets(topology: Topology, ndim: int):
 
 
 def _fold_neighbors(values: np.ndarray, topology: Topology, fill, op, dtype) -> np.ndarray:
-    """Fold op over every topology-neighbor's value, starting from fill at each pixel.
+    """Fold op over every topology-neighbor's value; fill where a pixel has none.
 
-    Each offset d is one op pass over two slices: along an axis of length
-    n, output pixels i in [max(0, -d), n - max(0, d)) take values[i + d].
-    These are the pixels whose neighbor lies inside the array; the others
-    keep what they hold, so an out-of-array neighbor never enters the fold.
+    Every pass runs over contiguous memory, never over a view offset by a
+    column, which numpy would run through its buffered iterator. The fold
+    starts from the neighbors along the last axis longer than 1 (the row,
+    unless the width is 1): the axes after it have length 1, so those are
+    the values one before and one after in the flat array, and one flat
+    pass takes op of the two. It pairs the first and last pixel of each
+    line along that axis with the adjacent line, so those pixels are then
+    set to their one neighbor. The rows above and below, and N4T's frames
+    before and after, fold in as whole-row and whole-frame slices. N8
+    takes its diagonals with the rows above and below, from the 1x3 fold
+    of each pixel and its row neighbors. values that are not C-contiguous
+    or not of dtype are copied once.
     """
-    out = np.full(values.shape, fill, dtype=dtype)
-    for delta in _trailing_offsets(topology, values.ndim):
-        trail = values.shape[-len(delta):]
-        at = (...,) + tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, trail))
-        by = (...,) + tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, trail))
-        view = out[at]
-        op(view, values[by], out=view)
+    _trailing_offsets(topology, values.ndim)  # refuses arrays without the axes topology needs
+    v = np.ascontiguousarray(values, dtype=dtype)
+    out = np.empty(v.shape, dtype=dtype)
+    axes = [axis for axis in (-1, -2, -3)[: 2 + topology.temporal] if v.shape[axis] > 1]
+    if not axes:  # no pixel has a neighbor
+        out.fill(fill)
+        return out
+    flat, n = v.reshape(-1), v.shape[axes[0]]
+    op(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+    pairs, into = v.reshape(-1, n), out.reshape(-1, n)
+    into[:, 0] = pairs[:, 1]
+    into[:, -1] = pairs[:, -2]
+    rows = op(out, v) if topology is Topology.N8 and axes[:2] == [-1, -2] else v
+    for axis in axes[1:]:
+        by = rows if axis == -2 else v
+        tail = (slice(None),) * (-1 - axis)
+        after, before = (..., slice(1, None), *tail), (..., slice(None, -1), *tail)
+        op(out[after], by[before], out=out[after])
+        op(out[before], by[after], out=out[before])
     return out
 
 
@@ -321,9 +342,8 @@ def neighbor_any(mask: np.ndarray, topology: Topology) -> np.ndarray:
 def neighbor_min(values: np.ndarray, topology: Topology, fill: int) -> np.ndarray:
     """Per-pixel minimum over topology-neighbors; fill where a pixel has none.
 
-    fill must be at least every intensity that matters to the caller, so
-    that a missing neighbor never lowers the minimum. The result keeps the
-    dtype of values when that holds fill, else the narrowest one that holds both.
+    fill enters no other pixel's minimum. The result keeps the dtype of
+    values when that holds fill, else the narrowest one that holds both.
     """
     dtype = values.dtype
     if fill > np.iinfo(dtype).max:

@@ -344,7 +344,9 @@ class TestThresholdIsAnInteger:
 
     @pytest.mark.parametrize("c", [4.5, 5.0, True, "5"])
     def test_refused(self, ring_grid, c):
-        calls = (sublevel, lambda g, c: level_curve_set(g, c, N4), lambda g, c: trace_level_contours(g, c, N4))
+        calls = (sublevel, lambda g, c: level_curve_set(g, c, N4), lambda g, c: trace_level_contours(g, c, N4),
+                 lambda g, c: check_necessary_condition(g, (1, 1), c, 9, N4),
+                 lambda g, c: check_necessary_condition(g, (1, 1), 4, c, N4))
         for call in calls:
             with pytest.raises(ValueError, match=f"^threshold must be an integer, got {re.escape(repr(c))}$"):
                 call(ring_grid, c)
@@ -354,6 +356,8 @@ class TestThresholdIsAnInteger:
         assert lcs.c == 4 and type(lcs.c) is int
         assert np.array_equal(lcs.mask, level_curve_set(ring_grid, 4, N4).mask)
         assert np.array_equal(sublevel(ring_grid, np.uint8(4)), sublevel(ring_grid, 4))
+        # the gap is |4 - 5| = 1, not the 255 that uint8 subtraction wraps to
+        assert check_necessary_condition(ring_grid, (1, 1), np.uint8(4), np.uint8(5), N4)
 
 
 class TestLevelCurveSet:

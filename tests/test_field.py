@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -113,8 +114,19 @@ class TestZeroMask:
         assert zero_mask(f, 2).all()
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tolerance must be nonnegative$"):
             zero_mask(hamiltonian(ramp_x()), -1)
+
+    @pytest.mark.parametrize("tolerance", [True, 0.5, 2.0, "2"])
+    def test_tolerance_that_is_not_an_integer_refused(self, tolerance):
+        # True would act as 1, and 0.5 would take the |hx| + |hy| path instead of the equality passes
+        with pytest.raises(ValueError, match=rf"^tolerance must be an integer, got {re.escape(repr(tolerance))}$"):
+            zero_mask(hamiltonian(ramp_x()), tolerance)
+
+    def test_numpy_integer_tolerance_accepted(self):
+        f = hamiltonian(ramp_x())
+        for tolerance in (0, 1, 2):
+            assert np.array_equal(zero_mask(f, np.int64(tolerance)), zero_mask(f, tolerance))
 
 
 @st.composite
@@ -142,6 +154,15 @@ class TestWholeImageField:
         gx, gy = (g.astype(np.int64) for g in discrete_gradient(grid))
         expect = np.abs(gx) + np.abs(gy) <= tolerance
         assert np.array_equal(zero_mask(hamiltonian(grid), tolerance), expect)
+
+    @given(field_grids())
+    @settings(max_examples=200)
+    def test_gradient_is_doubled_central_and_one_sided_differences(self, grid):
+        # np.gradient: central differences inside, one-sided at the borders; 0 on an axis of length 1
+        v = grid.values.astype(np.int64)
+        for got, axis in zip(discrete_gradient(grid), (1, 0)):
+            expect = 2 * np.gradient(v, axis=axis) if v.shape[axis] > 1 else np.zeros(v.shape)
+            assert np.array_equal(got, expect)
 
     @given(field_grids())
     @settings(max_examples=50)

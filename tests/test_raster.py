@@ -1,3 +1,7 @@
+import operator
+import tracemalloc
+from functools import reduce
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -45,6 +49,14 @@ class TestIntensityGrid:
         # a bool would be stored as 0 or 1, a float compared as if it were an integer
         with pytest.raises(ValueError, match=rf"^max_value must be an integer, got {max_value!r}$"):
             make(np.zeros(shape, dtype=np.int64), max_value)
+
+    @pytest.mark.parametrize("make, shape", [(IntensityGrid, (4, 5)), (FrameStack, (2, 4, 5))])
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[..., ::-1]])
+    def test_values_are_c_contiguous_whatever_the_input_layout(self, make, shape, layout):
+        # the flat passes of the folds and of zero_mask would copy the image otherwise
+        values = np.arange(np.prod(shape), dtype=np.uint8).reshape(shape)
+        g = make(layout(values), 255)
+        assert g.values.flags.c_contiguous and np.array_equal(g.values, layout(values))
 
     def test_numpy_integer_max_value_becomes_an_int(self):
         g = IntensityGrid(np.zeros((2, 3), dtype=np.int64), np.uint16(300))
@@ -239,6 +251,39 @@ class TestCoordinateRule:
             assert str(err.value) == f"{p!r} lies outside a {size}"
 
 
+# Views whose memory is not C-contiguous, as callers may pass to the folds.
+STRIDED_VIEWS = {
+    "columns reversed": lambda a: a[..., ::-1],
+    "transposed": lambda a: a.swapaxes(-1, -2),
+    "every other row": lambda a: a[..., ::2, :],
+    "halo rows of a stack": lambda a: a[..., a.shape[-2] // 2:, :],  # every frame's lower rows
+}
+
+
+def assert_neighbor_ops_match_definition(frames, h, w, view, topology, dtype, seed):
+    """neighbor_any and neighbor_min of a view of a random array against neighbors(), pixel by pixel.
+
+    The array has shape (h, w), or (frames, h, w) when frames is given, and
+    is read-only, as a grid's values are. neighbor_any runs on the view and
+    on the same view of a boolean array; neighbor_min's fill is any value.
+    """
+    rng = np.random.default_rng(seed)
+    top = int(min(np.iinfo(dtype).max, 1000))
+    base = rng.integers(0, top, size=(h, w) if frames is None else (frames, h, w), dtype=dtype, endpoint=True)
+    base.setflags(write=False)
+    values, flags = view(base), view(base % 3 == 0)
+    fill = int(rng.integers(0, top, endpoint=True))
+    got_min, got_any, got_flags = (neighbor_min(values, topology, fill), neighbor_any(values, topology),
+                                   neighbor_any(flags, topology))
+    assert (got_min.dtype, got_any.dtype, got_flags.dtype) == (values.dtype, values.dtype, np.bool_)
+    grid = (IntensityGrid if values.ndim == 2 else FrameStack)(np.array(values), top)
+    for index in np.ndindex(values.shape):
+        near = [tuple(reversed(q)) for q in neighbors(tuple(reversed(index)), grid, topology)]
+        assert got_min[index] == min((values[q] for q in near), default=fill)
+        assert got_any[index] == reduce(operator.or_, (values[q] for q in near), 0)
+        assert got_flags[index] == any(flags[q] for q in near)
+
+
 class TestVectorizedHelpers:
     """neighbor_any / neighbor_min must agree with the per-pixel definition."""
 
@@ -307,6 +352,43 @@ class TestVectorizedHelpers:
             qs = [vals[b, q.t, q.y, q.x] for q in neighbors((x, y, t), stack, topology)]
             assert got_min[b, t, y, x] == min(qs, default=10)
             assert got_any[b, t, y, x] == any(v < 4 for v in qs)
+
+    @given(st.sampled_from(list(Topology)), st.sampled_from(list(STRIDED_VIEWS)),
+           st.sampled_from([np.uint8, np.uint16, np.int64]), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32))
+    def test_neighbor_ops_on_views_match_definition(self, topology, view, dtype, h, w, seed):
+        # the folds copy a view that is not C-contiguous once, before their flat passes
+        frames = 3 if topology.temporal or view == "halo rows of a stack" else None
+        assert_neighbor_ops_match_definition(frames, h, w, STRIDED_VIEWS[view], topology, dtype, seed)
+
+    @pytest.mark.parametrize("view", list(STRIDED_VIEWS))
+    @pytest.mark.parametrize("topology", [Topology.N8, Topology.N4T])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (2, 1), (1, 2)])
+    def test_neighbor_ops_on_thin_views_match_definition(self, topology, view, h, w):
+        frames = 2 if topology.temporal or view == "halo rows of a stack" else None
+        assert_neighbor_ops_match_definition(frames, h, w, STRIDED_VIEWS[view], topology, np.uint8, h * 7 + w)
+
+    def test_neighbor_min_fill_only_stands_in_for_no_neighbor(self):
+        row = np.array([[5, 9, 7]], dtype=np.uint8)
+        assert neighbor_min(row, Topology.N4, 0).tolist() == [[9, 5, 9]]
+        assert neighbor_min(row[:, :1], Topology.N8, 0).tolist() == [[0]]
+
+    @pytest.mark.parametrize("fold", [neighbor_any, lambda v, t: neighbor_min(v, t, 2**64 - 1)], ids=["any", "min"])
+    @pytest.mark.parametrize("topology, outputs", [(Topology.N4, 1), (Topology.N8, 2), (Topology.N4T, 1)])
+    def test_folds_allocate_their_outputs_and_no_ufunc_buffers(self, fold, topology, outputs):
+        # an oracle strip of 66 rows of 1024 64-bit words; a pass over views offset by a
+        # column runs in numpy's buffered iterator, about 200 kB of buffers here
+        shape = (3, 22, 1024) if topology.temporal else (66, 1024)
+        words = np.random.default_rng(3).integers(0, 2**64 - 1, size=shape, dtype=np.uint64, endpoint=True)
+        fold(words, topology)  # a first call may allocate what later ones reuse
+        tracemalloc.start()
+        try:
+            out = fold(words, topology)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == words.dtype
+        assert peak <= outputs * out.nbytes + (1 << 12)
 
     def test_offsets_match_brute_tables(self):
         for topology, offs in BRUTE_OFFSETS.items():
