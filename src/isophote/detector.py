@@ -166,18 +166,6 @@ class DetectionMask:
         lo.setflags(write=False)
         return lo
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.level_count.shape
-
-    @property
-    def width(self) -> int:
-        return self.level_count.shape[-1]
-
-    @property
-    def height(self) -> int:
-        return self.level_count.shape[-2]
-
     def count_at(self, p) -> int:
         return int(self.level_count[array_index(p, self.level_count.ndim)])
 

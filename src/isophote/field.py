@@ -172,6 +172,7 @@ def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
     the result has max_value doubled. "identity" returns the grid as is.
     Any pipeline of such transforms feeds straight back into the detector.
     """
+    VectorFieldGrid(grid)  # refuses a frame stack, whose axes would be taken as t and y
     if op == "identity":
         return grid
     if op not in ("dx", "dy"):
@@ -412,6 +413,7 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Cha
     """
     if topology.temporal:
         raise ValueError("contour tracing is defined on single frames only")
+    VectorFieldGrid(grid)  # refuses a frame stack before any work
     mask = level_curve_set(grid, c, topology).mask
     h, w = mask.shape
     stride = w + 2

@@ -10,6 +10,7 @@ function in this module is a pure function of its arguments.
 from __future__ import annotations
 
 import enum
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -133,7 +134,7 @@ def _integer(value, name, error=ValueError) -> int:
     those are refused.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -65,21 +65,37 @@ _MAX_MAGNITUDE = 1e30
 _MIN_SCALE = 1e-30
 
 
-def _check_bounded(value: float, what: str, low: float = -_MAX_MAGNITUDE) -> None:
-    """SceneError unless low <= value <= _MAX_MAGNITUDE; NaN fails too."""
-    if not low <= value <= _MAX_MAGNITUDE:
-        raise SceneError(f"{what} must be finite and lie in [{low:g}, {_MAX_MAGNITUDE:g}], got {value!r}")
+def _bounded(value, what: str, low: float = -_MAX_MAGNITUDE, high: float = _MAX_MAGNITUDE) -> float:
+    """value as a float; SceneError unless it is an int, float or numpy number in [low, high].
+
+    A bool is refused, NaN fails the comparison, and an int is compared
+    exactly, however large, before float() sees it.
+    """
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and low <= value <= high):
+        raise SceneError(f"{what} must be finite and lie in [{low:g}, {high:g}], got {reprlib.repr(value)}")
+    return float(value)
 
 
 def _bounded_vector(value, n: int, what: str) -> np.ndarray:
-    """value as a float array of n components; SceneError unless each lies within _MAX_MAGNITUDE."""
-    vector = np.asarray(value, dtype=float)
-    if vector.shape != (n,):
-        raise SceneError(f"{what} must have {n} components, got {value!r}")
-    if not all(-_MAX_MAGNITUDE <= v <= _MAX_MAGNITUDE for v in vector.tolist()):
-        bounds = f"[{-_MAX_MAGNITUDE:g}, {_MAX_MAGNITUDE:g}]"
-        raise SceneError(f"{what} must be finite, with components in {bounds}, got {value!r}")
+    """value, a list, tuple or array of n numbers each within _MAX_MAGNITUDE, as a read-only float array."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(items, (list, tuple)) or len(items) != n:
+        raise SceneError(f"{what} must be a list of {n} numbers, got {reprlib.repr(value)}")
+    vector = np.array([_bounded(v, what) for v in items])
+    vector.setflags(write=False)
     return vector
+
+
+def _unit(value, what: str) -> np.ndarray:
+    """value, 3 numbers as _bounded_vector takes them and not all 0, as a read-only unit vector."""
+    vector = _bounded_vector(value, 3, what)
+    norm = math.sqrt(_dot(vector, vector))
+    if norm == 0:
+        raise SceneError(f"{what} must be nonzero")
+    unit = vector / norm
+    unit.setflags(write=False)
+    return unit
 
 
 def _dot(a, v):
@@ -134,14 +150,11 @@ class Sphere:
     albedo: float = 1.0
 
     def __post_init__(self):
-        c = _bounded_vector(self.center, 3, "sphere center")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        _check_bounded(self.radius, "sphere radius", _MIN_SCALE)
-        if not c[2] > self.radius:
+        object.__setattr__(self, "center", _bounded_vector(self.center, 3, "sphere center"))
+        object.__setattr__(self, "radius", _bounded(self.radius, "sphere radius", _MIN_SCALE))
+        object.__setattr__(self, "albedo", _bounded(self.albedo, "albedo", 0, 1))
+        if not self.center[2] > self.radius:
             raise SceneError("sphere must lie strictly in front of the camera (center z > radius)")
-        if not 0.0 <= self.albedo <= 1.0:
-            raise SceneError(f"albedo must lie in [0, 1], got {self.albedo!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +164,9 @@ class Plane:
     albedo: float = 1.0
 
     def __post_init__(self):
-        p = _bounded_vector(self.point, 3, "plane point")
-        n = _bounded_vector(self.normal, 3, "plane normal")
-        norm = math.sqrt(_dot(n, n))
-        if norm == 0:
-            raise SceneError("plane normal must be nonzero")
-        n = n / norm
-        p.setflags(write=False)
-        n.setflags(write=False)
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "normal", n)
-        if not 0.0 <= self.albedo <= 1.0:
-            raise SceneError(f"albedo must lie in [0, 1], got {self.albedo!r}")
+        object.__setattr__(self, "point", _bounded_vector(self.point, 3, "plane point"))
+        object.__setattr__(self, "normal", _unit(self.normal, "plane normal"))
+        object.__setattr__(self, "albedo", _bounded(self.albedo, "albedo", 0, 1))
 
 
 SceneObject = Union[Sphere, Plane]
@@ -193,23 +197,16 @@ class SceneSpec:
             raise SceneError("image must be at least 1x1")
         if self.width * self.height > MAX_PIXELS:
             raise SceneError(f"a {self.width}x{self.height} image exceeds the limit of {MAX_PIXELS} pixels")
-        object.__setattr__(self, "objects", tuple(self.objects))
-        light = _bounded_vector(self.light_direction, 3, "light direction")
-        norm = math.sqrt(_dot(light, light))
-        if norm == 0:
-            raise SceneError("light direction must be nonzero")
-        light = light / norm
-        light.setflags(write=False)
-        object.__setattr__(self, "light_direction", light)
-        if not 0.0 <= self.ambient <= 1.0:
-            raise SceneError(f"ambient must lie in [0, 1], got {self.ambient!r}")
-        _check_bounded(self.fov, "fov", _MIN_SCALE)
+        if not isinstance(self.objects, (list, tuple)) or not all(isinstance(o, (Sphere, Plane)) for o in self.objects):
+            raise SceneError(f"objects must be a list of spheres and planes, got {reprlib.repr(self.objects)}")
         if not 1 <= self.max_value <= 1 << 53:  # so shading rounds to an exact integer
             raise SceneError(f"max_value must lie in [1, 2**53], got {self.max_value!r}")
-        if self.principal is None:
-            object.__setattr__(self, "principal", (self.width / 2.0, self.height / 2.0))
-        else:
-            _bounded_vector(self.principal, 2, "principal point")
+        object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "light_direction", _unit(self.light_direction, "light direction"))
+        object.__setattr__(self, "ambient", _bounded(self.ambient, "ambient", 0, 1))
+        object.__setattr__(self, "fov", _bounded(self.fov, "fov", _MIN_SCALE))
+        principal = (self.width / 2.0, self.height / 2.0) if self.principal is None else self.principal
+        object.__setattr__(self, "principal", tuple(_bounded_vector(principal, 2, "principal point").tolist()))
 
     def pixel_rays(self) -> np.ndarray:
         """Unit ray directions through every pixel center, shape (height, width, 3), each component contiguous."""
@@ -411,7 +408,7 @@ def render_sequence(
 
     Every frame's scene is built, and so checked, before any is rendered.
     """
-    if frames < 2:
+    if _integer(frames, "frames", SceneError) < 2:
         raise SceneError("a sequence needs at least two frames")
     shift = _bounded_vector(motion, 3, "motion")
     moved = [dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
@@ -427,30 +424,13 @@ def render_sequence(
 
 _REQUIRED = object()
 
-
-def _is_number(value) -> bool:
-    """True for a finite int or float; bool, NaN, +-Infinity and ints beyond float range are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _vector(n: int):
-    def test(value) -> bool:
-        return isinstance(value, list) and len(value) == n and all(map(_is_number, value))
-
-    return test, f"a list of {n} finite numbers"
-
-
-# The JSON kinds a config value may have: a test and the words for it.
+# The JSON kinds a config's structure is made of: a test and the words for it.
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _STRING = (lambda v: isinstance(v, str), "a string")
-_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_NUMBER = (_is_number, "a finite number")
+
+# Per object type: its class and the keys it requires; "albedo" is optional for both.
+_SHAPES = {"sphere": (Sphere, ("center", "radius")), "plane": (Plane, ("point", "normal"))}
 
 
 def _checked(value, kind, name: str):
@@ -461,58 +441,51 @@ def _checked(value, kind, name: str):
     return value
 
 
-def _field(mapping: dict, key: str, where: str, kind, default=_REQUIRED):
-    """mapping[key] checked against kind; default when the key is absent, if there is one."""
+def _field(mapping: dict, key: str, where: str, kind=None, default=_REQUIRED):
+    """mapping[key], checked against kind if one is given; default when the key is absent, if there is one."""
     if key not in mapping:
         if default is _REQUIRED:
             raise SceneError(f"missing '{key}' in {where}")
         return default
-    return _checked(mapping[key], kind, f"'{key}' in {where}")
+    return mapping[key] if kind is None else _checked(mapping[key], kind, f"'{key}' in {where}")
+
+
+def _given(mapping: dict, where: str, required: tuple, optional: tuple) -> dict:
+    """The required keys' values and those of the optional keys present, by key."""
+    values = {key: _field(mapping, key, where) for key in required}
+    values.update((key, mapping[key]) for key in optional if key in mapping)
+    return values
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
     """Build a SceneSpec from the documented JSON schema.
 
-    Every value is type-checked here, at the JSON boundary, so a malformed
-    config raises SceneError naming the key at fault.
+    Only the JSON structure is checked here: the objects and lists, the
+    type strings and the required keys. Every value goes as it is to the
+    constructors, which check it as they check one given in Python, so a
+    malformed config raises SceneError naming the key at fault; an
+    object's error starts with its place in the list.
     """
     _checked(data, _OBJECT, "scene config")
     image = _field(data, "image", "scene config", _OBJECT)
-    light = _field(data, "light", "scene config", _OBJECT, {})
+    light = _given(_field(data, "light", "scene config", _OBJECT, {}), "light", (), ("direction", "ambient"))
+    if "direction" in light:
+        light["light_direction"] = light.pop("direction")
     objects = []
     for idx, entry in enumerate(_field(data, "objects", "scene config", _LIST, [])):
         where = f"objects[{idx}]"
         _checked(entry, _OBJECT, where)
         kind = _field(entry, "type", where, _STRING)
-        if kind == "sphere":
-            objects.append(
-                Sphere(
-                    center=_field(entry, "center", where, _vector(3)),
-                    radius=_field(entry, "radius", where, _NUMBER),
-                    albedo=_field(entry, "albedo", where, _NUMBER, 1.0),
-                )
-            )
-        elif kind == "plane":
-            objects.append(
-                Plane(
-                    point=_field(entry, "point", where, _vector(3)),
-                    normal=_field(entry, "normal", where, _vector(3)),
-                    albedo=_field(entry, "albedo", where, _NUMBER, 1.0),
-                )
-            )
-        else:
-            raise SceneError(f"{where} has unknown type {kind!r}")
-    principal = _field(image, "principal", "image", _vector(2), None)
-    return SceneSpec(
-        width=_field(image, "width", "image", _INTEGER),
-        height=_field(image, "height", "image", _INTEGER),
-        objects=tuple(objects),
-        light_direction=_field(light, "direction", "light", _vector(3), (0.0, 0.0, -1.0)),
-        ambient=_field(light, "ambient", "light", _NUMBER, 0.2),
-        fov=_field(image, "fov", "image", _NUMBER, 1.0),
-        max_value=_field(image, "max_value", "image", _INTEGER, 255),
-        principal=tuple(principal) if principal is not None else None,
-    )
+        if kind not in _SHAPES:
+            raise SceneError(f"{where} has unknown type {reprlib.repr(kind)}")
+        shape, required = _SHAPES[kind]
+        values = _given(entry, where, required, ("albedo",))
+        try:
+            objects.append(shape(**values))
+        except SceneError as exc:
+            raise SceneError(f"{where}: {exc}") from exc
+    values = _given(image, "image", ("width", "height"), ("fov", "max_value", "principal"))
+    return SceneSpec(objects=tuple(objects), **values, **light)
 
 
 def load_scene(path) -> SceneSpec:

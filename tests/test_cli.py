@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 import time
@@ -23,6 +24,10 @@ from reference_trace import (
 import isophote
 from isophote import (
     IntensityGrid,
+    Plane,
+    SceneError,
+    SceneSpec,
+    Sphere,
     ThresholdSchedule,
     Topology,
     apply_operator,
@@ -33,6 +38,7 @@ from isophote import (
     read_grid,
     read_pbm,
     render,
+    render_sequence,
     write_pbm,
     write_pgm,
     write_ppm,
@@ -40,6 +46,7 @@ from isophote import (
 )
 from isophote import cli
 from isophote.cli import build_parser, main
+from isophote.scene import scene_from_dict
 
 
 @pytest.fixture
@@ -407,6 +414,92 @@ def test_scene_configs_exit_0_or_2_without_overflow(tmp_path, config):
     assert [path.exists() for path in outputs] == [code == 0] * 3
 
 
+def _scene_config():
+    return {"image": {"width": 8, "height": 6, "fov": 0.5, "principal": [4.0, 3.0]},
+            "light": {"direction": [0.0, 0.0, -1.0], "ambient": 0.2},
+            "objects": [{"type": "sphere", "center": [0.0, 0.0, 5.0], "radius": 1.0, "albedo": 1.0},
+                        {"type": "plane", "point": [0.0, 0.0, 5.0], "normal": [1.0, 0.0, -1.0], "albedo": 1.0}]}
+
+
+def _edited(path, value):
+    config = _scene_config()
+    container = config
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    return config
+
+
+# Per numeric slot of a scene: where it sits in the JSON config, the Python call that
+# takes it alone, and the interval a number there must lie in (with the sphere's
+# center at z = 5, a radius of 5 or more is refused too, which 4 stands for).
+_SLOTS = {
+    "sphere center": (("objects", 0, "center", 0), lambda v: Sphere((v, 0.0, 5.0), 1.0), (-1e30, 1e30)),
+    "sphere radius": (("objects", 0, "radius"), lambda v: Sphere((0.0, 0.0, 5.0), v), (1e-30, 4.0)),
+    "sphere albedo": (("objects", 0, "albedo"), lambda v: Sphere((0.0, 0.0, 5.0), 1.0, v), (0.0, 1.0)),
+    "plane point": (("objects", 1, "point", 1), lambda v: Plane((0.0, v, 5.0), (1.0, 0.0, -1.0)), (-1e30, 1e30)),
+    "plane normal": (("objects", 1, "normal", 1), lambda v: Plane((0.0, 0.0, 5.0), (1.0, v, -1.0)), (-1e30, 1e30)),
+    "plane albedo": (("objects", 1, "albedo"), lambda v: Plane((0.0, 0.0, 5.0), (1.0, 0.0, -1.0), v), (0.0, 1.0)),
+    "light direction": (("light", "direction", 0), lambda v: SceneSpec(8, 6, light_direction=(v, 0.0, -1.0)),
+                        (-1e30, 1e30)),
+    "ambient": (("light", "ambient"), lambda v: SceneSpec(8, 6, ambient=v), (0.0, 1.0)),
+    "fov": (("image", "fov"), lambda v: SceneSpec(8, 6, fov=v), (1e-30, 1e30)),
+    "principal": (("image", "principal", 0), lambda v: SceneSpec(8, 6, principal=(v, 3.0)), (-1e30, 1e30)),
+}
+# Vector slots given a value in place of the whole vector: no value tried is a list of
+# numbers of the right length, and a principal point of None is the default.
+_VECTORS = {
+    "sphere center": (("objects", 0, "center"), lambda v: Sphere(v, 1.0)),
+    "plane point": (("objects", 1, "point"), lambda v: Plane(v, (1.0, 0.0, -1.0))),
+    "plane normal": (("objects", 1, "normal"), lambda v: Plane((0.0, 0.0, 5.0), v)),
+    "light direction": (("light", "direction"), lambda v: SceneSpec(8, 6, light_direction=v)),
+    "principal": (("image", "principal"), lambda v: SceneSpec(8, 6, principal=v)),
+}
+_SLOT_VALUES = [*_EDGE_NUMBERS, [1]]
+
+
+def _admits(value, low, high) -> bool:
+    """Whether value is a number, not a bool, in [low, high]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and low <= value <= high
+
+
+def _refuses(build, value) -> bool:
+    """Whether build(value) raises SceneError; any other exception fails the test."""
+    try:
+        build(value)
+    except SceneError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", _SLOT_VALUES, ids=reprlib.repr)
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_json_and_python_refuse_the_same_values(slot, value):
+    path, build, bounds = _SLOTS[slot]
+    expected = not _admits(value, *bounds)
+    assert _refuses(lambda v: scene_from_dict(_edited(path, v)), value) is expected
+    assert _refuses(build, value) is expected
+
+
+@pytest.mark.parametrize("value", [*_SLOT_VALUES, [1, 2, 3, 4], "1,2,3"], ids=reprlib.repr)
+@pytest.mark.parametrize("slot", _VECTORS)
+def test_json_and_python_refuse_a_vector_that_is_not_a_list_of_numbers(slot, value):
+    path, build = _VECTORS[slot]
+    if slot == "principal" and value is None:  # the default: the image center
+        assert scene_from_dict(_edited(path, value)).principal == build(value).principal == (4.0, 3.0)
+        return
+    assert _refuses(lambda v: scene_from_dict(_edited(path, v)), value)
+    assert _refuses(build, value)
+
+
+@pytest.mark.parametrize("value", [*_SLOT_VALUES, [1, 2, 3, 4], "1,2,3"], ids=reprlib.repr)
+def test_motion_is_refused_as_a_position_is(value):
+    spec = SceneSpec(8, 6)
+    expected = not _admits(value, *_SLOTS["plane point"][2])
+    assert _refuses(lambda v: render_sequence(spec, (v, 0.0, 0.0), 2), value) is expected
+    assert _refuses(lambda v: render_sequence(spec, v, 2), value)
+
+
 class TestRender:
     def test_outputs_match_library(self, tmp_path):
         scene = scene_file(tmp_path)
@@ -554,6 +647,27 @@ class TestRenderSeq:
                      "--motion", "0,0,0", "--out-pattern", str(tmp_path / "frame.pgm")])
         assert code == 2
         assert "placeholder" in capsys.readouterr().err
+
+    def test_truth_pattern_writes_each_frames_truth(self, tmp_path):
+        scene = scene_file(tmp_path)
+        code = main(["render-seq", "--scene", str(scene), "--frames", "3", "--motion", "0.1,0,0.2",
+                     "--out-pattern", str(tmp_path / "f{i}.pgm"), "--truth-pattern", str(tmp_path / "t{i}.pbm")])
+        assert code == 0
+        grids, truths = render_sequence(load_scene(scene), (0.1, 0.0, 0.2), 3)
+        for i in range(3):
+            assert np.array_equal(read_grid(tmp_path / f"f{i}.pgm").values, grids[i].values)
+            assert np.array_equal(read_pbm(tmp_path / f"t{i}.pbm"), truths[i].discontinuity_mask)
+        assert not np.array_equal(truths[0].discontinuity_mask, truths[2].discontinuity_mask)
+
+    @pytest.mark.parametrize("flag", ["--out-pattern", "--truth-pattern"])
+    def test_pattern_with_an_unknown_placeholder_exits_2(self, tmp_path, capsys, flag):
+        scene = scene_file(tmp_path)
+        patterns = {"--out-pattern": str(tmp_path / "f{i}.pgm"), flag: str(tmp_path / "f{j}.pgm")}
+        code = main(["render-seq", "--scene", str(scene), "--frames", "2", "--motion", "0,0,0",
+                     *(arg for item in patterns.items() for arg in item)])
+        assert code == 2
+        assert f"{flag} has an invalid placeholder: 'j'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*.pgm"))
 
     def test_bad_motion_exits_2(self, tmp_path):
         scene = scene_file(tmp_path)

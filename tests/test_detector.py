@@ -791,6 +791,11 @@ class TestDerivedWitness:
         assert mask.witnesses_at((1, 1)) == ((8, 9) if flagged else None)
         assert wider.witnesses_at((1, 1)) == ((7, 9) if flagged else None)
 
+    def test_comparing_with_another_type_is_left_to_it(self):
+        mask = detect_pointwise(IntensityGrid.from_rows([[0, 9]], 9), ThresholdSchedule(1), N4)
+        assert mask.__eq__(5) is NotImplemented
+        assert mask != 5 and not mask == 5
+
 
 class TestNecessaryCondition:
     def test_ring_witness_pair(self, ring_grid):

@@ -181,6 +181,19 @@ class TestWholeImageField:
         with pytest.raises(ValueError, match=r"2-D grid, got values of shape \(2, 5, 6\)"):
             function(stack)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: apply_operator(s, "dx"),
+        lambda s: apply_operator(s, "dy"),
+        lambda s: apply_operator(s, "identity"),
+        lambda s: trace_level_contours(s, 3, Topology.N4),
+        lambda s: trace_level_contours(s, 3, Topology.N8),
+    ], ids=["dx", "dy", "identity", "trace-N4", "trace-N8"])
+    def test_single_frame_operations_refuse_a_frame_stack_alike(self, call):
+        # dx would difference along t and y, and tracing failed on unpacking a 3-D shape
+        stack = frame_stack([ramp_x(6, 5), ramp_x(6, 5)])
+        with pytest.raises(ValueError, match=r"2-D grid, got values of shape \(2, 5, 6\)"):
+            call(stack)
+
     @pytest.mark.parametrize("max_value", [255, 65535])
     def test_zero_filter_memory_is_two_bytes_per_pixel(self, max_value):
         # four-level noise, so that the field vanishes at some pixels and not at others

@@ -521,6 +521,14 @@ class TestParseErrors:
             read_image(path)
         assert f"byte {len(data)}" in str(err.value)
 
+    def test_binary_raster_needs_its_whitespace_byte(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        data = b"P5\n2 1\n255"
+        path.write_bytes(data)
+        with pytest.raises(NetpbmError, match="expected single whitespace before binary raster") as err:
+            read_image(path)
+        assert err.value.offset == len(data)
+
     def test_non_numeric_header(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\nxx 2\n255\n")

@@ -58,6 +58,11 @@ class TestIntensityGrid:
         g = make(layout(values), 255)
         assert g.values.flags.c_contiguous and np.array_equal(g.values, layout(values))
 
+    @pytest.mark.parametrize("make, shape", [(IntensityGrid, (2, 3)), (FrameStack, (2, 2, 3))])
+    def test_refuses_a_negative_max_value(self, make, shape):
+        with pytest.raises(ValueError, match="max_value must be a nonnegative integer, got -1"):
+            make(np.zeros(shape, dtype=np.int64), -1)
+
     def test_numpy_integer_max_value_becomes_an_int(self):
         g = IntensityGrid(np.zeros((2, 3), dtype=np.int64), np.uint16(300))
         assert g.max_value == 300 and type(g.max_value) is int
@@ -147,6 +152,10 @@ class TestFrameStack:
     def test_requires_two_frames(self):
         with pytest.raises(ValueError):
             frame_stack(self.make_frames(0))
+
+    def test_constructor_requires_two_frames(self):
+        with pytest.raises(ValueError, match="at least two frames"):
+            FrameStack(np.zeros((1, 2, 3), dtype=np.int64), 10)
 
     def test_requires_matching_shape(self):
         a = IntensityGrid(np.zeros((2, 3), dtype=np.int64), 10)
@@ -286,6 +295,12 @@ def assert_neighbor_ops_match_definition(frames, h, w, view, topology, dtype, se
 
 class TestVectorizedHelpers:
     """neighbor_any / neighbor_min must agree with the per-pixel definition."""
+
+    def test_a_topology_needs_the_axes_it_offsets(self):
+        with pytest.raises(ValueError, match="N4T topology requires arrays with a frame axis"):
+            neighbor_any(np.zeros((3, 3), dtype=bool), Topology.N4T)
+        with pytest.raises(ValueError, match="need at least two spatial axes"):
+            neighbor_min(np.zeros(4, dtype=np.int64), Topology.N4, 0)
 
     @given(grid_rows(), topologies, st.integers(0, 12))
     def test_neighbor_any_matches_definition(self, rows_mv, topology, c):

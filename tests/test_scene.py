@@ -119,6 +119,10 @@ class TestIsOccluding:
         with pytest.raises(ValueError):
             is_occluding((1.0, 0.0, 2.0), (0.0, 0.0, 0.0))
 
+    def test_focal_plane_rejected(self):
+        with pytest.raises(FocalPlaneError, match="focal plane"):
+            is_occluding((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
 
 class TestValidation:
     def test_sphere_radius_positive(self):
@@ -228,6 +232,51 @@ class TestValidation:
         for bad in (0, 2**53 + 1, 2**63):
             with pytest.raises(SceneError, match="max_value"):
                 SceneSpec(3, 2, max_value=bad)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (-1, 4)])
+    def test_image_must_be_at_least_one_pixel(self, width, height):
+        with pytest.raises(SceneError, match="at least 1x1"):
+            SceneSpec(width, height)
+
+    @pytest.mark.parametrize("objects", [("x",), (None,), 5, "sphere", (Sphere((0.0, 0.0, 5.0), 1.0), 1)],
+                             ids=["str", "none", "int", "string", "mixed"])
+    def test_objects_must_be_spheres_and_planes(self, objects):
+        # "x" was accepted, and rendering it raised AttributeError
+        with pytest.raises(SceneError, match="objects must be a list of spheres and planes"):
+            SceneSpec(4, 4, objects=objects)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SceneSpec(4, 4, fov=10**400),
+        lambda: SceneSpec("8" * 1000, 4),
+        lambda: scene.scene_from_dict({"image": {"width": 4, "height": 4}, "objects": [{"type": "x" * 1000}]}),
+    ], ids=["fov", "width", "type"])
+    def test_a_refused_value_is_quoted_shortly(self, build):
+        # fov=10**400 was quoted with all 401 digits
+        with pytest.raises(SceneError) as err:
+            build()
+        assert len(str(err.value)) < 100
+
+    def test_numbers_are_stored_as_floats(self):
+        # principal ("1", "2") was accepted, and rendering it raised a numpy error
+        sphere = Sphere(np.array([0, 0, 5], dtype=np.int32), np.float32(1.5), albedo=1)
+        spec = SceneSpec(8, 6, (sphere,), ambient=np.int64(0), fov=1, principal=[np.uint8(3), 2])
+        assert spec.principal == (3.0, 2.0)
+        values = (sphere.radius, sphere.albedo, spec.ambient, spec.fov, *spec.principal)
+        assert [type(v) for v in values] == [float] * 6
+        assert sphere.center.dtype == np.float64 and not sphere.center.flags.writeable
+
+    def test_a_bool_is_not_a_number(self):
+        # True was accepted as a radius of 1
+        with pytest.raises(SceneError, match="sphere radius"):
+            Sphere((0.0, 0.0, 5.0), True)
+        with pytest.raises(SceneError, match="plane normal"):
+            Plane((0.0, 0.0, 5.0), np.array([False, False, True]))
+
+    def test_frames_must_be_an_integer(self):
+        spec = SceneSpec(8, 6)
+        for bad in (2.0, "3", True):
+            with pytest.raises(SceneError, match="frames must be an integer"):
+                render_sequence(spec, (0.0, 0.0, 0.0), bad)
 
     def test_pixel_count_is_bounded(self):
         SceneSpec(width=MAX_PIXELS, height=1)
@@ -812,6 +861,12 @@ class TestSceneConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(SceneError, match="radius"):
             load_scene(path)
+
+    def test_an_object_error_names_its_place(self):
+        cfg = self.config()
+        cfg["objects"][1]["albedo"] = "1"
+        with pytest.raises(SceneError, match=r"^objects\[1\]: albedo must be finite and lie in \[0, 1\], got '1'$"):
+            scene.scene_from_dict(cfg)
 
     def test_unknown_object_type(self, tmp_path):
         cfg = self.config()
