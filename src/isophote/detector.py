@@ -128,35 +128,54 @@ class LevelCurveSet:
 class DetectionMask:
     """Per-pixel count of schedule thresholds whose level curve set contains the pixel.
 
-    A pixel is flagged when the count is at least two. witness_hi holds the
-    largest such threshold at flagged pixels and is zero elsewhere, which
-    makes masks comparable bit-for-bit. The members are the schedule levels
-    in the pixel's membership interval, which are consecutive, so the second
-    largest is one increment below: witness_lo is derived from witness_hi
-    and the schedule's increment rather than stored. Both routes store the
-    same dtypes: level_count the narrowest unsigned one that holds the
-    schedule's number of levels, and witness_hi the grid's storage dtype,
-    since a member threshold lies in [1, max_value].
+    A pixel is flagged when the count is at least two. The mask stores only
+    level_count, in the narrowest unsigned dtype that holds the schedule's
+    number of levels, with the grid and the schedule it was computed from.
+    A pixel's members are the schedule levels in its membership interval
+    (min neighbor, I(p)], which are consecutive, so the witness pair of a
+    flagged pixel is the two largest schedule levels at or below
+    min(I(p), cap): a function of I(p) and the schedule, derived when read.
     """
 
     level_count: np.ndarray
-    witness_hi: np.ndarray
-    increment: int
+    grid: Grid
+    schedule: ThresholdSchedule
 
     def __post_init__(self):
-        for a in (self.level_count, self.witness_hi):
-            a.setflags(write=False)
+        self.level_count.setflags(write=False)
+
+    @property
+    def increment(self) -> int:
+        return self.schedule.increment
 
     @property
     def flagged(self) -> np.ndarray:
         return self.level_count >= 2
 
     @property
+    def witness_hi(self) -> np.ndarray:
+        """The largest member threshold at flagged pixels, 0 elsewhere, read-only.
+
+        It is offset + (min(I, cap) - offset) // increment * increment,
+        worked in the routes' signed dtype and returned in the grid's
+        storage dtype, which holds it: a member lies in [1, max_value].
+        Multiplying by the flag zeroes unflagged pixels branch-free, unlike
+        a masked copy, whose cost grows with how unpredictably flags alternate.
+        """
+        grid, schedule = self.grid, self.schedule
+        top = np.empty(grid.values.shape, dtype=signed_dtype(_check_range(grid, schedule)))
+        _levels_at_or_below(grid.values, schedule, grid.max_value, out=top)
+        top *= schedule.increment
+        top += schedule.offset - schedule.increment
+        top *= self.flagged
+        hi = top.astype(storage_dtype(grid.max_value))
+        hi.setflags(write=False)
+        return hi
+
+    @property
     def witness_lo(self) -> np.ndarray:
         """(witness_hi - increment) * flagged in witness_hi's dtype, read-only.
 
-        Multiplying by the flag zeroes unflagged pixels branch-free, unlike a
-        masked copy, whose cost grows with how unpredictably flags alternate.
         An increment too wide for the dtype (256 on uint8) wraps, but then
         no pixel is flagged.
         """
@@ -174,8 +193,10 @@ class DetectionMask:
         idx = array_index(p, self.level_count.ndim)
         if self.level_count[idx] < 2:
             return None
-        hi = int(self.witness_hi[idx])
-        return hi - self.increment, hi
+        schedule, inc = self.schedule, self.increment
+        top = min(int(self.grid.values[idx]), schedule.cap(self.grid.max_value))
+        hi = schedule.offset + (top - schedule.offset) // inc * inc
+        return hi - inc, hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DetectionMask):
@@ -220,12 +241,20 @@ def _check_range(grid: Grid, schedule: ThresholdSchedule) -> int:
     return bound
 
 
-def _mask_dtypes(grid: Grid, schedule: ThresholdSchedule) -> tuple[np.dtype, np.dtype]:
-    """The dtypes of DetectionMask's level_count and witnesses; see its docstring.
+def _levels_at_or_below(values: np.ndarray, schedule: ThresholdSchedule, max_value: int, out: np.ndarray) -> np.ndarray:
+    """(min(v, cap) - offset) // increment + 1 at each value v, into out.
 
-    Call it after _check_range, which bounds the number of levels.
+    That is the number of schedule levels at or below v where it is
+    positive. Adding the increment before dividing adds the 1. out is a
+    signed dtype that holds every intermediate (see _check_range).
     """
-    return np.min_scalar_type(schedule.size(grid.max_value)), storage_dtype(grid.max_value)
+    inc, cap = schedule.increment, schedule.cap(max_value)
+    np.copyto(out, values, casting="unsafe")  # the bound holds every value
+    if cap <= max_value:
+        np.minimum(out, cap, out=out)
+    out -= schedule.offset - inc
+    out //= inc
+    return out
 
 
 def _row_strips(shape: tuple, itemsize: int) -> tuple[int, list[tuple[slice, slice, slice]]]:
@@ -272,9 +301,6 @@ def _sublevel_words(values: np.ndarray, levels: range, k: np.ndarray, zeros: np.
 def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topology) -> DetectionMask:
     """Enumerate the schedule, build every level curve set, and count memberships.
 
-    The witness pair at a flagged pixel is the two largest member
-    thresholds. Only the largest is searched for: the members are
-    consecutive schedule levels, so the other is one increment below it.
     Time grows as levels x pixels. One word per pixel holds the sublevel
     sets of a chunk of up to 64 levels, one bit each, and each chunk runs
     on row strips of every frame at once, so transient memory is a few
@@ -283,12 +309,10 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     topology.check_grid(grid)
     # every intermediate of the sublevel counts lies within this bound of zero
     dtype = signed_dtype(_check_range(grid, schedule))
-    count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
     values = grid.values
-    count = np.zeros(values.shape, dtype=count_dtype)
-    hi = np.zeros(values.shape, dtype=witness_dtype)
-    inc, offset = schedule.increment, schedule.offset
     size = schedule.size(grid.max_value)
+    count = np.zeros(values.shape, dtype=np.min_scalar_type(size))  # see DetectionMask
+    inc, offset = schedule.increment, schedule.offset
     step = max(min(size, 8 * _WORD_DTYPES[-1].itemsize), 1)
     word = next(w for w in _WORD_DTYPES if 8 * w.itemsize >= step)
     rows, strips = _row_strips(values.shape, max(word.itemsize, dtype.itemsize))
@@ -298,15 +322,8 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     k_buf = np.empty(halo_size, dtype=dtype)
     below_buf = np.empty(halo_size, dtype=word)
     bits_buf = np.empty(halo_size, dtype=np.uint8)
-    flag_buf = np.empty(halo_size, dtype=bool)
-    top_buf = np.empty(halo_size, dtype=witness_dtype)
     for start in range(0, size, step):
-        n = min(step, size - start)
-        levels = range(offset + start * inc, offset + (start + n) * inc, inc)
-        # arithmetic in the witness dtype wraps, but a member level lies in
-        # [1, max_value], which the dtype holds
-        past = np.asarray(levels.stop).astype(witness_dtype)
-        step_up = np.asarray(inc).astype(witness_dtype)
+        levels = range(offset + start * inc, offset + min(start + step, size) * inc, inc)
         for strip, halo, inner in strips:
             block = values[..., halo, :]
             zeros, k, below = (b[: block.size].reshape(block.shape) for b in (zero, k_buf, below_buf))
@@ -314,26 +331,10 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
             members = neighbor_any(below, topology)[..., inner, :]
             below = below[..., inner, :]
             members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
-            bits, has, top = (b[: members.size].reshape(members.shape) for b in (bits_buf, flag_buf, top_buf))
-            count_strip, hi_strip = count[..., strip, :], hi[..., strip, :]
-            count_strip += np.bitwise_count(members, out=bits)
-            # The lowest member bit j is the highest member level: m ^ (m - 1)
-            # sets the bits up to it, j + 1 of them. Every member of this
-            # chunk lies above all earlier ones, so it replaces the witness;
-            # a pixel without one keeps it, its top zeroed by the flag.
-            np.not_equal(bits, 0, out=has)
-            low = np.subtract(members, 1, out=below)
-            low ^= members
-            np.multiply(np.bitwise_count(low, out=bits), step_up, out=top)
-            np.subtract(past, top, out=top)  # levels[n - 1 - j]
-            top *= has
-            np.maximum(hi_strip, top, out=hi_strip)
-            if start + step >= size:
-                # multiplying by the flag zeroes unflagged pixels branch-free,
-                # as in DetectionMask.witness_lo
-                hi_strip *= np.greater_equal(count_strip, 2, out=has)
+            bits = bits_buf[: members.size].reshape(members.shape)
+            count[..., strip, :] += np.bitwise_count(members, out=bits)
             del members  # before the next strip's neighbor_any allocates
-    return DetectionMask(count, hi, schedule.increment)
+    return DetectionMask(count, grid, schedule)
 
 
 def membership_interval(grid: Grid, p, topology: Topology) -> Optional[tuple[int, int]]:
@@ -368,47 +369,31 @@ def detect_pointwise(
     topology.check_grid(grid)
     # every intermediate below lies within this bound of zero
     dtype = signed_dtype(_check_range(grid, schedule))
-    count_dtype, witness_dtype = _mask_dtypes(grid, schedule)
     values = grid.values
-    count = np.empty(values.shape, dtype=count_dtype)
-    hi = np.empty(values.shape, dtype=witness_dtype)
+    count = np.empty(values.shape, dtype=np.min_scalar_type(schedule.size(grid.max_value)))  # see DetectionMask
     inc, offset = schedule.increment, schedule.offset
-    cap = schedule.cap(grid.max_value)
     rows, strips = _row_strips(values.shape, dtype.itemsize)
     size = values[..., :rows, :].size  # the most pixels a strip holds
     # scratch reused by every strip; numpy's SIMD min/max loops take two
     # arrays, so a max against 0 reads an array of zeros, not a scalar
     scratch = np.zeros((3, size), dtype=dtype)
-    flags = np.empty(size, dtype=bool)
     for strip, halo, inner in strips:
         pixels = values[..., strip, :]
-        zero, k_lo, k_end, flagged = (b[: pixels.size].reshape(pixels.shape) for b in (*scratch, flags))
+        zero, k_lo, k_end = (b[: pixels.size].reshape(pixels.shape) for b in scratch)
         # a pixel without neighbors gets m = max_value >= I(p), an empty
         # interval, and the fill fits the grid's dtype, so m keeps it
         m = neighbor_min(values[..., halo, :], topology, grid.max_value)[..., inner, :]
         # The members in (m, I(p)] are offset + k * inc for k_lo <= k < k_end:
         # k_lo = max((m - offset) // inc + 1, 0) is the first above m and
-        # k_end = (min(I(p), cap) - offset) // inc + 1 is one past the last at
-        # or below I(p). Adding inc before dividing adds the 1.
+        # k_end is one past the last at or below I(p). Adding inc before
+        # dividing adds the 1.
         np.subtract(m, offset - inc, out=k_lo, dtype=dtype)
         k_lo //= inc
         np.maximum(k_lo, zero, out=k_lo)
-        np.copyto(k_end, pixels, casting="unsafe")  # the bound holds every value
-        if cap <= grid.max_value:
-            np.minimum(k_end, cap, out=k_end)
-        k_end -= offset - inc
-        k_end //= inc
+        _levels_at_or_below(pixels, schedule, grid.max_value, out=k_end)
         members = np.subtract(k_end, k_lo, out=k_lo)  # k_lo is not needed again
-        np.maximum(members, zero, out=members)
-        count[..., strip, :] = members
-        np.greater_equal(members, 2, out=flagged)
-        # witness_hi is the last member, offset + (k_end - 1) * inc, zeroed
-        # by the flag as in detect_multilevel
-        k_end *= inc
-        k_end += offset - inc
-        k_end *= flagged
-        hi[..., strip, :] = k_end
-    return DetectionMask(count, hi, inc)
+        count[..., strip, :] = np.maximum(members, zero, out=members)
+    return DetectionMask(count, grid, schedule)
 
 
 def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Topology) -> bool:

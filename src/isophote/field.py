@@ -202,13 +202,6 @@ class Contour:
     closed: bool
 
 
-# Clockwise direction rings (y grows downward), used for deterministic walks.
-_RINGS = {
-    Topology.N4: ((0, -1), (1, 0), (0, 1), (-1, 0)),  # N, E, S, W
-    Topology.N8: ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)),
-}
-
-
 def _component_roots(members: np.ndarray, below) -> np.ndarray:
     """Per member, the position in members of its component's first pixel.
 
@@ -423,7 +416,9 @@ def trace_level_contours(grid: IntensityGrid, c: int, topology: Topology) -> Cha
     padded = np.frombuffer(remaining, dtype=np.uint8)
     padded.reshape(h + 2, stride)[1:-1, 1:-1] = mask
     members = np.flatnonzero(padded.view(bool))
-    ring = tuple(dy * stride + dx for dx, dy in _RINGS[topology])
+    # the neighbor offsets clockwise from north (y grows downward) fix the walks' order
+    clockwise = sorted(topology.spatial_offsets, key=lambda d: math.atan2(d[0], -d[1]) % math.tau)
+    ring = tuple(dy * stride + dx for dx, dy in clockwise)
     roots = _component_roots(members, sorted(off for off in ring if off > 1))
     row, col = np.divmod(members, stride)
     # set at each component's root when any of its members lies on the image border

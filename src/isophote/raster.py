@@ -148,19 +148,22 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
     the neighbor folds and the zero filter then never copy a grid's values.
     """
     arr = np.asarray(values)
+    if arr.size == 0:
+        raise ValueError("grid must contain at least one pixel")
     if arr.dtype.kind not in "iub":
         raise ValueError(f"intensities must be integers, got dtype {arr.dtype}")
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("grid must contain at least one pixel")
     if _integer(max_value, "max_value") < 0:
         raise ValueError(f"max_value must be a nonnegative integer, got {max_value!r}")
     lo, hi = int(arr.min()), int(arr.max())
     if lo < 0 or hi > max_value:
         raise ValueError(f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]")
     holds = arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= max_value
-    arr = arr.astype(arr.dtype if holds else storage_dtype(max_value), order="C")
+    dtype = arr.dtype if holds else storage_dtype(max_value)
+    if hi > np.iinfo(dtype).max:  # a max_value beyond int64 with values that int64 cannot hold
+        raise ValueError(f"intensities must lie in [0, {np.iinfo(dtype).max}] to be stored as {dtype}, found {hi}")
+    arr = arr.astype(dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -206,7 +209,8 @@ class IntensityGrid(_FrozenRaster):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], max_value: int = 255) -> "IntensityGrid":
-        return cls(np.asarray(rows, dtype=np.int64), max_value)
+        """A grid of the nested rows; like any grid, it refuses values that are not integers."""
+        return cls(np.asarray(rows), max_value)
 
 
 @dataclass(frozen=True, eq=False)

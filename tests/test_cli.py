@@ -721,6 +721,36 @@ class TestDetectTemporal:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["detect", "--filter-occluding", "--levels-out", "{out}/levels.pgm", "{a}", "{out}/mask.pbm"],
+    ["detect", "--mode", "multilevel", "--increment", "4", "{a}", "{out}/mask.pbm"],
+    ["detect-temporal", "--increment", "4", "--out-pattern", "{out}/mask{{i}}.pbm", "{a}", "{b}"],
+], ids=["detect-filter-levels", "detect-multilevel", "detect-temporal"])
+def test_outputs_never_read_a_witness(tmp_path, monkeypatch, command):
+    # the CLI writes only flags and level counts, so its bytes are the same
+    # when reading either witness array or a pixel's witness pair raises
+    rng = np.random.default_rng(12)
+    inputs = {}
+    for name in ("a", "b"):
+        inputs[name] = tmp_path / f"{name}.pgm"
+        write_pgm(inputs[name], IntensityGrid(rng.choice([0, 90, 200], size=(14, 17)), 255))
+
+    def run(out):
+        out.mkdir()
+        assert main([arg.format(out=out, **inputs) for arg in command]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    expect = run(tmp_path / "plain")
+
+    def unread(*args):
+        raise AssertionError("a witness was read")
+
+    for name in ("witness_hi", "witness_lo"):
+        monkeypatch.setattr(isophote.DetectionMask, name, property(unread))
+    monkeypatch.setattr(isophote.DetectionMask, "witnesses_at", unread)
+    assert run(tmp_path / "unread") == expect
+
+
 def test_module_entrypoint_smoke():
     # the child imports the same package as this process, however it was found
     src = str(Path(isophote.__file__).parent.parent)

@@ -777,19 +777,42 @@ class TestMaskDtypes:
 
 
 class TestDerivedWitness:
-    """A mask stores level_count and witness_hi; witness_lo follows from those and the increment."""
+    """A mask stores level_count with its grid and schedule; the witnesses follow from I(p) and the schedule."""
 
-    def test_stores_two_arrays_and_the_increment(self):
-        assert [f.name for f in dataclasses.fields(DetectionMask)] == ["level_count", "witness_hi", "increment"]
+    def test_stores_the_level_count_the_grid_and_the_schedule(self):
+        assert [f.name for f in dataclasses.fields(DetectionMask)] == ["level_count", "grid", "schedule"]
+        grid, sch = IntensityGrid.from_rows([[0, 9]], 9), ThresholdSchedule(2, offset=1)
+        mask = detect_pointwise(grid, sch, N4)
+        assert mask.grid is grid and mask.schedule is sch and mask.increment == 2
+        assert mask.witnesses_at((1, 0)) == (7, 9) and mask.witness_hi.tolist() == [[0, 9]]
+        for witness in (mask.witness_hi, mask.witness_lo):
+            assert not witness.flags.writeable and witness.dtype == storage_dtype(9)
 
     @pytest.mark.parametrize("rows, flagged", [([[0, 0, 0], [0, 9, 0], [0, 0, 0]], True), ([[4] * 3] * 3, False)])
     def test_increment_compares_only_where_a_pixel_is_flagged(self, rows, flagged):
-        mask = detect_pointwise(IntensityGrid.from_rows(rows, 9), ThresholdSchedule(1), N4)
-        wider = DetectionMask(mask.level_count, mask.witness_hi, 2)
+        grid = IntensityGrid.from_rows(rows, 9)
+        mask = detect_pointwise(grid, ThresholdSchedule(1), N4)
+        wider = DetectionMask(mask.level_count, grid, ThresholdSchedule(2, offset=1))
         assert mask.flagged.any() == flagged
         assert (mask == wider) != flagged and (mask != wider) == flagged
         assert mask.witnesses_at((1, 1)) == ((8, 9) if flagged else None)
         assert wider.witnesses_at((1, 1)) == ((7, 9) if flagged else None)
+
+    @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
+    @pytest.mark.parametrize("route", [detect_pointwise, detect_multilevel])
+    def test_transient_memory_is_the_level_count_plus_a_few_strips(self, route, topology):
+        # neither route builds a witness array: beyond level_count, one byte
+        # a pixel here, only strip-sized scratch is ever alive
+        rng = np.random.default_rng(4)
+        g = IntensityGrid(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8), 255)
+        tracemalloc.start()
+        try:
+            mask = route(g, ThresholdSchedule(8), topology)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.level_count.nbytes == g.values.size
+        assert peak < mask.level_count.nbytes + 6 * detector._STRIP_BUDGET
 
     def test_comparing_with_another_type_is_left_to_it(self):
         mask = detect_pointwise(IntensityGrid.from_rows([[0, 9]], 9), ThresholdSchedule(1), N4)

@@ -1,4 +1,5 @@
 import operator
+import re
 import tracemalloc
 from functools import reduce
 
@@ -72,6 +73,28 @@ class TestIntensityGrid:
             IntensityGrid(np.empty((0, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             IntensityGrid(np.zeros(5, dtype=np.int64))
+
+    @pytest.mark.parametrize("rows, max_value, dtype", [
+        ([[1.5, 2]], 255, "float64"), ([["3", 2]], 255, "<U21"), ([[2**70]], 10**30, "object"),
+    ], ids=["float", "string", "beyond-uint64"])
+    def test_from_rows_refuses_what_a_grid_refuses(self, rows, max_value, dtype):
+        # rows are not forced to int64 first, which truncated, parsed or overflowed them
+        with pytest.raises(ValueError, match=f"^intensities must be integers, got dtype {re.escape(dtype)}$"):
+            IntensityGrid.from_rows(rows, max_value)
+        with pytest.raises(ValueError, match="^intensities must be integers"):
+            IntensityGrid(np.asarray(rows), max_value)
+
+    @pytest.mark.parametrize("rows", [[], [[]]])
+    def test_from_rows_refuses_no_pixels(self, rows):
+        with pytest.raises(ValueError, match="^grid must contain at least one pixel$"):
+            IntensityGrid.from_rows(rows)
+
+    def test_refuses_values_its_storage_dtype_cannot_hold(self):
+        # above int64 a max_value is stored as int64, which 2**63 would wrap in
+        values = np.array([[2**63, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"^intensities must lie in \\[0, {2**63 - 1}\\] to be stored as int64"):
+            IntensityGrid(values, 10**30)
+        assert IntensityGrid(values, 2**64 - 1).values.dtype == np.uint64
 
     def test_immutable(self):
         g = grid3x3()
