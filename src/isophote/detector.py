@@ -152,38 +152,35 @@ class DetectionMask:
     def flagged(self) -> np.ndarray:
         return self.level_count >= 2
 
-    @property
-    def witness_hi(self) -> np.ndarray:
-        """The largest member threshold at flagged pixels, 0 elsewhere, read-only.
+    def _witness(self, places: int) -> np.ndarray:
+        """The member places levels below the largest at flagged pixels, 0 elsewhere, read-only.
 
-        It is offset + (min(I, cap) - offset) // increment * increment,
-        worked in the routes' signed dtype and returned in the grid's
-        storage dtype, which holds it: a member lies in [1, max_value].
-        Multiplying by the flag zeroes unflagged pixels branch-free, unlike
-        a masked copy, whose cost grows with how unpredictably flags alternate.
+        The largest is level L(I) - 1 (see _levels_at_or_below), so this is
+        offset + (L(I) - 1 - places) * increment, worked in the routes' signed
+        dtype and returned in the grid's storage dtype, which holds it: a
+        member lies in [1, max_value]. Multiplying by the flag zeroes
+        unflagged pixels branch-free, unlike a masked copy, whose cost grows
+        with how unpredictably flags alternate.
         """
         grid, schedule = self.grid, self.schedule
-        top = np.empty(grid.values.shape, dtype=signed_dtype(_check_range(grid, schedule)))
-        _levels_at_or_below(grid.values, schedule, grid.max_value, out=top)
-        top *= schedule.increment
-        top += schedule.offset - schedule.increment
-        top *= self.flagged
-        hi = top.astype(storage_dtype(grid.max_value))
-        hi.setflags(write=False)
-        return hi
+        level = np.empty(grid.values.shape, dtype=signed_dtype(_check_range(grid, schedule)))
+        _levels_at_or_below(grid.values, schedule, grid.max_value, out=level)
+        level *= schedule.increment
+        level += schedule.offset - (1 + places) * schedule.increment
+        level *= self.flagged
+        witness = level.astype(storage_dtype(grid.max_value))
+        witness.setflags(write=False)
+        return witness
+
+    @property
+    def witness_hi(self) -> np.ndarray:
+        """The largest member threshold at flagged pixels, 0 elsewhere, read-only."""
+        return self._witness(0)
 
     @property
     def witness_lo(self) -> np.ndarray:
-        """(witness_hi - increment) * flagged in witness_hi's dtype, read-only.
-
-        An increment too wide for the dtype (256 on uint8) wraps, but then
-        no pixel is flagged.
-        """
-        hi = self.witness_hi
-        lo = np.subtract(hi, np.asarray(self.increment).astype(hi.dtype))
-        lo *= self.flagged
-        lo.setflags(write=False)
-        return lo
+        """The member one level below witness_hi at flagged pixels, 0 elsewhere, read-only."""
+        return self._witness(1)
 
     def count_at(self, p) -> int:
         return int(self.level_count[array_index(p, self.level_count.ndim)])
@@ -242,17 +239,17 @@ def _check_range(grid: Grid, schedule: ThresholdSchedule) -> int:
 
 
 def _levels_at_or_below(values: np.ndarray, schedule: ThresholdSchedule, max_value: int, out: np.ndarray) -> np.ndarray:
-    """(min(v, cap) - offset) // increment + 1 at each value v, into out.
+    """L(v) = (min(v, cap) - offset) // increment + 1 at each value v, into out.
 
     That is the number of schedule levels at or below v where it is
-    positive. Adding the increment before dividing adds the 1. out is a
-    signed dtype that holds every intermediate (see _check_range).
+    positive. Adding the increment before dividing adds the 1, and the cap
+    then clamps at cap - offset + increment. out is a signed dtype that
+    holds every intermediate (see _check_range).
     """
-    inc, cap = schedule.increment, schedule.cap(max_value)
-    np.copyto(out, values, casting="unsafe")  # the bound holds every value
+    inc, offset, cap = schedule.increment, schedule.offset, schedule.cap(max_value)
+    np.subtract(values, offset - inc, out=out, dtype=out.dtype, casting="unsafe")
     if cap <= max_value:
-        np.minimum(out, cap, out=out)
-    out -= schedule.offset - inc
+        np.minimum(out, cap - offset + inc, out=out)
     out //= inc
     return out
 
@@ -371,7 +368,6 @@ def detect_pointwise(
     dtype = signed_dtype(_check_range(grid, schedule))
     values = grid.values
     count = np.empty(values.shape, dtype=np.min_scalar_type(schedule.size(grid.max_value)))  # see DetectionMask
-    inc, offset = schedule.increment, schedule.offset
     rows, strips = _row_strips(values.shape, dtype.itemsize)
     size = values[..., :rows, :].size  # the most pixels a strip holds
     # scratch reused by every strip; numpy's SIMD min/max loops take two
@@ -383,13 +379,8 @@ def detect_pointwise(
         # a pixel without neighbors gets m = max_value >= I(p), an empty
         # interval, and the fill fits the grid's dtype, so m keeps it
         m = neighbor_min(values[..., halo, :], topology, grid.max_value)[..., inner, :]
-        # The members in (m, I(p)] are offset + k * inc for k_lo <= k < k_end:
-        # k_lo = max((m - offset) // inc + 1, 0) is the first above m and
-        # k_end is one past the last at or below I(p). Adding inc before
-        # dividing adds the 1.
-        np.subtract(m, offset - inc, out=k_lo, dtype=dtype)
-        k_lo //= inc
-        np.maximum(k_lo, zero, out=k_lo)
+        # the members in (m, I(p)] number L(I(p)) - max(L(m), 0), at least 0
+        np.maximum(_levels_at_or_below(m, schedule, grid.max_value, out=k_lo), zero, out=k_lo)
         _levels_at_or_below(pixels, schedule, grid.max_value, out=k_end)
         members = np.subtract(k_end, k_lo, out=k_lo)  # k_lo is not needed again
         count[..., strip, :] = np.maximum(members, zero, out=members)

@@ -283,7 +283,7 @@ def _trailing_offsets(topology: Topology, ndim: int):
 
     Spatial offsets act on the last two axes (row, column); N4T adds
     offsets on the third-from-last (frame) axis. Leading axes are left
-    alone, which lets callers batch over threshold levels.
+    alone, so each index along them is folded on its own.
     """
     if topology.temporal:
         if ndim < 3:
@@ -324,7 +324,7 @@ def _fold_neighbors(values: np.ndarray, topology: Topology, fill, op, dtype) -> 
     pairs, into = v.reshape(-1, n), out.reshape(-1, n)
     into[:, 0] = pairs[:, 1]
     into[:, -1] = pairs[:, -2]
-    rows = op(out, v) if topology is Topology.N8 and axes[:2] == [-1, -2] else v
+    rows = op(out, v) if topology is Topology.N8 else v
     for axis in axes[1:]:
         by = rows if axis == -2 else v
         tail = (slice(None),) * (-1 - axis)

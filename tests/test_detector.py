@@ -580,9 +580,11 @@ class TestDetectMultilevel:
     )
     @settings(max_examples=40)
     def test_sublevel_words_count_the_levels_at_or_below(self, max_value, inc, offset, ceiling, words, stored):
-        # Every intensity against every chunk of the schedule in words of 8-64
-        # bits: the zero bits count the chunk's levels at or below the value,
-        # and the set bits are the low ones.
+        # Every intensity against the whole schedule, where _levels_at_or_below
+        # counts the levels at or below the value wherever that is positive,
+        # and against every chunk of it in words of 8-64 bits: the zero bits
+        # count the chunk's levels at or below the value, and the set bits are
+        # the low ones.
         inc = max(inc % (max_value + 3), (max_value + 1) // 256, 1)
         sch = ThresholdSchedule(inc, offset=offset * inc, ceiling=ceiling)
         values = np.arange(max_value + 1, dtype=stored or storage_dtype(max_value))
@@ -591,6 +593,8 @@ class TestDetectMultilevel:
         word = detector._WORD_DTYPES[words]
         chunk = 8 * word.itemsize
         levels = sch.levels(max_value)
+        counts = np.maximum(detector._levels_at_or_below(values, sch, max_value, out=k), 0)
+        assert np.array_equal(counts, np.searchsorted(levels, values.astype(np.int64), side="right"))
         for start in range(0, levels.size, chunk):
             ls = levels[start : start + chunk]
             chunk_levels = range(int(ls[0]), int(ls[-1]) + inc, inc)

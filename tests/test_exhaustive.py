@@ -6,13 +6,15 @@ domain. N4T cases (stacks of two frames) lie side by side in one stack,
 each followed by a column of max_value: such a neighbor never lowers a
 pixel's minimum, so the separators change no case's counts. Every case is
 checked against its own brute force, which enumerates the schedule's levels
-in each pixel's membership interval (min neighbor, I(p)].
+up to its cap in each pixel's membership interval (min neighbor, I(p)].
 
-The 3x3 domain with values 0-3 takes tens of seconds and runs in its own
-CI step: ``pytest tests/exhaustive_3x3.py``.
+The 3x3 domains with values 0-3, and with values 0-2 at every ceiling, take
+tens of seconds and run in their own CI step: ``pytest tests/exhaustive_3x3.py``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -56,12 +58,12 @@ def brute_min_neighbor(cases: np.ndarray, max_value: int, topology: Topology) ->
     return low
 
 
-def brute_members(cases: np.ndarray, low: np.ndarray, increment: int, offset: int, max_value: int):
-    """The number of schedule levels in each pixel's (low, I(p)], and the two largest
-    of them where there are two or more (0 elsewhere), enumerated level by level."""
+def brute_members(cases: np.ndarray, low: np.ndarray, increment: int, offset: int, cap: int):
+    """The number of schedule levels up to cap in each pixel's (low, I(p)], and the two
+    largest of them where there are two or more (0 elsewhere), enumerated level by level."""
     values = cases.astype(np.int16)
     count, lo, hi = (np.zeros(cases.shape, dtype=np.int16) for _ in range(3))
-    for c in range(offset, max_value + 2, increment):
+    for c in range(offset, cap + 1, increment):
         member = (low < c) & (c <= values)
         count += member
         lo[member] = hi[member]
@@ -70,19 +72,20 @@ def brute_members(cases: np.ndarray, low: np.ndarray, increment: int, offset: in
     return count, lo * flagged, hi * flagged
 
 
-def assert_domain(cases: np.ndarray, max_value: int, topologies) -> None:
+def assert_domain(cases: np.ndarray, max_value: int, topologies, ceilings=(None,)) -> None:
     """Both routes' level counts and witness pairs equal the brute force on every case
-    at every increment d in 1-5 and offset in [-d, 5], without a ceiling, and
-    clamp(drop - d, 0, d) of the offsets in [1, d] flag each pixel."""
+    at every increment d in 1-5, offset in [-d, 5] and ceiling in ceilings, and without
+    a ceiling clamp(drop - d, 0, d) of the offsets in [1, d] flag each pixel."""
     for topology in topologies:
         stack, back = lay_out(cases, max_value, topology)
         low = brute_min_neighbor(cases, max_value, topology)
         drop = cases.astype(np.int16) - low
-        for d in range(1, 6):
+        for ceiling, d in itertools.product(ceilings, range(1, 6)):
+            cap = max_value + 1 if ceiling is None else min(max_value + 1, ceiling)
             flags = np.zeros(cases.shape, dtype=np.int16)
             for offset in range(-d, 6):
-                count, lo, hi = brute_members(cases, low, d, offset, max_value)
-                schedule = ThresholdSchedule(d, offset=offset)
+                count, lo, hi = brute_members(cases, low, d, offset, cap)
+                schedule = ThresholdSchedule(d, offset=offset, ceiling=ceiling)
                 for route in (detect_multilevel, detect_pointwise):
                     mask = route(stack, schedule, topology)
                     assert np.array_equal(back(mask.level_count), count), (route.__name__, topology, schedule)
@@ -90,7 +93,8 @@ def assert_domain(cases: np.ndarray, max_value: int, topologies) -> None:
                     assert np.array_equal(back(mask.witness_lo), lo), (route.__name__, topology, schedule)
                 if 1 <= offset <= d:
                     flags += back(mask.flagged)
-            assert np.array_equal(flags, np.clip(drop - d, 0, d)), (topology, d)
+            if ceiling is None:
+                assert np.array_equal(flags, np.clip(drop - d, 0, d)), (topology, d)
 
 
 @pytest.mark.parametrize("frames, height, width, values, topologies", [
@@ -101,6 +105,10 @@ def assert_domain(cases: np.ndarray, max_value: int, topologies) -> None:
 ], ids=["3x3-values-0-2", "2x4-values-0-3", "1x6-values-0-4", "N4T-2x2x2-values-0-3"])
 def test_every_small_input_matches_brute_force(frames, height, width, values, topologies):
     assert_domain(every_case(frames, height, width, values), values - 1, topologies)
+
+
+def test_every_1x6_input_matches_brute_force_under_ceilings():
+    assert_domain(every_case(1, 1, 6, 5), 4, (N4, N8), ceilings=(0, 1, 3, 4))
 
 
 # The largest max(max_value + 2, |cap|, |offset| + increment) that _check_range

@@ -377,6 +377,11 @@ class TestVectorizedHelpers:
         row = np.array([[200, 3, 255]], dtype=np.uint8)
         assert neighbor_min(row, Topology.N8, 257).tolist() == [[3, 200, 3]]
 
+    def test_neighbor_min_widens_for_a_fill_one_past_the_dtype(self):
+        lone = np.zeros((1, 1), dtype=np.uint8)
+        assert neighbor_min(lone, Topology.N4, 256).tolist() == [[256]]  # uint8 would wrap or raise
+        assert neighbor_min(lone, Topology.N4, 255).dtype == np.uint8
+
     @given(st.integers(2, 3), st.integers(1, 4), st.integers(1, 4), st.sampled_from(list(Topology)), st.data())
     def test_neighbor_ops_on_batched_stacks_match_definition(self, frames, h, w, topology, data):
         # two batches of a stack: no neighbor may leak across a frame, row or batch edge
