@@ -20,9 +20,9 @@ from .field import (
     trace_level_contours,
     zero_mask,
 )
-from .netpbm import NetpbmError, pgm_maxval, read_grid, write_pbm, write_pgm
+from .netpbm import pgm_maxval, read_grid, write_pbm, write_pgm
 from .raster import IntensityGrid, Topology, frame_stack, storage_dtype
-from .scene import SceneError, load_scene, render, render_sequence
+from .scene import load_scene, render, render_sequence
 
 _DETECTORS = {"multilevel": detect_multilevel, "pointwise": detect_pointwise}
 
@@ -104,7 +104,7 @@ def _check_pattern(pattern: str, flag: str) -> None:
     try:
         if pattern.format(i=0) == pattern.format(i=1):
             raise ValueError(f"{flag} must contain an {{i}} placeholder, got {pattern!r}")
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, AttributeError, TypeError) as exc:
         raise ValueError(f"{flag} has an invalid placeholder: {exc}") from exc
 
 
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetpbmError, SceneError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"isophote: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violation, not an input problem

@@ -80,11 +80,10 @@ class ThresholdSchedule:
     ceiling: Optional[int] = None
 
     def __post_init__(self):
-        offset = self.increment if self.offset is None else self.offset
-        for name, value in (("increment", self.increment), ("offset", offset), ("ceiling", self.ceiling)):
-            if value is None and name == "ceiling":
-                continue
-            object.__setattr__(self, name, _integer(value, name))
+        object.__setattr__(self, "increment", _integer(self.increment, "increment"))
+        object.__setattr__(self, "offset", _integer(self.increment if self.offset is None else self.offset, "offset"))
+        if self.ceiling is not None:
+            object.__setattr__(self, "ceiling", _integer(self.ceiling, "ceiling"))
         if self.increment < 1:
             raise ValueError(f"increment must be a positive integer, got {self.increment!r}")
 
@@ -145,10 +144,6 @@ class DetectionMask:
         self.level_count.setflags(write=False)
 
     @property
-    def increment(self) -> int:
-        return self.schedule.increment
-
-    @property
     def flagged(self) -> np.ndarray:
         return self.level_count >= 2
 
@@ -190,7 +185,7 @@ class DetectionMask:
         idx = array_index(p, self.level_count.ndim)
         if self.level_count[idx] < 2:
             return None
-        schedule, inc = self.schedule, self.increment
+        schedule, inc = self.schedule, self.schedule.increment
         top = min(int(self.grid.values[idx]), schedule.cap(self.grid.max_value))
         hi = schedule.offset + (top - schedule.offset) // inc * inc
         return hi - inc, hi
@@ -199,11 +194,9 @@ class DetectionMask:
         if not isinstance(other, DetectionMask):
             return NotImplemented
         return (
-            self.level_count.shape == other.level_count.shape
-            and np.array_equal(self.level_count, other.level_count)
+            np.array_equal(self.level_count, other.level_count)
             and np.array_equal(self.witness_hi, other.witness_hi)
-            # witness_lo is witness_hi - increment at flagged pixels and 0 elsewhere
-            and (self.increment == other.increment or not self.flagged.any())
+            and np.array_equal(self.witness_lo, other.witness_lo)
         )
 
     __hash__ = None  # type: ignore[assignment]

@@ -89,18 +89,6 @@ class VectorFieldGrid:
         hy.setflags(write=False)
         return hy
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.values.shape
-
-    @property
-    def width(self) -> int:
-        return self.grid.width
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
 
 def _axis_slicer(ndim: int, axis: int):
     return lambda a, b: tuple(slice(a, b) if ax == axis else slice(None) for ax in range(ndim))

@@ -408,8 +408,11 @@ def render_sequence(
 
     Every frame's scene is built, and so checked, before any is rendered.
     """
-    if _integer(frames, "frames", SceneError) < 2:
+    frames = _integer(frames, "frames", SceneError)
+    if frames < 2:
         raise SceneError("a sequence needs at least two frames")
+    if frames * spec.width * spec.height > MAX_PIXELS:
+        raise SceneError(f"{frames} frames of {spec.width}x{spec.height} exceed the limit of {MAX_PIXELS} pixels")
     shift = _bounded_vector(motion, 3, "motion")
     moved = [dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
              for i in range(frames)]
@@ -493,6 +496,6 @@ def load_scene(path) -> SceneSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise SceneError(f"{path}: invalid JSON: {exc}") from exc
     return scene_from_dict(data)

@@ -545,6 +545,17 @@ class TestRender:
         assert code == 2
         assert "image" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("wrap", ["{}", '{{"image": {}}}'], ids=["top", "image"])
+    def test_deeply_nested_scene_exits_2(self, tmp_path, capsys, wrap):
+        # json.load recurses once per open bracket
+        deep = tmp_path / "deep.json"
+        deep.write_text(wrap.format("[" * 200000 + "]" * 200000))
+        code = main(["render", "--scene", str(deep), "--out", str(tmp_path / "x.pgm")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"isophote: error: {deep}: invalid JSON")
+        assert not (tmp_path / "x.pgm").exists()
+
     @pytest.mark.parametrize("key, edit", [
         ("image", lambda cfg: cfg.update(image=5)),
         ("objects", lambda cfg: cfg.update(objects=5)),
@@ -659,14 +670,19 @@ class TestRenderSeq:
             assert np.array_equal(read_pbm(tmp_path / f"t{i}.pbm"), truths[i].discontinuity_mask)
         assert not np.array_equal(truths[0].discontinuity_mask, truths[2].discontinuity_mask)
 
+    @pytest.mark.parametrize("placeholder, reason", [
+        ("{j}", "'j'"),
+        ("{i.x}", "'int' object has no attribute 'x'"),
+        ("{i[0]}", "'int' object is not subscriptable"),
+    ], ids=["unknown", "attribute", "index"])
     @pytest.mark.parametrize("flag", ["--out-pattern", "--truth-pattern"])
-    def test_pattern_with_an_unknown_placeholder_exits_2(self, tmp_path, capsys, flag):
+    def test_pattern_with_an_unknown_placeholder_exits_2(self, tmp_path, capsys, flag, placeholder, reason):
         scene = scene_file(tmp_path)
-        patterns = {"--out-pattern": str(tmp_path / "f{i}.pgm"), flag: str(tmp_path / "f{j}.pgm")}
+        patterns = {"--out-pattern": str(tmp_path / "f{i}.pgm"), flag: str(tmp_path / f"f{placeholder}.pgm")}
         code = main(["render-seq", "--scene", str(scene), "--frames", "2", "--motion", "0,0,0",
                      *(arg for item in patterns.items() for arg in item)])
         assert code == 2
-        assert f"{flag} has an invalid placeholder: 'j'" in capsys.readouterr().err
+        assert f"{flag} has an invalid placeholder: {reason}" in capsys.readouterr().err
         assert not list(tmp_path.glob("f*.pgm"))
 
     def test_bad_motion_exits_2(self, tmp_path):

@@ -244,7 +244,7 @@ def assert_witnesses_adjacent(rows, grid, schedule, topology, words=4):
         oracle = detect_multilevel(grid, schedule, topology)
     closed_form = detect_pointwise(grid, schedule, topology)
     for mask in (oracle, closed_form):
-        assert mask.increment == schedule.increment
+        assert mask.schedule.increment == schedule.increment
         lo = np.where(mask.flagged, mask.witness_hi.astype(np.int64) - schedule.increment, 0)
         assert np.array_equal(mask.witness_lo, lo)
         assert not mask.witness_lo.flags.writeable
@@ -787,7 +787,7 @@ class TestDerivedWitness:
         assert [f.name for f in dataclasses.fields(DetectionMask)] == ["level_count", "grid", "schedule"]
         grid, sch = IntensityGrid.from_rows([[0, 9]], 9), ThresholdSchedule(2, offset=1)
         mask = detect_pointwise(grid, sch, N4)
-        assert mask.grid is grid and mask.schedule is sch and mask.increment == 2
+        assert mask.grid is grid and mask.schedule is sch and mask.schedule.increment == 2
         assert mask.witnesses_at((1, 0)) == (7, 9) and mask.witness_hi.tolist() == [[0, 9]]
         for witness in (mask.witness_hi, mask.witness_lo):
             assert not witness.flags.writeable and witness.dtype == storage_dtype(9)
@@ -801,6 +801,42 @@ class TestDerivedWitness:
         assert (mask == wider) != flagged and (mask != wider) == flagged
         assert mask.witnesses_at((1, 1)) == ((8, 9) if flagged else None)
         assert wider.witnesses_at((1, 1)) == ((7, 9) if flagged else None)
+
+    @given(st.data(), grid_rows(max_side=4, max_value=8), schedules, topologies)
+    @settings(max_examples=300)
+    def test_equality_is_same_counts_and_same_witnesses(self, data, grid_and_max, sch, topology):
+        # the rule it replaced: same shape, counts and witness_hi, and the same increment unless nothing is flagged
+        rows, mv = grid_and_max
+        if data.draw(st.booleans()):
+            other_sch = data.draw(st.one_of(
+                st.just(sch),
+                st.builds(ThresholdSchedule, st.integers(1, 6), offset=st.just(sch.offset), ceiling=st.just(sch.ceiling)),
+                st.builds(ThresholdSchedule, st.just(sch.increment), offset=st.integers(-5, 8), ceiling=st.just(sch.ceiling)),
+                schedules,
+            ))
+        else:
+            # schedules of exactly {c - increment, c} >= 1 on a grid of 0 and max_value: a pixel
+            # either schedule flags, both flag, with witness_hi c, and only witness_lo can differ
+            c = data.draw(st.integers(mv - 1, mv))
+            sch, other_sch = (ThresholdSchedule(inc, offset=c - inc, ceiling=c)
+                              for inc in data.draw(st.tuples(st.integers(1, mv - 2), st.integers(1, mv - 2))))
+            rows = [[mv if v >= c else 0 for v in row] for row in rows]
+        grid = IntensityGrid.from_rows(rows, mv)
+        other_rows = data.draw(st.sampled_from(["same", "redrawn", "transposed", "stacked"]))
+        if other_rows == "redrawn":
+            rows = data.draw(st.lists(st.lists(st.integers(0, mv), min_size=len(rows[0]), max_size=len(rows[0])),
+                                      min_size=len(rows), max_size=len(rows)))
+        elif other_rows == "transposed":
+            rows = [list(col) for col in zip(*rows)]
+        other_grid = frame_stack([grid, grid]) if other_rows == "stacked" else IntensityGrid.from_rows(rows, mv)
+        a, b = detect_pointwise(grid, sch, topology), detect_pointwise(other_grid, other_sch, topology)
+        rule = (
+            a.level_count.shape == b.level_count.shape
+            and np.array_equal(a.level_count, b.level_count)
+            and np.array_equal(a.witness_hi, b.witness_hi)
+            and (sch.increment == other_sch.increment or not a.flagged.any())
+        )
+        assert (a == b) is rule and (b == a) is rule and (a != b) is not rule
 
     @pytest.mark.parametrize("topology", [N4, N8], ids=["N4", "N8"])
     @pytest.mark.parametrize("route", [detect_pointwise, detect_multilevel])

@@ -169,7 +169,6 @@ class TestWholeImageField:
     def test_components_are_read_only_and_built_once(self, grid):
         f = hamiltonian(grid)
         gx, gy = discrete_gradient(grid)
-        assert (f.width, f.height, f.shape) == (grid.width, grid.height, grid.values.shape)
         assert np.array_equal(f.hx, -gy) and np.array_equal(f.hy, gx)
         assert f.hx is f.hx and f.hy is f.hy
         assert not f.hx.flags.writeable and not f.hy.flags.writeable

@@ -798,6 +798,21 @@ class TestRenderSequence:
         with pytest.raises(SceneError):
             render_sequence(self.flat_disk_scene(), (0.0, 0.0, 0.0), 1)
 
+    def test_frame_pixels_are_bounded_before_any_frame_is_built(self):
+        # 2^14 + 1 frames of 64 x 64 are 2^26 + 2^12 pixels, one frame over MAX_PIXELS;
+        # 2^62 frames would wrap to 0 pixels if counted in int64
+        spec = SceneSpec(64, 64, objects=(Sphere((0.0, 0.0, 5.0), 1.0),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SceneError, match=f"16385 frames of 64x64 exceed the limit of {MAX_PIXELS} pixels"):
+                render_sequence(spec, (0.0, 0.0, 0.0), 2**14 + 1)
+            with pytest.raises(SceneError, match=f"{2**62} frames of 64x64 exceed the limit"):
+                render_sequence(spec, (0.0, 0.0, 0.0), np.int64(2**62))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_motion_shape_checked(self):
         with pytest.raises(SceneError):
             render_sequence(self.flat_disk_scene(), (1.0, 2.0), 2)
