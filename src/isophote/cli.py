@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
+import reprlib
+import string
 import sys
 
 from .detector import ThresholdSchedule, detect_multilevel, detect_pointwise
@@ -21,7 +24,7 @@ from .field import (
     zero_mask,
 )
 from .netpbm import pgm_maxval, read_grid, write_pbm, write_pgm
-from .raster import IntensityGrid, Topology, frame_stack, storage_dtype
+from .raster import IntensityGrid, Topology, frame_stack
 from .scene import load_scene, render, render_sequence
 
 _DETECTORS = {"multilevel": detect_multilevel, "pointwise": detect_pointwise}
@@ -101,6 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_pattern(pattern: str, flag: str) -> None:
+    """ValueError unless every field is {i}, at most 99 wide (read before formatting), and {i} changes the name."""
+    for _, field, spec, _ in string.Formatter().parse(pattern):
+        if field is not None and ("{" in spec or any(int(n) > 99 for n in re.findall(r"\d+", spec))):
+            raise ValueError(f"{flag} takes field widths of at most 99, got {reprlib.repr(spec)}")
     try:
         if pattern.format(i=0) == pattern.format(i=1):
             raise ValueError(f"{flag} must contain an {{i}} placeholder, got {pattern!r}")
@@ -124,8 +131,7 @@ def cmd_detect(args) -> int:
         flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
     write_pbm(args.output, flagged, binary=not args.ascii)
     if args.levels_out:
-        narrow = mask.level_count.astype(storage_dtype(ceiling), copy=False)
-        write_pgm(args.levels_out, IntensityGrid(narrow, ceiling), binary=not args.ascii)
+        write_pgm(args.levels_out, IntensityGrid(mask.level_count, ceiling), binary=not args.ascii)
     return 0
 
 
@@ -158,10 +164,7 @@ def cmd_render_seq(args) -> int:
     _check_pattern(args.out_pattern, "--out-pattern")
     if args.truth_pattern:
         _check_pattern(args.truth_pattern, "--truth-pattern")
-    parts = args.motion.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--motion needs dx,dy,dz, got {args.motion!r}")
-    motion = tuple(float(v) for v in parts)
+    motion = [float(v) for v in args.motion.split(",")]
     spec = load_scene(args.scene)
     pgm_maxval(spec.max_value)
     grids, truths = render_sequence(spec, motion, args.frames)
@@ -176,8 +179,6 @@ def cmd_render_seq(args) -> int:
 
 def cmd_detect_temporal(args) -> int:
     _check_pattern(args.out_pattern, "--out-pattern")
-    if len(args.frames) < 2:
-        raise ValueError("detect-temporal needs at least two frames")
     grids = [_load_preprocessed(p, args.channel, args.preprocess) for p in args.frames]
     stack = frame_stack(grids)
     schedule = ThresholdSchedule(args.increment, args.offset)

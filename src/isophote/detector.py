@@ -31,8 +31,8 @@ import numpy as np
 from .raster import (
     Grid,
     Topology,
-    _integer,
     array_index,
+    as_integer,
     neighbor_any,
     neighbor_min,
     neighbors,
@@ -80,10 +80,10 @@ class ThresholdSchedule:
     ceiling: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "increment", _integer(self.increment, "increment"))
-        object.__setattr__(self, "offset", _integer(self.increment if self.offset is None else self.offset, "offset"))
+        object.__setattr__(self, "increment", as_integer(self.increment, "increment"))
+        object.__setattr__(self, "offset", as_integer(self.increment if self.offset is None else self.offset, "offset"))
         if self.ceiling is not None:
-            object.__setattr__(self, "ceiling", _integer(self.ceiling, "ceiling"))
+            object.__setattr__(self, "ceiling", as_integer(self.ceiling, "ceiling"))
         if self.increment < 1:
             raise ValueError(f"increment must be a positive integer, got {self.increment!r}")
 
@@ -204,7 +204,7 @@ class DetectionMask:
 
 def sublevel(grid: Grid, c: int) -> np.ndarray:
     """Boolean mask of {p : I(p) < c}. Monotone in c; c must be an integer."""
-    return grid.values < _integer(c, "threshold")
+    return grid.values < as_integer(c, "threshold")
 
 
 def level_curve_set(grid: Grid, c: int, topology: Topology) -> LevelCurveSet:
@@ -387,7 +387,7 @@ def check_necessary_condition(grid: Grid, p, c: int, c_prime: int, topology: Top
     c'; the converse fails, so a single large step never suffices as
     evidence on its own.
     """
-    c, c_prime = _integer(c, "threshold"), _integer(c_prime, "threshold")
+    c, c_prime = as_integer(c, "threshold"), as_integer(c_prime, "threshold")
     if c == c_prime:
         raise ValueError("thresholds must differ")
     v = grid.value_at(p)

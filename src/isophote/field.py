@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .detector import level_curve_set
-from .raster import IntensityGrid, PixelCoord, Topology, _integer, signed_dtype
+from .raster import IntensityGrid, PixelCoord, Topology, as_integer, signed_dtype
 
 __all__ = [
     "VectorFieldGrid",
@@ -140,7 +140,7 @@ def zero_mask(field: VectorFieldGrid, tolerance: int = 0) -> np.ndarray:
     At tolerance 0 that is two equality passes over the grid, of each
     pixel's two sides along each axis; no component is built.
     """
-    if _integer(tolerance, "tolerance") < 0:
+    if as_integer(tolerance, "tolerance") < 0:
         raise ValueError("tolerance must be nonnegative")
     if tolerance == 0:
         values = field.grid.values

@@ -127,7 +127,7 @@ def signed_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _integer(value, name, error=ValueError) -> int:
+def as_integer(value, name, error=ValueError) -> int:
     """value as an int; error unless it is an int or a numpy integer.
 
     int() would silently change a float, a string or a bool, so all of
@@ -154,7 +154,7 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
         raise ValueError(f"intensities must be integers, got dtype {arr.dtype}")
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if _integer(max_value, "max_value") < 0:
+    if as_integer(max_value, "max_value") < 0:
         raise ValueError(f"max_value must be a nonnegative integer, got {max_value!r}")
     lo, hi = int(arr.min()), int(arr.max())
     if lo < 0 or hi > max_value:

@@ -12,7 +12,6 @@ happens once, when the rendered image is produced.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import reprlib
@@ -21,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .raster import IntensityGrid, _integer
+from .raster import IntensityGrid, as_integer
 
 __all__ = [
     "FocalPlaneError",
@@ -192,7 +191,7 @@ class SceneSpec:
 
     def __post_init__(self):
         for name in ("width", "height", "max_value"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, SceneError))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, SceneError))
         if self.width < 1 or self.height < 1:
             raise SceneError("image must be at least 1x1")
         if self.width * self.height > MAX_PIXELS:
@@ -313,11 +312,11 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
     the tangency condition and nearest-object identity changes, not from
     the image, so they can grade any detector.
     """
-    return _render(spec, spec.pixel_rays())
+    return _render(spec, spec.pixel_rays(), spec.objects)
 
 
-def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTruth]:
-    """render with the rays given, one row strip of about _STRIP_PIXELS pixels at a time.
+def _render(spec: SceneSpec, dirs: np.ndarray, objects: tuple) -> tuple[IntensityGrid, GroundTruth]:
+    """render of `objects` with the rays given, one row strip of about _STRIP_PIXELS pixels at a time.
 
     Only the outputs and the rays are image-sized; each strip's temporaries
     are freed before the next strip. Every value is computed per pixel, as
@@ -327,10 +326,10 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
     depth, ids = np.full(shape, np.inf), np.full(shape, -1, dtype=np.intp)
     image, occluding = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
     whole = (slice(0, spec.height), slice(0, spec.width))
-    boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in spec.objects]
+    boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in objects]
     step = max(_STRIP_PIXELS // spec.width, 1)
     for top in range(0, spec.height, step):
-        _render_strip(spec, dirs, boxes, top, min(top + step, spec.height), depth, ids, image, occluding)
+        _render_strip(spec, dirs, objects, boxes, top, min(top + step, spec.height), depth, ids, image, occluding)
     truth = GroundTruth(
         occluding_mask=occluding,
         discontinuity_mask=_identity_changes(ids),
@@ -340,14 +339,14 @@ def _render(spec: SceneSpec, dirs: np.ndarray) -> tuple[IntensityGrid, GroundTru
     return IntensityGrid(image, spec.max_value), truth
 
 
-def _render_strip(spec: SceneSpec, dirs: np.ndarray, boxes: list, top: int, bottom: int,
+def _render_strip(spec: SceneSpec, dirs: np.ndarray, objects: tuple, boxes: list, top: int, bottom: int,
                   depth: np.ndarray, ids: np.ndarray, image: np.ndarray, occluding: np.ndarray) -> None:
     """Hit-test, shade and test for occlusion rows [top, bottom), writing into the four outputs."""
     second = np.full((bottom - top, spec.width), np.inf)  # counts ties
     # per object meeting the strip: its box there, in image and in strip rows, and per sphere its
     # b and near, per plane where it faces away
     kept = {}
-    for i, (obj, (rows, cols)) in enumerate(zip(spec.objects, boxes)):
+    for i, (obj, (rows, cols)) in enumerate(zip(objects, boxes)):
         rows = slice(max(rows.start, top), min(rows.stop, bottom))
         if rows.start >= rows.stop or cols.start >= cols.stop:
             continue
@@ -378,7 +377,7 @@ def _render_strip(spec: SceneSpec, dirs: np.ndarray, boxes: list, top: int, bott
 
     light = spec.light_direction
     for i, (box, local, fact) in kept.items():
-        obj = spec.objects[i]
+        obj = objects[i]
         mine = ids[box] == i
         if isinstance(obj, Plane):
             nl = _dot(obj.normal, light)
@@ -397,8 +396,10 @@ def _render_strip(spec: SceneSpec, dirs: np.ndarray, boxes: list, top: int, bott
 
 def _displace(obj: SceneObject, shift: np.ndarray) -> SceneObject:
     if isinstance(obj, Sphere):
-        return dataclasses.replace(obj, center=obj.center + shift)
-    return dataclasses.replace(obj, point=obj.point + shift)
+        return Sphere(obj.center + shift, obj.radius, obj.albedo)
+    moved = Plane(obj.point + shift, obj.normal, obj.albedo)
+    object.__setattr__(moved, "normal", obj.normal)  # normalizing a unit normal again may change its last bit
+    return moved
 
 
 def render_sequence(
@@ -406,23 +407,19 @@ def render_sequence(
 ) -> tuple[list[IntensityGrid], list[GroundTruth]]:
     """Render `frames` images, translating every object by `motion` per frame.
 
-    Every frame's scene is built, and so checked, before any is rendered.
+    Every frame's objects are built, and so checked, before any is rendered;
+    each frame keeps spec's light and plane normals, so frame 0 is render(spec).
     """
-    frames = _integer(frames, "frames", SceneError)
+    frames = as_integer(frames, "frames", SceneError)
     if frames < 2:
         raise SceneError("a sequence needs at least two frames")
     if frames * spec.width * spec.height > MAX_PIXELS:
         raise SceneError(f"{frames} frames of {spec.width}x{spec.height} exceed the limit of {MAX_PIXELS} pixels")
     shift = _bounded_vector(motion, 3, "motion")
-    moved = [dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
-             for i in range(frames)]
+    moved = [tuple(_displace(o, i * shift) for o in spec.objects) for i in range(frames)]
     dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
-    grids, truths = [], []
-    for frame in moved:
-        grid, truth = _render(frame, dirs)
-        grids.append(grid)
-        truths.append(truth)
-    return grids, truths
+    renders = [_render(spec, dirs, objects) for objects in moved]
+    return [grid for grid, _ in renders], [truth for _, truth in renders]
 
 
 _REQUIRED = object()

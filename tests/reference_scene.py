@@ -118,14 +118,18 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
 def _displace(obj, shift: np.ndarray):
     if isinstance(obj, Sphere):
         return dataclasses.replace(obj, center=obj.center + shift)
-    return dataclasses.replace(obj, point=obj.point + shift)
+    moved = dataclasses.replace(obj, point=obj.point + shift)
+    object.__setattr__(moved, "normal", obj.normal)  # the plane's checked unit normal, not renormalized
+    return moved
 
 
 def render_sequence(spec: SceneSpec, motion: Sequence[float], frames: int):
+    """Every frame rendered from spec with its objects moved; the light and plane normals stay spec's."""
     shift = np.asarray(motion, dtype=float)
     grids, truths = [], []
     for i in range(frames):
         moved = dataclasses.replace(spec, objects=tuple(_displace(o, i * shift) for o in spec.objects))
+        object.__setattr__(moved, "light_direction", spec.light_direction)
         grid, truth = render(moved)
         grids.append(grid)
         truths.append(truth)

@@ -685,11 +685,20 @@ class TestRenderSeq:
         assert f"{flag} has an invalid placeholder: {reason}" in capsys.readouterr().err
         assert not list(tmp_path.glob("f*.pgm"))
 
-    def test_bad_motion_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("pattern", ["f{i:03d}.pgm", "f{i:>99}.pgm", "f{i:099}.pgm"])
+    def test_pattern_with_a_width_up_to_99_is_kept(self, tmp_path, pattern):
+        code = main(["render-seq", "--scene", str(scene_file(tmp_path)), "--frames", "2", "--motion", "0,0,0",
+                     "--out-pattern", str(tmp_path / pattern)])
+        assert code == 0
+        assert [path.name for path in sorted(tmp_path.glob("f*.pgm"))] == [pattern.format(i=i) for i in range(2)]
+
+    def test_bad_motion_exits_2(self, tmp_path, capsys):
         scene = scene_file(tmp_path)
         code = main(["render-seq", "--scene", str(scene), "--frames", "2",
                      "--motion", "1,2", "--out-pattern", str(tmp_path / "f{i}.pgm")])
         assert code == 2
+        assert "motion must be a list of 3 numbers" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*.pgm"))
 
     @pytest.mark.parametrize("motion", ["nan,0,0", "0,inf,0", "0,0,-inf", "0,0,NaN"])
     def test_non_finite_motion_exits_2_writing_nothing(self, tmp_path, capsys, motion):
@@ -732,9 +741,32 @@ class TestDetectTemporal:
         for t in range(3):
             assert np.array_equal(read_pbm(tmp_path / f"mask{t}.pbm"), mask.flagged[t])
 
-    def test_single_frame_exits_2(self, tmp_path, step_image):
+    def test_single_frame_exits_2(self, tmp_path, step_image, capsys):
         code = main(["detect-temporal", "--out-pattern", str(tmp_path / "m{i}.pbm"), str(step_image)])
         assert code == 2
+        assert "need at least two frames" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m*.pbm"))
+
+
+@pytest.mark.parametrize("pattern", ["f{i:100000000}.pgm", "f{i:>1000}.pgm", "f{i:0100}.pgm",
+                                     "f{i:.100000000f}.pgm", "f{i:{i}}.pgm"])
+@pytest.mark.parametrize("command", ["render-seq", "detect-temporal"])
+def test_pattern_with_a_huge_width_exits_2_before_formatting(tmp_path, step_image, capsys, command, pattern):
+    if command == "render-seq":
+        argv = [command, "--scene", str(scene_file(tmp_path)), "--frames", "2", "--motion", "0,0,0"]
+    else:
+        argv = [command, str(step_image), str(step_image)]
+    before = sorted(tmp_path.iterdir())
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out-pattern", str(tmp_path / pattern)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("isophote: error: --out-pattern takes field widths of at most 99") and len(err) < 200
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", [
@@ -767,15 +799,32 @@ def test_outputs_never_read_a_witness(tmp_path, monkeypatch, command):
     assert run(tmp_path / "unread") == expect
 
 
-def test_module_entrypoint_smoke():
-    # the child imports the same package as this process, however it was found
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m isophote with argv; the child imports the same package as this process, however it was found."""
     src = str(Path(isophote.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "isophote", "--help"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "isophote", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entrypoint_smoke():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "detect" in proc.stdout
+
+
+def test_an_unexpected_exception_is_an_internal_error(tmp_path, step_image, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "read_grid", broken)
+    assert main(["detect", str(step_image), str(tmp_path / "out.pbm")]) == 1
+    assert capsys.readouterr().err == "isophote: internal error: invariant broken\n"
+    assert not (tmp_path / "out.pbm").exists()
+
+
+def test_module_entrypoint_exits_2_on_a_missing_file(tmp_path):
+    proc = run_module("detect", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pbm"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("isophote: error:") and "nope.pgm" in proc.stderr
+    assert not (tmp_path / "out.pbm").exists()

@@ -794,6 +794,46 @@ class TestRenderSequence:
         for g in grids[1:]:
             assert np.array_equal(g.values, grids[0].values)
 
+    @pytest.mark.parametrize("spec", [*NAMED_EXAMPLES.values(), *seeded_scenes(40, seed=34)],
+                             ids=[*NAMED_EXAMPLES, *(f"seeded{k}" for k in range(40))])
+    def test_zero_motion_frames_are_render_byte_for_byte(self, spec):
+        want = render(spec)
+        grids, truths = render_sequence(spec, (0.0, 0.0, 0.0), 3)
+        for got in zip(grids, truths):
+            assert_same_render(got, want)
+            for field in ("occluding_mask", "discontinuity_mask", "depth_map", "object_ids"):
+                assert getattr(got[1], field).tobytes() == getattr(want[1], field).tobytes()
+            assert got[0].values.tobytes() == want[0].values.tobytes()
+
+    def test_frames_reuse_the_validated_spec(self, monkeypatch):
+        built, check = [], SceneSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec)
+            check(spec)
+
+        monkeypatch.setattr(SceneSpec, "__post_init__", counted)
+        render_sequence(HIDDEN_SPHERE, (0.05, -0.02, 0.1), 3)
+        assert built == [] and not hasattr(scene, "dataclasses")
+
+    def test_a_moved_plane_keeps_its_unit_normal(self):
+        rng = np.random.default_rng(34)
+        planes = [Plane(rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)) for _ in range(200)]
+        # normalizing again moves the last bit of some of these normals, so the test can fail
+        assert any(Plane(p.point, p.normal).normal.tobytes() != p.normal.tobytes() for p in planes)
+        for plane in planes:
+            moved = scene._displace(plane, np.array([0.5, -0.25, 1.0]))
+            assert moved.normal.tobytes() == plane.normal.tobytes() and not moved.normal.flags.writeable
+            assert moved.point.tolist() == (plane.point + [0.5, -0.25, 1.0]).tolist()
+
+    def test_a_sphere_reaching_the_camera_is_refused_before_any_frame_is_rendered(self, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(scene, "_render", lambda *args: rendered.append(args))
+        # the disk's sphere (z = 5, radius 1.5) reaches the camera in the fifth frame: z = 5 - 4 * 0.9
+        with pytest.raises(SceneError, match="in front of the camera"):
+            render_sequence(self.flat_disk_scene(), (0.0, 0.0, -0.9), 5)
+        assert rendered == []
+
     def test_needs_two_frames(self):
         with pytest.raises(SceneError):
             render_sequence(self.flat_disk_scene(), (0.0, 0.0, 0.0), 1)
