@@ -104,15 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_pattern(pattern: str, flag: str) -> None:
-    """ValueError unless every field is {i}, at most 99 wide (read before formatting), and {i} changes the name."""
-    for _, field, spec, _ in string.Formatter().parse(pattern):
-        if field is not None and ("{" in spec or any(int(n) > 99 for n in re.findall(r"\d+", spec))):
-            raise ValueError(f"{flag} takes field widths of at most 99, got {reprlib.repr(spec)}")
-    try:
-        if pattern.format(i=0) == pattern.format(i=1):
-            raise ValueError(f"{flag} must contain an {{i}} placeholder, got {pattern!r}")
-    except (KeyError, IndexError, AttributeError, TypeError) as exc:
+    """ValueError naming flag unless each field is {i}, at most 99 wide (read unformatted), and {i} changes the name."""
+    try:  # a number over 99 has a nonzero digit and two more; int() would refuse 4300 digits
+        wide = [spec for _, field, spec, _ in string.Formatter().parse(pattern)
+                if field is not None and ("{" in spec or re.search(r"[1-9]\d\d", spec))]
+        same = not wide and pattern.format(i=0) == pattern.format(i=1)
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{flag} has an invalid placeholder: {exc}") from exc
+    if wide:
+        raise ValueError(f"{flag} takes field widths of at most 99, got {reprlib.repr(wide[0])}")
+    if same:
+        raise ValueError(f"{flag} must contain an {{i}} placeholder, got {pattern!r}")
 
 
 def _load_preprocessed(path, channel: str, preprocess: str) -> IntensityGrid:
@@ -164,7 +166,10 @@ def cmd_render_seq(args) -> int:
     _check_pattern(args.out_pattern, "--out-pattern")
     if args.truth_pattern:
         _check_pattern(args.truth_pattern, "--truth-pattern")
-    motion = [float(v) for v in args.motion.split(",")]
+    try:
+        motion = [float(v) for v in args.motion.split(",")]
+    except ValueError:
+        raise ValueError(f"--motion takes three numbers dx,dy,dz, got {reprlib.repr(args.motion)}") from None
     spec = load_scene(args.scene)
     pgm_maxval(spec.max_value)
     grids, truths = render_sequence(spec, motion, args.frames)

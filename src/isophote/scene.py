@@ -422,69 +422,62 @@ def render_sequence(
     return [grid for grid, _ in renders], [truth for _, truth in renders]
 
 
-_REQUIRED = object()
-
-# The JSON kinds a config's structure is made of: a test and the words for it.
-_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
-_LIST = (lambda v: isinstance(v, list), "a list")
-_STRING = (lambda v: isinstance(v, str), "a string")
-
-# Per object type: its class and the keys it requires; "albedo" is optional for both.
-_SHAPES = {"sphere": (Sphere, ("center", "radius")), "plane": (Plane, ("point", "normal"))}
-
-
-def _checked(value, kind, name: str):
-    """value, unless it fails kind's test: then a SceneError naming it."""
-    test, noun = kind
-    if not test(value):
+def _typed(value, kind: type, name: str):
+    """value, if it is a kind (dict, list or str); else a SceneError naming it."""
+    if not isinstance(value, kind):
+        noun = {dict: "a JSON object", list: "a list", str: "a string"}[kind]
         raise SceneError(f"{name} must be {noun}, got {reprlib.repr(value)}")
     return value
 
 
-def _field(mapping: dict, key: str, where: str, kind=None, default=_REQUIRED):
-    """mapping[key], checked against kind if one is given; default when the key is absent, if there is one."""
-    if key not in mapping:
-        if default is _REQUIRED:
+def _pick(mapping: dict, where: str, required: tuple, optional: tuple) -> dict:
+    """The required keys' values and those of the optional keys present, by key.
+
+    A SceneError names the first required key missing, else the first key that is neither.
+    """
+    for key in required:
+        if key not in mapping:
             raise SceneError(f"missing '{key}' in {where}")
-        return default
-    return mapping[key] if kind is None else _checked(mapping[key], kind, f"'{key}' in {where}")
+    keys = required + optional
+    for key in mapping:
+        if key not in keys:
+            raise SceneError(f"unknown key {reprlib.repr(key)} in {where}")
+    return {key: mapping[key] for key in keys if key in mapping}
 
 
-def _given(mapping: dict, where: str, required: tuple, optional: tuple) -> dict:
-    """The required keys' values and those of the optional keys present, by key."""
-    values = {key: _field(mapping, key, where) for key in required}
-    values.update((key, mapping[key]) for key in optional if key in mapping)
-    return values
+# Per object type: its class and the keys it requires; "albedo" is optional for both.
+_SHAPES = {"sphere": (Sphere, ("center", "radius")), "plane": (Plane, ("point", "normal"))}
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
     """Build a SceneSpec from the documented JSON schema.
 
     Only the JSON structure is checked here: the objects and lists, the
-    type strings and the required keys. Every value goes as it is to the
-    constructors, which check it as they check one given in Python, so a
-    malformed config raises SceneError naming the key at fault; an
-    object's error starts with its place in the list.
+    type strings, the required keys and that no other key is given. Every
+    value goes as it is to the constructors, which check it as they check
+    one given in Python, so a malformed config raises SceneError naming
+    the key at fault; an object's error starts with its place in the list.
     """
-    _checked(data, _OBJECT, "scene config")
-    image = _field(data, "image", "scene config", _OBJECT)
-    light = _given(_field(data, "light", "scene config", _OBJECT, {}), "light", (), ("direction", "ambient"))
+    top = _pick(_typed(data, dict, "scene config"), "scene config", ("image",), ("light", "objects"))
+    image = _typed(top["image"], dict, "'image' in scene config")
+    light = _pick(_typed(top.get("light", {}), dict, "'light' in scene config"), "light", (), ("direction", "ambient"))
     if "direction" in light:
         light["light_direction"] = light.pop("direction")
     objects = []
-    for idx, entry in enumerate(_field(data, "objects", "scene config", _LIST, [])):
+    for idx, entry in enumerate(_typed(top.get("objects", []), list, "'objects' in scene config")):
         where = f"objects[{idx}]"
-        _checked(entry, _OBJECT, where)
-        kind = _field(entry, "type", where, _STRING)
-        if kind not in _SHAPES:
+        _typed(entry, dict, where)
+        kind = _pick(entry, where, ("type",), tuple(entry))["type"]  # its other keys depend on the type
+        if _typed(kind, str, f"'type' in {where}") not in _SHAPES:
             raise SceneError(f"{where} has unknown type {reprlib.repr(kind)}")
         shape, required = _SHAPES[kind]
-        values = _given(entry, where, required, ("albedo",))
+        values = _pick(entry, where, required, ("type", "albedo"))
+        values.pop("type")
         try:
             objects.append(shape(**values))
         except SceneError as exc:
             raise SceneError(f"{where}: {exc}") from exc
-    values = _given(image, "image", ("width", "height"), ("fov", "max_value", "principal"))
+    values = _pick(image, "image", ("width", "height"), ("fov", "max_value", "principal"))
     return SceneSpec(objects=tuple(objects), **values, **light)
 
 

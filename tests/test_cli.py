@@ -592,8 +592,13 @@ class TestRender:
         ("limit", lambda cfg: cfg["image"].update(width=10**12, height=1)),
         ("max_value", lambda cfg: cfg["image"].update(max_value=10**20)),
         ("maxval", lambda cfg: cfg["image"].update(max_value=65536)),
+        ("unknown key 'objets' in scene config", lambda cfg: cfg.update(objets=[])),
+        ("unknown key 'fvo' in image", lambda cfg: cfg["image"].update(fvo=0.7)),
+        ("unknown key 'directoin' in light", lambda cfg: cfg["light"].update(directoin=[0, 0, -1])),
+        ("unknown key 'albdeo' in objects[0]", lambda cfg: cfg["objects"][0].update(albdeo=0.3)),
     ], ids=["principal-nan", "fov-inf", "center-inf", "center-huge-int", "radius-inf", "point-nan",
-            "ambient-nan", "size", "width", "max_value", "max_value-pgm"])
+            "ambient-nan", "size", "width", "max_value", "max_value-pgm", "unknown-top", "unknown-image",
+            "unknown-light", "unknown-object"])
     def test_unrenderable_scene_exits_2_writing_nothing(self, tmp_path, capsys, key, edit):
         scene = scene_file(tmp_path)
         cfg = json.loads(scene.read_text())
@@ -674,7 +679,11 @@ class TestRenderSeq:
         ("{j}", "'j'"),
         ("{i.x}", "'int' object has no attribute 'x'"),
         ("{i[0]}", "'int' object is not subscriptable"),
-    ], ids=["unknown", "attribute", "index"])
+        ("{i", "expected '}' before end of string"),
+        ("}{i}", "Single '}' encountered in format string"),
+        ("{i:.0}", "Precision not allowed in integer format specifier"),
+        ("{i:s}", "Unknown format code 's' for object of type 'int'"),
+    ], ids=["unknown", "attribute", "index", "unclosed", "single-brace", "precision", "format-code"])
     @pytest.mark.parametrize("flag", ["--out-pattern", "--truth-pattern"])
     def test_pattern_with_an_unknown_placeholder_exits_2(self, tmp_path, capsys, flag, placeholder, reason):
         scene = scene_file(tmp_path)
@@ -692,12 +701,17 @@ class TestRenderSeq:
         assert code == 0
         assert [path.name for path in sorted(tmp_path.glob("f*.pgm"))] == [pattern.format(i=i) for i in range(2)]
 
-    def test_bad_motion_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("motion, message", [
+        ("1,2", "motion must be a list of 3 numbers"),
+        ("1,a,0", "--motion takes three numbers dx,dy,dz, got '1,a,0'"),
+        (",", "--motion takes three numbers dx,dy,dz, got ','"),
+    ], ids=["length", "letter", "empty"])
+    def test_bad_motion_exits_2(self, tmp_path, capsys, motion, message):
         scene = scene_file(tmp_path)
         code = main(["render-seq", "--scene", str(scene), "--frames", "2",
-                     "--motion", "1,2", "--out-pattern", str(tmp_path / "f{i}.pgm")])
+                     "--motion", motion, "--out-pattern", str(tmp_path / "f{i}.pgm")])
         assert code == 2
-        assert "motion must be a list of 3 numbers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("f*.pgm"))
 
     @pytest.mark.parametrize("motion", ["nan,0,0", "0,inf,0", "0,0,-inf", "0,0,NaN"])
@@ -747,9 +761,17 @@ class TestDetectTemporal:
         assert "need at least two frames" in capsys.readouterr().err
         assert not list(tmp_path.glob("m*.pbm"))
 
+    def test_pattern_with_an_invalid_placeholder_exits_2(self, tmp_path, step_image, capsys):
+        code = main(["detect-temporal", "--out-pattern", str(tmp_path / "m{i.pbm"), str(step_image), str(step_image)])
+        assert code == 2
+        assert capsys.readouterr().err == "isophote: error: --out-pattern has an invalid placeholder: " \
+            "expected '}' before end of string\n"
+        assert not list(tmp_path.glob("m*.pbm"))
+
 
 @pytest.mark.parametrize("pattern", ["f{i:100000000}.pgm", "f{i:>1000}.pgm", "f{i:0100}.pgm",
-                                     "f{i:.100000000f}.pgm", "f{i:{i}}.pgm"])
+                                     "f{i:.100000000f}.pgm", "f{i:{i}}.pgm",
+                                     pytest.param("f{i:" + "9" * 5000 + "}.pgm", id="f{i:<5000 digits>}.pgm")])
 @pytest.mark.parametrize("command", ["render-seq", "detect-temporal"])
 def test_pattern_with_a_huge_width_exits_2_before_formatting(tmp_path, step_image, capsys, command, pattern):
     if command == "render-seq":

@@ -888,6 +888,84 @@ class TestRenderSequence:
             assert (truths[t].discontinuity_mask & ~near_flagged).sum() == 0
 
 
+_GONE = object()
+
+
+def _edited(config, edits):
+    """config with each (path, value) edit made in turn: value set at path (the whole config
+    when path is empty), or the key removed when value is _GONE."""
+    for path, value in edits:
+        if not path:
+            config = value
+            continue
+        container = config
+        for key in path[:-1]:
+            container = container[key]
+        if value is _GONE:
+            del container[path[-1]]
+        else:
+            container[path[-1]] = value
+    return config
+
+
+# Every structural fault of a scene config with the loader's exact message; the
+# last group holds two faults each, and the message names the one found first.
+_STRUCTURE_FAULTS = [
+    pytest.param([((), [])], "scene config must be a JSON object, got []", id="config-list"),
+    pytest.param([((), "x")], "scene config must be a JSON object, got 'x'", id="config-string"),
+    pytest.param([((), None)], "scene config must be a JSON object, got None", id="config-null"),
+    pytest.param([((), 5)], "scene config must be a JSON object, got 5", id="config-number"),
+    pytest.param([(("image",), _GONE)], "missing 'image' in scene config", id="no-image"),
+    pytest.param([(("image",), 5)], "'image' in scene config must be a JSON object, got 5", id="image-number"),
+    pytest.param([(("image",), [1])], "'image' in scene config must be a JSON object, got [1]", id="image-list"),
+    pytest.param([(("light",), [1])], "'light' in scene config must be a JSON object, got [1]", id="light-list"),
+    pytest.param([(("light",), None)], "'light' in scene config must be a JSON object, got None", id="light-null"),
+    pytest.param([(("objects",), 5)], "'objects' in scene config must be a list, got 5", id="objects-number"),
+    pytest.param([(("objects",), {})], "'objects' in scene config must be a list, got {}", id="objects-object"),
+    pytest.param([(("objects", 1), 5)], "objects[1] must be a JSON object, got 5", id="entry-number"),
+    pytest.param([(("objects", 0), [])], "objects[0] must be a JSON object, got []", id="entry-list"),
+    pytest.param([(("objects", 0, "type"), _GONE)], "missing 'type' in objects[0]", id="no-type"),
+    pytest.param([(("objects", 0, "type"), 5)], "'type' in objects[0] must be a string, got 5", id="type-number"),
+    pytest.param([(("objects", 1, "type"), None)], "'type' in objects[1] must be a string, got None", id="type-null"),
+    pytest.param([(("objects", 0, "type"), "torus")], "objects[0] has unknown type 'torus'", id="type-torus"),
+    pytest.param([(("objects", 0, "type"), "x" * 1000)], "objects[0] has unknown type 'xxxxxxxxxxxx...xxxxxxxxxxxxx'",
+                 id="type-long"),
+    pytest.param([(("objects", 0, "center"), _GONE)], "missing 'center' in objects[0]", id="no-center"),
+    pytest.param([(("objects", 0, "radius"), _GONE)], "missing 'radius' in objects[0]", id="no-radius"),
+    pytest.param([(("objects", 1, "point"), _GONE)], "missing 'point' in objects[1]", id="no-point"),
+    pytest.param([(("objects", 1, "normal"), _GONE)], "missing 'normal' in objects[1]", id="no-normal"),
+    pytest.param([(("image", "width"), _GONE)], "missing 'width' in image", id="no-width"),
+    pytest.param([(("image", "height"), _GONE)], "missing 'height' in image", id="no-height"),
+    pytest.param([(("objects", 1, "albedo"), "1")], "objects[1]: albedo must be finite and lie in [0, 1], got '1'",
+                 id="object-value"),
+    pytest.param([(("objects", 0, "radius"), -1)],
+                 "objects[0]: sphere radius must be finite and lie in [1e-30, 1e+30], got -1", id="sphere-value"),
+    pytest.param([(("image",), _GONE), (("objects",), 5)], "missing 'image' in scene config",
+                 id="image-before-objects"),
+    pytest.param([(("image",), 5), (("light",), 5)], "'image' in scene config must be a JSON object, got 5",
+                 id="image-before-light"),
+    pytest.param([(("light",), 5), (("objects",), 5)], "'light' in scene config must be a JSON object, got 5",
+                 id="light-before-objects"),
+    pytest.param([(("image", "width"), _GONE), (("objects", 1), 5)], "objects[1] must be a JSON object, got 5",
+                 id="entry-before-width"),
+    pytest.param([(("objects", 0, "type"), 5), (("objects", 0, "radius"), _GONE)],
+                 "'type' in objects[0] must be a string, got 5", id="type-before-keys"),
+    pytest.param([(("objects", 0, "center"), _GONE), (("objects", 0, "radius"), _GONE)],
+                 "missing 'center' in objects[0]", id="center-before-radius"),
+    pytest.param([(("objects", 0, "radius"), _GONE), (("objects", 1, "point"), _GONE)],
+                 "missing 'radius' in objects[0]", id="first-object-first"),
+    pytest.param([(("objects", 0, "center"), _GONE), (("objects", 0, "radius"), -1)],
+                 "missing 'center' in objects[0]", id="missing-key-before-value"),
+    pytest.param([(("image", "width"), _GONE), (("objects", 0, "radius"), -1)],
+                 "objects[0]: sphere radius must be finite and lie in [1e-30, 1e+30], got -1",
+                 id="object-value-before-width"),
+    pytest.param([(("image", "width"), _GONE), (("image", "height"), _GONE)], "missing 'width' in image",
+                 id="width-before-height"),
+    pytest.param([(("image", "width"), _GONE), (("image", "fov"), -1)], "missing 'width' in image",
+                 id="width-before-fov"),
+]
+
+
 class TestSceneConfig:
     def config(self):
         return {
@@ -930,6 +1008,25 @@ class TestSceneConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(SceneError, match="torus"):
             load_scene(path)
+
+    @pytest.mark.parametrize("edits, message", _STRUCTURE_FAULTS)
+    def test_structural_faults_have_their_messages(self, edits, message):
+        with pytest.raises(SceneError) as err:
+            scene.scene_from_dict(_edited(self.config(), edits))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("path, where", [
+        (("objets",), "scene config"),
+        (("image", "max_valeu"), "image"),
+        (("light", "directoin"), "light"),
+        (("objects", 0, "albdeo"), "objects[0]"),
+        (("objects", 1, "radius"), "objects[1]"),
+    ], ids=["top", "image", "light", "object", "other-shape"])
+    def test_an_unknown_key_is_refused_where_it_is(self, path, where):
+        # each was ignored: a sphere's "albdeo" rendered with albedo 1.0
+        with pytest.raises(SceneError) as err:
+            scene.scene_from_dict(_edited(self.config(), [(path, 0.3)]))
+        assert str(err.value) == f"unknown key '{path[-1]}' in {where}"
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "scene.json"
