@@ -2,15 +2,19 @@
 
 Exit codes: 0 success, 2 bad input (unreadable or malformed files, invalid
 configuration), 1 internal error. Identical inputs always produce
-byte-identical outputs.
+byte-identical outputs. A command writes each output to a new file beside
+it, and main moves them into place only once the command has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import re
 import reprlib
+import stat
 import string
 import sys
 
@@ -28,6 +32,8 @@ from .raster import IntensityGrid, Topology, frame_stack
 from .scene import load_scene, render, render_sequence
 
 _DETECTORS = {"multilevel": detect_multilevel, "pointwise": detect_pointwise}
+# format types that {i} could take but that do not write it as an integer
+_NOT_INTEGER_TYPES = set("ceEfFgG%")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,10 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_pattern(pattern: str, flag: str) -> None:
-    """ValueError naming flag unless each field is {i}, at most 99 wide (read unformatted), and {i} changes the name."""
+    """ValueError naming flag unless each field is {i} in an integer format, at most 99 wide
+    (read unformatted), and {i} changes the name."""
     try:  # a number over 99 has a nonzero digit and two more; int() would refuse 4300 digits
-        wide = [spec for _, field, spec, _ in string.Formatter().parse(pattern)
-                if field is not None and ("{" in spec or re.search(r"[1-9]\d\d", spec))]
+        fields = [(field, spec, conversion) for _, field, spec, conversion in string.Formatter().parse(pattern)
+                  if field is not None]
+        wide = [spec for _, spec, _ in fields if "{" in spec or re.search(r"[1-9]\d\d", spec)]
+        other = [f"!{conversion}" if conversion else f":{spec}" for field, spec, conversion in fields
+                 if field == "i" and (conversion or spec[-1:] in _NOT_INTEGER_TYPES)]
+        if other and not wide:
+            raise ValueError("{i} takes an integer format (type b, d, n, o, x, X or none) and no "
+                             f"conversion, got {reprlib.repr(other[0])}")
         same = not wide and pattern.format(i=0) == pattern.format(i=1)
     except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{flag} has an invalid placeholder: {exc}") from exc
@@ -122,22 +135,21 @@ def _load_preprocessed(path, channel: str, preprocess: str) -> IntensityGrid:
     return apply_operator(grid, preprocess) if preprocess != "none" else grid
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args, out) -> int:
     grid = _load_preprocessed(args.input, args.channel, args.preprocess)
     schedule = ThresholdSchedule(args.increment, args.offset)
     mask = _DETECTORS[args.mode](grid, schedule, Topology(args.topology))
-    if args.levels_out:  # the PGM limit is checked before any file is written
-        ceiling = pgm_maxval(int(mask.level_count.max()))
     flagged = mask.flagged
     if args.filter_occluding:
         flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
-    write_pbm(args.output, flagged, binary=not args.ascii)
+    write_pbm(out(args.output), flagged, binary=not args.ascii)
     if args.levels_out:
-        write_pgm(args.levels_out, IntensityGrid(mask.level_count, ceiling), binary=not args.ascii)
+        counts = IntensityGrid(mask.level_count, int(mask.level_count.max()))
+        write_pgm(out(args.levels_out), counts, binary=not args.ascii)
     return 0
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, out) -> int:
     grid = read_grid(args.input, channel=args.channel)
     contours = trace_level_contours(grid, args.threshold, Topology(args.topology))
     fmt = args.format or ("svg" if str(args.output).lower().endswith(".svg") else "text")
@@ -145,24 +157,24 @@ def cmd_trace(args) -> int:
         text = contours_to_svg(contours, grid.width, grid.height)
     else:
         text = contours_to_text(contours)
-    with open(args.output, "w", encoding="ascii") as fh:
+    with open(out(args.output), "w", encoding="ascii") as fh:
         fh.write(text)
     return 0
 
 
-def cmd_render(args) -> int:
+def cmd_render(args, out) -> int:
     spec = load_scene(args.scene)
     pgm_maxval(spec.max_value)  # fail before rendering, not at the writer
     grid, truth = render(spec)
-    write_pgm(args.out, grid, binary=not args.ascii)
+    write_pgm(out(args.out), grid, binary=not args.ascii)
     if args.truth:
-        write_pbm(args.truth, truth.discontinuity_mask, binary=not args.ascii)
+        write_pbm(out(args.truth), truth.discontinuity_mask, binary=not args.ascii)
     if args.occluding:
-        write_pbm(args.occluding, truth.occluding_mask, binary=not args.ascii)
+        write_pbm(out(args.occluding), truth.occluding_mask, binary=not args.ascii)
     return 0
 
 
-def cmd_render_seq(args) -> int:
+def cmd_render_seq(args, out) -> int:
     _check_pattern(args.out_pattern, "--out-pattern")
     if args.truth_pattern:
         _check_pattern(args.truth_pattern, "--truth-pattern")
@@ -174,22 +186,22 @@ def cmd_render_seq(args) -> int:
     pgm_maxval(spec.max_value)
     grids, truths = render_sequence(spec, motion, args.frames)
     for i, grid in enumerate(grids):
-        write_pgm(args.out_pattern.format(i=i), grid, binary=not args.ascii)
+        write_pgm(out(args.out_pattern.format(i=i)), grid, binary=not args.ascii)
     if args.truth_pattern:
         for i, truth in enumerate(truths):
-            write_pbm(args.truth_pattern.format(i=i), truth.discontinuity_mask,
+            write_pbm(out(args.truth_pattern.format(i=i)), truth.discontinuity_mask,
                       binary=not args.ascii)
     return 0
 
 
-def cmd_detect_temporal(args) -> int:
+def cmd_detect_temporal(args, out) -> int:
     _check_pattern(args.out_pattern, "--out-pattern")
     grids = [_load_preprocessed(p, args.channel, args.preprocess) for p in args.frames]
     stack = frame_stack(grids)
     schedule = ThresholdSchedule(args.increment, args.offset)
     flagged = _DETECTORS[args.mode](stack, schedule, Topology.N4T).flagged
     for t in range(stack.frames):
-        write_pbm(args.out_pattern.format(i=t), flagged[t], binary=not args.ascii)
+        write_pbm(out(args.out_pattern.format(i=t)), flagged[t], binary=not args.ascii)
     return 0
 
 
@@ -200,16 +212,52 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _stage(staged: dict, path: str) -> str:
+    """The new file, beside path, that a command writes in place of path.
+
+    It is made as open would make path: mode 0666 less the umask, or the
+    mode of the file it will replace. A symlink is followed. A path that
+    exists but is no regular file, such as a device or a directory, is
+    returned as it is, since a rename cannot replace it.
+    """
+    final = os.path.realpath(path) if os.path.islink(path) else path
+    try:
+        mode = os.stat(final).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return path
+    if final not in staged:
+        temporary = os.path.join(os.path.dirname(final), f".isophote-{os.urandom(8).hex()}")
+        try:
+            os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except OSError as exc:  # name the output, not its temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
+        staged[final] = temporary
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+    return staged[final]
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    staged = {}  # each output path, or its symlink's target -> the file the command wrote in its place
     try:
-        return args.func(args)
+        code = args.func(args, functools.partial(_stage, staged))
+        for final, temporary in list(staged.items()):
+            os.replace(temporary, final)
+            del staged[final]
+        return code
     except (OSError, ValueError) as exc:
         print(f"isophote: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violation, not an input problem
         print(f"isophote: internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for temporary in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
 
 
 def entrypoint() -> None:

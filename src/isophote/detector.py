@@ -102,9 +102,6 @@ class ThresholdSchedule:
         """All schedule members for a grid with the given max_value, ascending."""
         return self.offset + self.increment * np.arange(self.size(max_value), dtype=np.int64)
 
-    def contains(self, c: int, max_value: int) -> bool:
-        return self.offset <= c <= self.cap(max_value) and (c - self.offset) % self.increment == 0
-
 
 @dataclass(frozen=True, eq=False)
 class LevelCurveSet:
@@ -118,9 +115,6 @@ class LevelCurveSet:
 
     def __contains__(self, p) -> bool:
         return bool(self.mask[array_index(p, self.mask.ndim)])
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -157,14 +157,12 @@ def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
 
     "dx"/"dy" take one-sided differences (backward at the far border) and
     shift them up by max_value so negative slopes survive as integers;
-    the result has max_value doubled. "identity" returns the grid as is.
+    the result has max_value doubled.
     Any pipeline of such transforms feeds straight back into the detector.
     """
     VectorFieldGrid(grid)  # refuses a frame stack, whose axes would be taken as t and y
-    if op == "identity":
-        return grid
     if op not in ("dx", "dy"):
-        raise ValueError(f"unknown operator {op!r}, expected identity, dx or dy")
+        raise ValueError(f"unknown operator {op!r}, expected dx or dy")
     v = grid.values
     axis = 1 if op == "dx" else 0
     dtype = signed_dtype(2 * grid.max_value)

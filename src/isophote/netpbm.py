@@ -18,7 +18,6 @@ __all__ = [
     "NetpbmError",
     "read_image",
     "read_grid",
-    "read_pbm",
     "write_pgm",
     "write_pbm",
     "write_ppm",
@@ -308,14 +307,6 @@ def read_grid(path, channel: str = "gray") -> IntensityGrid:
     if channel != "gray":
         raise ValueError(f"{path}: channel {channel!r} requested but the image has no color planes")
     return IntensityGrid(values, maxval)
-
-
-def read_pbm(path) -> np.ndarray:
-    """Read a PBM file as a boolean mask (True where the bit is 1)."""
-    values, _, kind = read_image(path)
-    if kind != "pbm":
-        raise ValueError(f"{path}: expected a PBM file")
-    return values.astype(bool)
 
 
 def _plain_rows(values: np.ndarray) -> bytes:

@@ -207,11 +207,6 @@ class IntensityGrid(_FrozenRaster):
     silently: do arithmetic on ``values`` only after ``astype(np.int64)``.
     """
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], max_value: int = 255) -> "IntensityGrid":
-        """A grid of the nested rows; like any grid, it refuses values that are not integers."""
-        return cls(np.asarray(rows), max_value)
-
 
 @dataclass(frozen=True, eq=False)
 class FrameStack(_FrozenRaster):

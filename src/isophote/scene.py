@@ -23,7 +23,6 @@ import numpy as np
 from .raster import IntensityGrid, as_integer
 
 __all__ = [
-    "FocalPlaneError",
     "SceneError",
     "Sphere",
     "Plane",
@@ -46,10 +45,6 @@ MAX_PIXELS = 1 << 26
 # least one row each), so each object's temporaries stay cache-sized; only the
 # outputs and the one ray array are image-sized.
 _STRIP_PIXELS = 1 << 16
-
-
-class FocalPlaneError(ValueError):
-    """Raised for geometry on the focal plane z = 0, where projection is undefined."""
 
 
 class SceneError(ValueError):
@@ -109,7 +104,7 @@ def project(p: Sequence[float]) -> tuple[float, float]:
     """Pinhole projection (x, y, z) -> (x/z, y/z); constant along rays through the origin."""
     x, y, z = p
     if z == 0:
-        raise FocalPlaneError("cannot project a point on the focal plane z = 0")
+        raise ValueError("cannot project a point on the focal plane z = 0")
     return x / z, y / z
 
 
@@ -121,7 +116,7 @@ def differential(p: Sequence[float], v: Sequence[float]) -> tuple[float, float]:
     """
     x, y, z = p
     if z == 0:
-        raise FocalPlaneError("differential undefined on the focal plane z = 0")
+        raise ValueError("differential undefined on the focal plane z = 0")
     v1, v2, v3 = v
     return v1 / z - v3 * x / (z * z), v2 / z - v3 * y / (z * z)
 
@@ -138,7 +133,7 @@ def is_occluding(surface_point: Sequence[float], normal: Sequence[float], tolera
     if nn == 0.0:
         raise ValueError("normal must be nonzero")
     if p[2] == 0:
-        raise FocalPlaneError("surface point lies on the focal plane z = 0")
+        raise ValueError("surface point lies on the focal plane z = 0")
     return abs(float(_dot(p, n))) <= tolerance * math.sqrt(_dot(p, p)) * nn
 
 

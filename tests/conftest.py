@@ -131,4 +131,4 @@ LONG_TOKEN_FILES = {
 @pytest.fixture
 def ring_grid():
     """3x3 grid, centre 5 surrounded by 3s; the standard worked example."""
-    return IntensityGrid.from_rows([[3, 3, 3], [3, 5, 3], [3, 3, 3]], max_value=5)
+    return IntensityGrid([[3, 3, 3], [3, 5, 3], [3, 3, 3]], max_value=5)

@@ -36,7 +36,7 @@ from isophote import (
     hamiltonian,
     load_scene,
     read_grid,
-    read_pbm,
+    read_image,
     render,
     render_sequence,
     write_pbm,
@@ -57,6 +57,13 @@ def step_image(tmp_path):
     write_pgm(path, IntensityGrid(vals, 255))
     return path
 
+INTEGER_FORMAT = "{i} takes an integer format (type b, d, n, o, x, X or none) and no conversion, got "
+
+
+def read_mask(path):
+    """A PBM file's bits as a boolean array."""
+    return read_image(path)[0].astype(bool)
+
 
 def scene_file(tmp_path):
     cfg = {
@@ -75,7 +82,7 @@ class TestDetect:
         assert main(["detect", "--increment", "8", "--topology", "4", str(step_image), str(out)]) == 0
         grid = read_grid(step_image)
         expect = detect_multilevel(grid, ThresholdSchedule(8), Topology.N4).flagged
-        assert np.array_equal(read_pbm(out), expect)
+        assert np.array_equal(read_mask(out), expect)
 
     def test_modes_write_identical_bytes(self, tmp_path, step_image):
         a, a_levels = tmp_path / "a.pbm", tmp_path / "a.pgm"
@@ -107,7 +114,7 @@ class TestDetect:
         assert main(["detect", "--preprocess", "dx", "--increment", "16", str(step_image), str(out)]) == 0
         grid = apply_operator(read_grid(step_image), "dx")
         expect = detect_multilevel(grid, ThresholdSchedule(16), Topology.N4).flagged
-        assert np.array_equal(read_pbm(out), expect)
+        assert np.array_equal(read_mask(out), expect)
 
     def test_channel_extraction(self, tmp_path):
         rgb = np.zeros((6, 6, 3), dtype=np.int64)
@@ -118,14 +125,14 @@ class TestDetect:
         assert main(["detect", "--channel", "g", "--increment", "8", str(src), str(out)]) == 0
         grid = read_grid(src, channel="g")
         expect = detect_multilevel(grid, ThresholdSchedule(8), Topology.N4).flagged
-        assert np.array_equal(read_pbm(out), expect)
+        assert np.array_equal(read_mask(out), expect)
 
     def test_filter_occluding_never_adds_flags(self, tmp_path, step_image):
         plain = tmp_path / "plain.pbm"
         filt = tmp_path / "filtered.pbm"
         assert main(["detect", str(step_image), str(plain)]) == 0
         assert main(["detect", "--filter-occluding", str(step_image), str(filt)]) == 0
-        assert not (read_pbm(filt) & ~read_pbm(plain)).any()
+        assert not (read_mask(filt) & ~read_mask(plain)).any()
 
     @pytest.mark.parametrize("tolerance", [0, 3])
     @pytest.mark.parametrize("flag, topology", [("4", Topology.N4), ("8", Topology.N8)])
@@ -155,7 +162,7 @@ class TestDetect:
     ])
     def test_levels_out_bytes_at_ceilings(self, tmp_path, ascii, rows, max_value, ceiling):
         src = tmp_path / "in.pgm"
-        write_pgm(src, IntensityGrid.from_rows(rows, max_value))
+        write_pgm(src, IntensityGrid(rows, max_value))
         levels = tmp_path / "levels.pgm"
         argv = ["detect", str(src), str(tmp_path / "mask.pbm"), "--increment", "1",
                 "--levels-out", str(levels)] + (["--ascii"] if ascii else [])
@@ -168,7 +175,7 @@ class TestDetect:
 
     def test_levels_out_above_pgm_range_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
-        write_pgm(src, IntensityGrid.from_rows([[0, 65535, 0]], 65535))
+        write_pgm(src, IntensityGrid([[0, 65535, 0]], 65535))
         argv = ["detect", str(src), str(tmp_path / "mask.pbm"), "--increment", "1",
                 "--preprocess", "dx", "--levels-out", str(tmp_path / "levels.pgm")]
         assert main(argv) == 2
@@ -248,7 +255,7 @@ class TestDetect:
                 assert argv is calls[0]
                 levels.unlink()
         assert cli._parser() is cli._parser()
-        assert read_pbm(tmp_path / "last.pbm").tobytes() == detect_multilevel(
+        assert read_mask(tmp_path / "last.pbm").tobytes() == detect_multilevel(
             read_grid(step_image), ThresholdSchedule(8), Topology.N4
         ).flagged.tobytes()
 
@@ -513,8 +520,8 @@ class TestRender:
 
         grid, gt = render(load_scene(scene))
         assert np.array_equal(read_grid(out).values, grid.values)
-        assert np.array_equal(read_pbm(truth), gt.discontinuity_mask)
-        assert np.array_equal(read_pbm(occ), gt.occluding_mask)
+        assert np.array_equal(read_mask(truth), gt.discontinuity_mask)
+        assert np.array_equal(read_mask(occ), gt.occluding_mask)
 
     @pytest.mark.parametrize("width, height", [(40, 1), (1, 40), (1, 1)])
     def test_thin_image_with_a_sphere(self, tmp_path, width, height):
@@ -527,8 +534,8 @@ class TestRender:
                      "--truth", str(truth), "--occluding", str(occ)]) == 0
         grid, gt = render(load_scene(scene))
         assert np.array_equal(read_grid(out).values, grid.values)
-        assert np.array_equal(read_pbm(truth), gt.discontinuity_mask)
-        assert np.array_equal(read_pbm(occ), gt.occluding_mask)
+        assert np.array_equal(read_mask(truth), gt.discontinuity_mask)
+        assert np.array_equal(read_mask(occ), gt.occluding_mask)
 
     def test_golden_determinism(self, tmp_path):
         scene = scene_file(tmp_path)
@@ -641,8 +648,8 @@ class TestRender:
         assert main(["render", "--scene", str(scene), "--out", str(img),
                      "--truth", str(truth), "--occluding", str(occ)]) == 0
         assert main(["detect", "--increment", "8", "--topology", "4", str(img), str(mask)]) == 0
-        flagged = read_pbm(mask)
-        target = read_pbm(truth) | read_pbm(occ)
+        flagged = read_mask(mask)
+        target = read_mask(truth) | read_mask(occ)
         assert flagged.any()
         assert not (flagged & ~cheb_dilate(target, 2)).any()
 
@@ -672,7 +679,7 @@ class TestRenderSeq:
         grids, truths = render_sequence(load_scene(scene), (0.1, 0.0, 0.2), 3)
         for i in range(3):
             assert np.array_equal(read_grid(tmp_path / f"f{i}.pgm").values, grids[i].values)
-            assert np.array_equal(read_pbm(tmp_path / f"t{i}.pbm"), truths[i].discontinuity_mask)
+            assert np.array_equal(read_mask(tmp_path / f"t{i}.pbm"), truths[i].discontinuity_mask)
         assert not np.array_equal(truths[0].discontinuity_mask, truths[2].discontinuity_mask)
 
     @pytest.mark.parametrize("placeholder, reason", [
@@ -683,7 +690,12 @@ class TestRenderSeq:
         ("}{i}", "Single '}' encountered in format string"),
         ("{i:.0}", "Precision not allowed in integer format specifier"),
         ("{i:s}", "Unknown format code 's' for object of type 'int'"),
-    ], ids=["unknown", "attribute", "index", "unclosed", "single-brace", "precision", "format-code"])
+        # chr(i) and floats pass the format, but name no integer: chr(47) is a '/'
+        ("{i:c}", f"{INTEGER_FORMAT}':c'"),
+        ("{i:e}", f"{INTEGER_FORMAT}':e'"),
+        ("{i!r}", f"{INTEGER_FORMAT}'!r'"),
+    ], ids=["unknown", "attribute", "index", "unclosed", "single-brace", "precision", "format-code",
+            "character", "float", "conversion"])
     @pytest.mark.parametrize("flag", ["--out-pattern", "--truth-pattern"])
     def test_pattern_with_an_unknown_placeholder_exits_2(self, tmp_path, capsys, flag, placeholder, reason):
         scene = scene_file(tmp_path)
@@ -753,7 +765,7 @@ class TestDetectTemporal:
         assert code == 0
         mask = detect_multilevel(frame_stack(frames), ThresholdSchedule(16), Topology.N4T)
         for t in range(3):
-            assert np.array_equal(read_pbm(tmp_path / f"mask{t}.pbm"), mask.flagged[t])
+            assert np.array_equal(read_mask(tmp_path / f"mask{t}.pbm"), mask.flagged[t])
 
     def test_single_frame_exits_2(self, tmp_path, step_image, capsys):
         code = main(["detect-temporal", "--out-pattern", str(tmp_path / "m{i}.pbm"), str(step_image)])
@@ -761,11 +773,15 @@ class TestDetectTemporal:
         assert "need at least two frames" in capsys.readouterr().err
         assert not list(tmp_path.glob("m*.pbm"))
 
-    def test_pattern_with_an_invalid_placeholder_exits_2(self, tmp_path, step_image, capsys):
-        code = main(["detect-temporal", "--out-pattern", str(tmp_path / "m{i.pbm"), str(step_image), str(step_image)])
+    @pytest.mark.parametrize("placeholder, reason", [
+        ("{i", "expected '}' before end of string"),
+        ("{i:e}", f"{INTEGER_FORMAT}':e'"),
+    ], ids=["unclosed", "float"])
+    def test_pattern_with_an_invalid_placeholder_exits_2(self, tmp_path, step_image, capsys, placeholder, reason):
+        pattern = str(tmp_path / f"m{placeholder}.pbm")
+        code = main(["detect-temporal", "--out-pattern", pattern, str(step_image), str(step_image)])
         assert code == 2
-        assert capsys.readouterr().err == "isophote: error: --out-pattern has an invalid placeholder: " \
-            "expected '}' before end of string\n"
+        assert capsys.readouterr().err == f"isophote: error: --out-pattern has an invalid placeholder: {reason}\n"
         assert not list(tmp_path.glob("m*.pbm"))
 
 
@@ -819,6 +835,65 @@ def test_outputs_never_read_a_witness(tmp_path, monkeypatch, command):
         monkeypatch.setattr(isophote.DetectionMask, name, property(unread))
     monkeypatch.setattr(isophote.DetectionMask, "witnesses_at", unread)
     assert run(tmp_path / "unread") == expect
+
+
+class TestStagedOutputs:
+    """Each output is written beside its path and moved into place only once the command succeeds."""
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "{image}", "out.pbm", "--levels-out", "nodir/l.pgm"],
+        ["render", "--scene", "{scene}", "--out", "x.pgm", "--truth", "nodir/t.pbm"],
+    ], ids=["detect-levels-out", "render-truth"])
+    def test_a_failed_later_output_leaves_the_directory_as_it_was(self, tmp_path, step_image, monkeypatch,
+                                                                  capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        scene = scene_file(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main([arg.format(image=step_image, scene=scene) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"isophote: error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("fault, code", [(None, 0), (ValueError("bad"), 2), (RuntimeError("broken"), 1)],
+                             ids=["success", "input-error", "internal-error"])
+    def test_no_temporary_file_survives_any_exit(self, tmp_path, step_image, monkeypatch, fault, code):
+        write_pgm = cli.write_pgm
+
+        def write_then_fail(path, *args, **kwargs):  # the level counts come after the mask
+            write_pgm(path, *args, **kwargs)
+            if fault is not None:
+                raise fault
+
+        monkeypatch.setattr(cli, "write_pgm", write_then_fail)
+        out, levels = tmp_path / "out.pbm", tmp_path / "l.pgm"
+        assert main(["detect", str(step_image), str(out), "--levels-out", str(levels)]) == code
+        written = [out, levels] if fault is None else []
+        assert sorted(tmp_path.iterdir()) == sorted([step_image, *written])
+
+    def test_outputs_get_the_mode_that_open_gives(self, tmp_path, step_image):
+        new, old = tmp_path / "new.pbm", tmp_path / "old.pgm"
+        old.write_bytes(b"")
+        old.chmod(0o600)
+        umask = os.umask(0o027)
+        try:
+            assert main(["detect", str(step_image), str(new), "--levels-out", str(old)]) == 0
+        finally:
+            os.umask(umask)
+        assert (new.stat().st_mode & 0o777, old.stat().st_mode & 0o777) == (0o640, 0o600)
+        assert old.read_bytes().startswith(b"P5")
+
+    def test_outputs_go_where_open_puts_them(self, tmp_path, step_image, capsys):
+        # through a symlink to its target; a path given twice keeps the last write; a directory is refused
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "link.pbm"
+        link.symlink_to(tmp_path / "sub" / "mask.pbm")
+        assert main(["detect", str(step_image), str(link), "--levels-out", str(tmp_path / "twice.pbm")]) == 0
+        assert link.is_symlink() and read_mask(link).any()
+        assert main(["detect", str(step_image), str(tmp_path / "twice.pbm"), "--levels-out",
+                     str(tmp_path / "twice.pbm")]) == 0
+        assert read_grid(tmp_path / "twice.pbm").max_value > 1
+        assert main(["detect", str(step_image), str(tmp_path / "sub")]) == 2
+        assert capsys.readouterr().err == f"isophote: error: [Errno 21] Is a directory: '{tmp_path / 'sub'}'\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.pbm", "mask.pbm", "step.pgm", "sub", "twice.pbm"]
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:

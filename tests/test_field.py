@@ -82,7 +82,7 @@ class TestHamiltonian:
     @given(grid_rows())
     def test_orthogonal_to_gradient_exactly(self, rows_mv):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         gx, gy = discrete_gradient(g)
         f = hamiltonian(g)
         assert not (f.hx * gx + f.hy * gy).any()
@@ -183,10 +183,9 @@ class TestWholeImageField:
     @pytest.mark.parametrize("call", [
         lambda s: apply_operator(s, "dx"),
         lambda s: apply_operator(s, "dy"),
-        lambda s: apply_operator(s, "identity"),
         lambda s: trace_level_contours(s, 3, Topology.N4),
         lambda s: trace_level_contours(s, 3, Topology.N8),
-    ], ids=["dx", "dy", "identity", "trace-N4", "trace-N8"])
+    ], ids=["dx", "dy", "trace-N4", "trace-N8"])
     def test_single_frame_operations_refuse_a_frame_stack_alike(self, call):
         # dx would difference along t and y, and tracing failed on unpacking a 3-D shape
         stack = frame_stack([ramp_x(6, 5), ramp_x(6, 5)])
@@ -246,9 +245,10 @@ class TestUnsignedStorage:
 
 
 class TestApplyOperator:
-    def test_identity(self):
-        g = ramp_x()
-        assert apply_operator(g, "identity") is g
+    @pytest.mark.parametrize("op", ["identity", "none", "DX"])
+    def test_an_unknown_operator_is_refused(self, op):
+        with pytest.raises(ValueError, match=f"^unknown operator '{op}', expected dx or dy$"):
+            apply_operator(ramp_x(), op)
 
     def test_dx_constant_grid_is_bias(self):
         g = IntensityGrid(np.full((3, 4), 9, dtype=np.int64), 12)
@@ -309,7 +309,7 @@ class TestTraceLevelContours:
     @given(grid_rows(), st.integers(0, 13), topologies)
     def test_chains_partition_the_level_curve_set(self, rows_mv, c, topology):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         chains = trace_level_contours(g, c, topology)
         expected = {(x, y) for y, x in np.argwhere(level_curve_set(g, c, topology).mask).tolist()}
         seen = list(zip(chains.x.tolist(), chains.y.tolist()))
@@ -319,7 +319,7 @@ class TestTraceLevelContours:
     @given(grid_rows(), st.integers(0, 13), topologies)
     def test_chain_steps_are_adjacent(self, rows_mv, c, topology):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         offsets = set(topology.spatial_offsets)
         chains = trace_level_contours(g, c, topology)
         for pts, closed in zip(chain_pixels(chains), chains.closed.tolist()):
@@ -415,7 +415,7 @@ class TestTraceMatchesReference:
     @pytest.mark.parametrize("topology", [N4, N8])
     @pytest.mark.parametrize("walker", WALKERS)
     def test_small_cases(self, rows, topology, walker):
-        grid = IntensityGrid.from_rows(rows, 9)
+        grid = IntensityGrid(rows, 9)
         with walked_by(walker):
             got = trace_level_contours(grid, 5, topology)
         assert_same_chains(got, reference_trace_level_contours(grid, 5, topology))
@@ -533,7 +533,7 @@ class TestChainSequence:
     def test_length_and_pixels_count_the_level_curve_set(self, rows_mv, c, topology):
         # what a caller that only counts reads: len() and the pixels of each chain
         rows, mv = rows_mv
-        grid = IntensityGrid.from_rows(rows, mv)
+        grid = IntensityGrid(rows, mv)
         chains = trace_level_contours(grid, c, topology)
         assert len(chains) == len(list(chains))
         members = level_curve_set(grid, c, topology).mask.sum()
@@ -585,7 +585,7 @@ class TestExports:
         assert contours_to_text(trace_level_contours(block_grid(), 10, N4)) == ""
 
     def test_empty_list(self):
-        got = trace_level_contours(IntensityGrid.from_rows([[0, 0, 0], [0, 0, 0]], 9), 5, N4)
+        got = trace_level_contours(IntensityGrid([[0, 0, 0], [0, 0, 0]], 9), 5, N4)
         assert contours_to_svg(got, 3, 2) == reference_contours_to_svg(got, 3, 2) == (
             '<svg xmlns="http://www.w3.org/2000/svg" width="3" height="2" viewBox="0 0 3 2">\n</svg>\n'
         )

@@ -15,7 +15,6 @@ from isophote import (
     NetpbmError,
     read_grid,
     read_image,
-    read_pbm,
     write_pbm,
     write_pgm,
     write_ppm,
@@ -52,7 +51,8 @@ def test_pbm_roundtrip(tmp_path, binary, width):
     mask = rng.integers(0, 2, size=(4, width)).astype(bool)
     path = tmp_path / "mask.pbm"
     write_pbm(path, mask, binary=binary)
-    assert np.array_equal(read_pbm(path), mask)
+    values, _, kind = read_image(path)
+    assert kind == "pbm" and np.array_equal(values, mask)
 
 
 def old_plain_rows(rows) -> bytes:
@@ -496,13 +496,6 @@ def test_channel_on_grayscale_rejected(tmp_path):
         read_grid(path, channel="r")
     with pytest.raises(ValueError, match="channel"):
         read_grid(path, channel="cyan")
-
-
-def test_read_pbm_requires_pbm(tmp_path):
-    path = tmp_path / "img.pgm"
-    write_pgm(path, IntensityGrid(np.zeros((2, 2), dtype=np.int64), 255))
-    with pytest.raises(ValueError, match="PBM"):
-        read_pbm(path)
 
 
 class TestParseErrors:

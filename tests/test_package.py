@@ -1,9 +1,16 @@
 import ast
 import inspect
+import json
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
+
 import isophote
+from isophote import cli, load_scene, write_ppm
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # The package's public surface: the union of its modules' __all__, plus the version.
 PUBLIC = {
@@ -11,10 +18,10 @@ PUBLIC = {
     "detect_multilevel", "detect_pointwise", "level_curve_set", "membership_interval", "sublevel",
     "Chains", "Contour", "VectorFieldGrid", "apply_operator", "contours_to_svg", "contours_to_text",
     "discrete_gradient", "hamiltonian", "trace_level_contours", "zero_mask",
-    "NetpbmError", "read_grid", "read_image", "read_pbm", "write_pbm", "write_pgm", "write_ppm",
+    "NetpbmError", "read_grid", "read_image", "write_pbm", "write_pgm", "write_ppm",
     "FrameStack", "IntensityGrid", "PixelCoord", "StackCoord", "Topology", "frame_stack",
     "neighbor_any", "neighbor_min", "neighbors",
-    "FocalPlaneError", "GroundTruth", "Plane", "SceneError", "SceneSpec", "Sphere", "differential",
+    "GroundTruth", "Plane", "SceneError", "SceneSpec", "Sphere", "differential",
     "is_occluding", "load_scene", "project", "render", "render_sequence",
     "__version__",
 }
@@ -27,6 +34,40 @@ def test_package_exports_each_public_name_once():
     exec("from isophote import *", star)
     assert PUBLIC <= star.keys()
     assert all(star[name] is getattr(isophote, name) for name in PUBLIC)
+
+
+def test_every_public_name_is_named_in_the_readme():
+    text = README.read_text()
+    unnamed = [name for name in isophote.__all__
+               if name != "__version__" and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unnamed == []
+
+
+def _fenced(language: str) -> list[str]:
+    """The bodies of README's code blocks fenced as language."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_blocks_run_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (config,) = _fenced("json")
+    Path("scene.json").write_text(config)
+    load_scene("scene.json")
+    write_ppm("photo.ppm", np.random.default_rng(23).integers(0, 256, (24, 32, 3)))
+    lines = [shlex.split(line, comments=True) for block in _fenced("sh")
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["isophote"]]
+    assert len(commands) >= 8
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert Path("mask.pbm").read_bytes() == Path("mask2.pbm").read_bytes()
+
+    Path("img.txt").write_text("\n".join(" ".join(map(str, row))
+                                         for row in np.random.default_rng(29).integers(0, 256, (6, 8))))
+    (library,) = _fenced("python")
+    namespace = {}
+    exec(library, namespace)
+    assert namespace["mask"].grid.values.shape == (6, 8)
 
 
 def test_public_callables_name_no_private_type():

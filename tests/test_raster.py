@@ -24,7 +24,7 @@ from isophote import (
 
 
 def grid3x3():
-    return IntensityGrid.from_rows([[0, 1, 2], [3, 4, 5], [6, 7, 8]], max_value=8)
+    return IntensityGrid([[0, 1, 2], [3, 4, 5], [6, 7, 8]], max_value=8)
 
 
 class TestIntensityGrid:
@@ -36,9 +36,9 @@ class TestIntensityGrid:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            IntensityGrid.from_rows([[0, 9]], max_value=8)
+            IntensityGrid([[0, 9]], max_value=8)
         with pytest.raises(ValueError):
-            IntensityGrid.from_rows([[-1, 0]], max_value=8)
+            IntensityGrid([[-1, 0]], max_value=8)
 
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
@@ -77,17 +77,17 @@ class TestIntensityGrid:
     @pytest.mark.parametrize("rows, max_value, dtype", [
         ([[1.5, 2]], 255, "float64"), ([["3", 2]], 255, "<U21"), ([[2**70]], 10**30, "object"),
     ], ids=["float", "string", "beyond-uint64"])
-    def test_from_rows_refuses_what_a_grid_refuses(self, rows, max_value, dtype):
-        # rows are not forced to int64 first, which truncated, parsed or overflowed them
+    def test_nested_rows_are_not_forced_to_integers(self, rows, max_value, dtype):
+        # forcing rows to int64 first would truncate, parse or overflow them
         with pytest.raises(ValueError, match=f"^intensities must be integers, got dtype {re.escape(dtype)}$"):
-            IntensityGrid.from_rows(rows, max_value)
+            IntensityGrid(rows, max_value)
         with pytest.raises(ValueError, match="^intensities must be integers"):
             IntensityGrid(np.asarray(rows), max_value)
 
     @pytest.mark.parametrize("rows", [[], [[]]])
-    def test_from_rows_refuses_no_pixels(self, rows):
+    def test_nested_rows_with_no_pixels_are_refused(self, rows):
         with pytest.raises(ValueError, match="^grid must contain at least one pixel$"):
-            IntensityGrid.from_rows(rows)
+            IntensityGrid(rows)
 
     def test_refuses_values_its_storage_dtype_cannot_hold(self):
         # above int64 a max_value is stored as int64, which 2**63 would wrap in
@@ -154,7 +154,7 @@ class TestNeighbors:
     @given(grid_rows(), topologies)
     def test_symmetry_and_clipping(self, rows_mv, topology):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         table = {}
         for y in range(g.height):
             for x in range(g.width):
@@ -328,7 +328,7 @@ class TestVectorizedHelpers:
     @given(grid_rows(), topologies, st.integers(0, 12))
     def test_neighbor_any_matches_definition(self, rows_mv, topology, c):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         mask = g.values < c
         got = neighbor_any(mask, topology)
         for y in range(g.height):
@@ -352,7 +352,7 @@ class TestVectorizedHelpers:
     @given(grid_rows(), topologies)
     def test_neighbor_min_matches_definition(self, rows_mv, topology):
         rows, mv = rows_mv
-        g = IntensityGrid.from_rows(rows, mv)
+        g = IntensityGrid(rows, mv)
         fill = mv + 2
         got = neighbor_min(g.values, topology, fill)
         for y in range(g.height):
