@@ -18,6 +18,8 @@ import stat
 import string
 import sys
 
+import numpy as np
+
 from .detector import ThresholdSchedule, detect_multilevel, detect_pointwise
 from .field import (
     apply_operator,
@@ -28,7 +30,7 @@ from .field import (
     zero_mask,
 )
 from .netpbm import pgm_maxval, read_grid, write_pbm, write_pgm
-from .raster import IntensityGrid, Topology, frame_stack
+from .raster import IntensityGrid, Topology, adopt, frame_stack
 from .scene import load_scene, render, render_sequence
 
 _DETECTORS = {"multilevel": detect_multilevel, "pointwise": detect_pointwise}
@@ -141,10 +143,11 @@ def cmd_detect(args, out) -> int:
     mask = _DETECTORS[args.mode](grid, schedule, Topology(args.topology))
     flagged = mask.flagged
     if args.filter_occluding:
-        flagged &= ~zero_mask(hamiltonian(grid), args.filter_tolerance)
+        zero = zero_mask(hamiltonian(grid), args.filter_tolerance)
+        flagged &= np.invert(zero, out=zero)
     write_pbm(out(args.output), flagged, binary=not args.ascii)
     if args.levels_out:
-        counts = IntensityGrid(mask.level_count, int(mask.level_count.max()))
+        counts = IntensityGrid(adopt(mask.level_count), int(mask.level_count.max()))
         write_pgm(out(args.levels_out), counts, binary=not args.ascii)
     return 0
 

@@ -356,21 +356,24 @@ def detect_pointwise(
     values = grid.values
     count = np.empty(values.shape, dtype=np.min_scalar_type(schedule.size(grid.max_value)))  # see DetectionMask
     rows, strips = _row_strips(values.shape, dtype.itemsize)
-    size = values[..., :rows, :].size  # the most pixels a strip holds
-    # scratch reused by every strip; numpy's SIMD min/max loops take two
-    # arrays, so a max against 0 reads an array of zeros, not a scalar
-    scratch = np.zeros((3, size), dtype=dtype)
+    # scratch reused by every strip and its halo; numpy's SIMD min/max loops
+    # take two arrays, so a max against 0 reads an array of zeros, not a scalar
+    zero_buf, k_buf = np.zeros((2, values[..., : rows + 2, :].size), dtype=dtype)
     for strip, halo, inner in strips:
-        pixels = values[..., strip, :]
-        zero, k_lo, k_end = (b[: pixels.size].reshape(pixels.shape) for b in scratch)
-        # a pixel without neighbors gets m = max_value >= I(p), an empty
-        # interval, and the fill fits the grid's dtype, so m keeps it
-        m = neighbor_min(values[..., halo, :], topology, grid.max_value)[..., inner, :]
-        # the members in (m, I(p)] number L(I(p)) - max(L(m), 0), at least 0
-        np.maximum(_levels_at_or_below(m, schedule, grid.max_value, out=k_lo), zero, out=k_lo)
-        _levels_at_or_below(pixels, schedule, grid.max_value, out=k_end)
-        members = np.subtract(k_end, k_lo, out=k_lo)  # k_lo is not needed again
-        count[..., strip, :] = np.maximum(members, zero, out=members)
+        block = values[..., halo, :]
+        zero, k = (b[: block.size].reshape(block.shape) for b in (zero_buf, k_buf))
+        # K(v) = max(L(v), 0), the schedule levels at or below v, once per pixel;
+        # L(0) >= 0 unless the offset lies past one increment
+        _levels_at_or_below(block, schedule, grid.max_value, out=k)
+        if schedule.offset > schedule.increment:
+            np.maximum(k, zero, out=k)
+        # K is monotone, so the fewest at a neighbor is K(min neighbor), and the
+        # members in (m, I(p)] number K(I(p)) - K(m), at least 0. A pixel
+        # without neighbors gets every level, which no K exceeds: an empty
+        # interval. The fill fits k's dtype, so the minimum keeps it.
+        low = neighbor_min(k, topology, schedule.size(grid.max_value))[..., inner, :]
+        np.subtract(k[..., inner, :], low, out=low)
+        np.maximum(low, zero[..., inner, :], out=count[..., strip, :], casting="unsafe")
     return DetectionMask(count, grid, schedule)
 
 

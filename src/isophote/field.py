@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .detector import level_curve_set
-from .raster import IntensityGrid, PixelCoord, Topology, as_integer, signed_dtype
+from .raster import IntensityGrid, PixelCoord, Topology, adopt, as_integer, signed_dtype
 
 __all__ = [
     "VectorFieldGrid",
@@ -172,7 +172,7 @@ def apply_operator(grid: IntensityGrid, op: str) -> IntensityGrid:
         np.subtract(v[sl(1, None)], v[sl(None, -1)], out=raw[sl(None, -1)], dtype=dtype)
         np.subtract(v[sl(-1, None)], v[sl(-2, -1)], out=raw[sl(-1, None)], dtype=dtype)
     raw += grid.max_value
-    return IntensityGrid(raw, 2 * grid.max_value)
+    return IntensityGrid(adopt(raw), 2 * grid.max_value)
 
 
 @dataclass(frozen=True)

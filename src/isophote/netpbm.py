@@ -7,12 +7,14 @@ identical data produces identical bytes.
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import Path
+import stat
+import sys
 
 import numpy as np
 
-from .raster import IntensityGrid, storage_dtype
+from .raster import IntensityGrid, adopt, storage_dtype
 
 __all__ = [
     "NetpbmError",
@@ -45,9 +47,12 @@ class NetpbmError(ValueError):
 
 
 class _Scanner:
-    def __init__(self, data: bytes, name: str):
+    """Parses data, the first bytes of a file of size bytes; by default data is the whole file."""
+
+    def __init__(self, data: bytes, name: str, size: int | None = None):
         self.data = data
         self.name = name
+        self.size = len(data) if size is None else size
         self.pos = 0
 
     def fail(self, message: str, at: int | None = None):
@@ -96,23 +101,51 @@ class _Scanner:
         return int(digits)
 
     def require(self, count: int, what: str) -> None:
-        """Fail before allocating unless count more bytes remain; guards declared sizes."""
-        avail = len(self.data) - self.pos
+        """Fail before allocating unless count more bytes remain in the file; guards declared sizes."""
+        avail = self.size - self.pos
         if avail < count:
             message = f"raster truncated: {what} need at least {count} bytes, have {avail}"
-            self.fail(message, at=len(self.data))
+            self.fail(message, at=self.size)
 
-    def raster_bytes(self, count: int) -> memoryview:
-        """The next count bytes after the one whitespace byte a binary raster starts with.
+    def header(self) -> tuple[str, bool, int, int, int]:
+        """(kind, binary, width, height, maxval) from the magic and the header tokens after it."""
+        data = self.data
+        if len(data) < 2:
+            self.fail("not a Netpbm file: truncated magic")
+        if data[0] != ord("P") or data[1] not in b"123456":
+            self.fail(f"unknown magic {data[:2]!r}", at=0)
+        digit = data[1] - ord("0")
+        kind = _KINDS[(digit - 1) % 3]
+        self.pos = 2
+        width = self.uint("width", 1 << 30)
+        height = self.uint("height", 1 << 30)
+        maxval = 1 if kind == "pbm" else self.uint("maxval", 65535)
+        return kind, digit > 3, width, height, maxval
 
-        A view of the file's bytes, not a copy; it is read-only because they are.
+    def binary_raster(self, fh, n: int, dtype: np.dtype) -> np.ndarray:
+        """The n big-endian samples of dtype after the one whitespace byte a binary raster starts with.
+
+        They go into a new native-endian array: the bytes of data past the
+        header are copied in, and fh, positioned at the end of data, is read
+        straight into the rest. Samples of two bytes are then swapped in place.
         """
         if self.pos >= len(self.data) or self.data[self.pos] not in _WS:
             self.fail("expected single whitespace before binary raster")
         self.pos += 1
+        count = n * dtype.itemsize
         self.require(count, "binary samples")
-        out = memoryview(self.data)[self.pos : self.pos + count]
+        out = np.empty(n, dtype)
+        into = memoryview(out).cast("B")
+        got = min(len(self.data) - self.pos, count)
+        into[:got] = memoryview(self.data)[self.pos : self.pos + got]
+        while got < count and (more := fh.readinto(into[got:])):
+            got += more
+        if got < count:  # the file was cut after its size was read
+            self.size = self.pos + got
+            self.require(count, "binary samples")
         self.pos += count
+        if dtype.itemsize > 1 and sys.byteorder == "little":
+            out.byteswap(inplace=True)
         return out
 
 
@@ -136,6 +169,9 @@ def _comments(raw: np.ndarray, is_space: np.ndarray, bits: bool) -> None:
 # temporaries of a block stay cache-sized and reuse the memory the last
 # block freed.
 _PLAIN_BLOCK = 1 << 16
+# Bytes of binary samples converted at a time when a writer must narrow or
+# byte-swap them, so that no raster-sized copy is made.
+_BINARY_BLOCK = 1 << 18
 
 
 def _line_end(data: bytes, at: int) -> int:
@@ -247,42 +283,66 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     Returns (values, maxval, kind) where kind is "pbm", "pgm" or "ppm";
     values has shape (h, w) or (h, w, 3) and dtype uint8, or uint16 when
     maxval exceeds 255. PBM files yield 0/1 with maxval 1 (1 = black,
-    following the format). Binary 8-bit values are a read-only view of
-    the file's bytes. The declared size is checked against the bytes that
-    remain before anything of that size is allocated, and a sample above
-    maxval fails with its byte offset in every format.
+    following the format). Binary samples are read from the file straight
+    into the array returned, which is read-only at 8 bits. The declared
+    size is checked against the bytes that remain before anything of that
+    size is allocated, and a sample above maxval fails with its byte
+    offset in every format.
     """
-    data = Path(path).read_bytes()
-    sc = _Scanner(data, str(path))
-    if len(data) < 2:
-        sc.fail("not a Netpbm file: truncated magic")
-    if data[0] != ord("P") or data[1] not in b"123456":
-        sc.fail(f"unknown magic {data[:2]!r}", at=0)
-    digit = data[1] - ord("0")
-    kind, binary = _KINDS[(digit - 1) % 3], digit > 3
-    sc.pos = 2
-    width = sc.uint("width", 1 << 30)
-    height = sc.uint("height", 1 << 30)
-    maxval = 1 if kind == "pbm" else sc.uint("maxval", 65535)
-    n = width * height * (3 if kind == "ppm" else 1)
-    if not binary:
-        flat = _plain_raster(sc, n, None if kind == "pbm" else maxval)
-    elif kind == "pbm":
-        rowbytes = (width + 7) // 8
-        raw = np.frombuffer(sc.raster_bytes(rowbytes * height), dtype=np.uint8)
-        flat = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
-    else:
-        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-        flat = np.frombuffer(sc.raster_bytes(dtype.itemsize * n), dtype=dtype)
-        if maxval not in (255, 65535):  # at full scale every sample fits
-            over = flat > maxval
-            if over.any():
-                i = int(over.argmax())
-                start = sc.pos - flat.nbytes
-                sc.fail(f"sample value {flat[i]} exceeds maxval {maxval}", at=start + i * dtype.itemsize)
-        if maxval > 255:
-            flat = flat.astype(np.uint16)
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        # a file of no known size, such as a pipe, is read whole
+        data = fh.read(_PLAIN_BLOCK if stat.S_ISREG(info.st_mode) else -1)
+        sc = _Scanner(data, str(path), max(info.st_size, len(data)))
+        kind, binary, width, height, maxval = _read_header(sc, fh)
+        if not binary and len(sc.data) < sc.size:  # a plain raster is parsed in memory
+            fh.seek(0)
+            sc.data = fh.read()
+            sc.size = len(sc.data)
+        n = width * height * (3 if kind == "ppm" else 1)
+        if not binary:
+            flat = _plain_raster(sc, n, None if kind == "pbm" else maxval)
+        elif kind == "pbm":
+            rowbytes = (width + 7) // 8
+            raw = sc.binary_raster(fh, rowbytes * height, np.dtype(np.uint8))
+            flat = np.unpackbits(raw.reshape(height, rowbytes), axis=1)[:, :width]
+        else:
+            flat = sc.binary_raster(fh, n, np.dtype(np.uint8 if maxval < 256 else np.uint16))
+            if maxval not in (255, 65535):  # at full scale every sample fits
+                over = flat > maxval
+                if over.any():
+                    i = int(over.argmax())
+                    start = sc.pos - flat.nbytes
+                    sc.fail(f"sample value {flat[i]} exceeds maxval {maxval}", at=start + i * flat.itemsize)
+            if maxval < 256:
+                flat.setflags(write=False)
     return flat.reshape((height, width, 3) if kind == "ppm" else (height, width)), maxval, kind
+
+
+def _read_header(sc: _Scanner, fh) -> tuple[str, bool, int, int, int]:
+    """sc.header(), reading more of fh into sc.data while that holds only the start of the file.
+
+    A header parsed from the start of a file is the file's header when its
+    last token ends inside that start, so that the byte after it is there
+    too. Otherwise, or when the start fails to parse, the bytes held double,
+    up to the whole file, whose result stands. A plain file is read whole
+    at once, since its raster is parsed in memory.
+    """
+    while True:
+        whole = len(sc.data) >= sc.size
+        try:
+            header = sc.header()
+        except NetpbmError:
+            if whole:
+                raise
+        else:
+            if whole or sc.pos < len(sc.data):
+                return header
+        left = sc.size - len(sc.data)
+        more = fh.read(left if sc.data[1:2] in (b"1", b"2", b"3") else min(len(sc.data), left))
+        if not more:  # the file was cut after its size was read
+            sc.size = len(sc.data)
+        sc.data += more
 
 
 def _extract_channel(rgb: np.ndarray, channel: str) -> np.ndarray:
@@ -303,10 +363,10 @@ def read_grid(path, channel: str = "gray") -> IntensityGrid:
         raise ValueError(f"unknown channel {channel!r}")
     values, maxval, kind = read_image(path)
     if kind == "ppm":
-        return IntensityGrid(_extract_channel(values, channel), maxval)
+        return IntensityGrid(adopt(_extract_channel(values, channel)), maxval)
     if channel != "gray":
         raise ValueError(f"{path}: channel {channel!r} requested but the image has no color planes")
-    return IntensityGrid(values, maxval)
+    return IntensityGrid(adopt(values), maxval)
 
 
 def _plain_rows(values: np.ndarray) -> bytes:
@@ -335,20 +395,34 @@ def _write(path, magic: int, values: np.ndarray, maxval: int, binary: bool) -> N
     """Write (h, w) or (h, w, 3) values as plain P<magic> or binary P<magic + 3>; see _KINDS.
 
     Binary PBM packs 8 bits a byte; binary samples are bytes, or big-endian
-    pairs above maxval 255, from the array's own buffer when it holds them.
-    The body is made before the file is opened, so a failure leaves no file.
+    pairs above maxval 255, written from the array's own buffer when it
+    holds them and otherwise converted in blocks of rows of about
+    _BINARY_BLOCK bytes. Every other body is made before the file is
+    opened, and nothing but a conversion of checked samples is left after,
+    so a failure leaves no file.
     """
     h, w = values.shape[:2]
     header = f"P{magic + 3 * binary}\n{w} {h}\n" + (f"{maxval}\n" if magic > 1 else "")
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     if not binary:
         body = _plain_rows(values)
     elif magic == 1:
         body = np.packbits(values, axis=1).data
+    elif values.dtype == dtype and values.flags.c_contiguous:
+        body = values.data
     else:
-        body = np.ascontiguousarray(values, dtype=np.uint8 if maxval < 256 else ">u2").data
+        body = None
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(body)
+        if body is not None:
+            fh.write(body)
+            return
+        rows = max(_BINARY_BLOCK // (values[0].size * dtype.itemsize), 1)
+        block = np.empty((rows, *values.shape[1:]), dtype)
+        for top in range(0, h, rows):
+            part = block[: h - top]
+            np.copyto(part, values[top : top + rows], casting="unsafe")
+            fh.write(part.data)
 
 
 def pgm_maxval(max_value: int) -> int:

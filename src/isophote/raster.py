@@ -138,16 +138,40 @@ def as_integer(value, name, error=ValueError) -> int:
     return int(value)
 
 
+class _Adopted:
+    """An array that only the library holds, which a grid freezes in place instead of copying."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def adopt(array: np.ndarray) -> _Adopted:
+    """array, marked so that a grid made from it freezes it without a copy.
+
+    Only for an array that the library has just built and that nothing
+    else holds: the grid sets it read-only and keeps it, so a write
+    through another reference would change the grid.
+    """
+    return _Adopted(array)
+
+
 def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
-    """A validated read-only C-contiguous copy of values.
+    """A validated read-only C-contiguous copy of values, or values itself if adopted.
 
     The copy keeps an integer dtype that holds [0, max_value], so a grid
     never widens what it is given and the caller's arithmetic on
     ``values`` behaves as on their own array; booleans and dtypes too
     narrow for max_value become :func:`storage_dtype`. The flat passes of
     the neighbor folds and the zero filter then never copy a grid's values.
+    An array passed through :func:`adopt` that has that dtype and layout
+    is set read-only in place instead. An unsigned dtype whose largest
+    value is max_value holds nothing outside [0, max_value], so it is not
+    scanned.
     """
-    arr = np.asarray(values)
+    kept = isinstance(values, _Adopted)
+    arr = values.array if kept else np.asarray(values)
     if arr.size == 0:
         raise ValueError("grid must contain at least one pixel")
     if arr.dtype.kind not in "iub":
@@ -156,14 +180,17 @@ def _freeze_values(values, max_value: int, ndim: int) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if as_integer(max_value, "max_value") < 0:
         raise ValueError(f"max_value must be a nonnegative integer, got {max_value!r}")
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo < 0 or hi > max_value:
-        raise ValueError(f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]")
     holds = arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= max_value
     dtype = arr.dtype if holds else storage_dtype(max_value)
-    if hi > np.iinfo(dtype).max:  # a max_value beyond int64 with values that int64 cannot hold
-        raise ValueError(f"intensities must lie in [0, {np.iinfo(dtype).max}] to be stored as {dtype}, found {hi}")
-    arr = arr.astype(dtype, order="C")
+    if arr.dtype.kind != "u" or np.iinfo(arr.dtype).max != max_value:
+        # an unsigned array holds no value below 0, so its minimum is read only for the message
+        hi = int(arr.max())
+        lo = int(arr.min()) if arr.dtype.kind == "i" or hi > max_value else 0
+        if lo < 0 or hi > max_value:
+            raise ValueError(f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]")
+        if hi > np.iinfo(dtype).max:  # a max_value beyond int64 with values that int64 cannot hold
+            raise ValueError(f"intensities must lie in [0, {np.iinfo(dtype).max}] to be stored as {dtype}, found {hi}")
+    arr = arr.astype(dtype, order="C", copy=not kept)
     arr.setflags(write=False)
     return arr
 
@@ -200,7 +227,8 @@ class _FrozenRaster:
 class IntensityGrid(_FrozenRaster):
     """A height x width raster of exact integer intensities in [0, max_value].
 
-    ``values`` is a read-only C-contiguous copy of the input. It keeps the
+    ``values`` is a read-only C-contiguous copy of the caller's array; an
+    array the library builds is frozen in place instead. It keeps the
     input's integer dtype when that holds max_value, else it is the
     smallest one that does (uint8, uint16, or int64 above 65535). Images read from
     files arrive as uint8 or uint16, and unsigned differences wrap
@@ -241,7 +269,7 @@ def frame_stack(frames: Sequence[IntensityGrid]) -> FrameStack:
             )
         if f.max_value != first.max_value:
             raise ValueError(f"frame {i} has max_value {f.max_value}, frame 0 has {first.max_value}")
-    return FrameStack(np.stack([f.values for f in frames]), first.max_value)
+    return FrameStack(adopt(np.stack([f.values for f in frames])), first.max_value)
 
 
 Grid = Union[IntensityGrid, FrameStack]

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .raster import IntensityGrid, as_integer
+from .raster import IntensityGrid, adopt, as_integer
 
 __all__ = [
     "SceneError",
@@ -331,7 +331,7 @@ def _render(spec: SceneSpec, dirs: np.ndarray, objects: tuple) -> tuple[Intensit
         depth_map=depth,
         object_ids=ids,
     )
-    return IntensityGrid(image, spec.max_value), truth
+    return IntensityGrid(adopt(image), spec.max_value), truth
 
 
 def _render_strip(spec: SceneSpec, dirs: np.ndarray, objects: tuple, boxes: list, top: int, bottom: int,

@@ -44,7 +44,7 @@ from isophote import (
     write_ppm,
     zero_mask,
 )
-from isophote import cli
+from isophote import cli, detector
 from isophote.cli import build_parser, main
 from isophote.scene import scene_from_dict
 
@@ -835,6 +835,27 @@ def test_outputs_never_read_a_witness(tmp_path, monkeypatch, command):
         monkeypatch.setattr(isophote.DetectionMask, name, property(unread))
     monkeypatch.setattr(isophote.DetectionMask, "witnesses_at", unread)
     assert run(tmp_path / "unread") == expect
+
+
+def test_detect_with_levels_out_holds_one_copy_of_each_raster(tmp_path):
+    # the input is read into the grid, the level counts are written from the
+    # mask, and the flags are the one other image-sized array; the closed
+    # form's strips come on top. The parent read 9.4 MB here: the file's
+    # bytes, their byteswapped copy, the grid's copy and the levels' copy
+    rng = np.random.default_rng(15)
+    source = tmp_path / "img.pgm"
+    write_pgm(source, IntensityGrid(rng.integers(0, 65536, size=(1024, 1024), dtype=np.uint16), 65535))
+    argv = ["detect", "--increment", "8", "--levels-out", str(tmp_path / "levels.pgm"), str(source),
+            str(tmp_path / "mask.pbm")]
+    assert main(argv) == 0  # the first call's imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid, mask, flags = 2 * 1024**2, 1024**2, 1024**2  # uint16 samples, uint8 level counts, bool flags
+    assert peak < grid + mask + flags + 6 * detector._STRIP_BUDGET
 
 
 class TestStagedOutputs:

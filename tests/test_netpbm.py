@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import time
 import tracemalloc
 
@@ -128,21 +130,91 @@ def _traced_peak(fn, *args) -> int:
 
 @pytest.mark.parametrize("maxval", [255, 65535])
 def test_binary_io_makes_no_raster_sized_copy(tmp_path, maxval):
-    # reading holds the file's bytes, plus the native-endian samples above
-    # 255; writing holds only a byte-swapped copy above 255, and PBM its
-    # packed bits
+    # reading holds the samples it returns, read from the file straight into
+    # them, plus the header's first read; writing holds no copy at 8 bits and
+    # one block of byte-swapped samples above, and PBM its packed bits
     rng = np.random.default_rng(maxval)
     dtype = np.uint8 if maxval < 256 else np.uint16
     grid = IntensityGrid(rng.integers(0, maxval + 1, size=(1024, 1024), dtype=dtype), maxval)
-    swapped = 0 if maxval < 256 else grid.values.nbytes
-    slack = grid.values.nbytes // 8
+    block = 0 if maxval < 256 else netpbm._BINARY_BLOCK
+    slack = 1 << 16
     path = tmp_path / "img.pgm"
-    assert _traced_peak(write_pgm, path, grid) < swapped + slack
-    assert _traced_peak(read_image, path) < path.stat().st_size + swapped + slack
-    # 8-bit samples are a view of the file's bytes, so they stay read-only
+    assert _traced_peak(write_pgm, path, grid) < block + slack
+    assert _traced_peak(read_image, path) < grid.values.nbytes + netpbm._PLAIN_BLOCK + slack
+    assert _traced_peak(read_grid, path) < grid.values.nbytes + netpbm._PLAIN_BLOCK + slack
+    # 8-bit samples come back read-only, as when they were a view of the file's bytes
     assert read_image(path)[0].flags.writeable == (maxval > 255)
     mask = grid.values % 2 == 1
     assert _traced_peak(write_pbm, tmp_path / "mask.pbm", mask) < mask.size // 8 + mask.size // 16
+
+
+def _commented(data: bytes, comment_bytes: int) -> bytes:
+    """data with lines of '#' comments, about comment_bytes of them, after its magic."""
+    line = b"# " + b"c" * 97 + b"\n"
+    return data[:3] + line * (comment_bytes // len(line)) + data[3:]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 4096])
+@pytest.mark.parametrize("maxval, channels", [(255, 1), (65535, 1), (255, 3), (1000, 3)],
+                         ids=["p5-8bit", "p5-16bit", "p6-8bit", "p6-16bit"])
+def test_binary_header_past_the_first_read(tmp_path, block, maxval, channels):
+    # 200 KiB of comments: the header is parsed from more than the first read,
+    # which the block size sets, and the raster read after it
+    rng = np.random.default_rng(maxval + channels)
+    shape = (37, 53, 3) if channels == 3 else (37, 53)
+    values = rng.integers(0, maxval + 1, size=shape)
+    path = tmp_path / "img.pnm"
+    if channels == 3:
+        write_ppm(path, values, maxval=maxval)
+    else:
+        write_pgm(path, IntensityGrid(values, maxval))
+    data = _commented(path.read_bytes(), 200 << 10)
+    head = len(data) - values.size * (1 if maxval < 256 else 2)
+    path.write_bytes(data)
+    with mock.patch.object(netpbm, "_PLAIN_BLOCK", block or netpbm._PLAIN_BLOCK):
+        got, got_maxval, _ = read_image(path)
+        assert got_maxval == maxval and got.tolist() == values.tolist()
+        # a raster cut short after such a header
+        need = len(data) - head
+        for cut in (1, values.size // 2, need):
+            path.write_bytes(data[: len(data) - cut])
+            with pytest.raises(NetpbmError) as err:
+                read_image(path)
+            assert str(err.value) == (f"{path}: raster truncated: binary samples need at least {need} bytes, "
+                                      f"have {need - cut} at byte {len(data) - cut}")
+            assert err.value.offset == len(data) - cut
+        # the header ends at the end of the file, without the whitespace byte
+        path.write_bytes(data[: head - 1])
+        with pytest.raises(NetpbmError) as err:
+            read_image(path)
+        assert str(err.value) == f"{path}: expected single whitespace before binary raster at byte {head - 1}"
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+def test_binary_header_cut_inside_its_comments(tmp_path, block):
+    # every error of a header cut short names the same offset however much of it the first read held
+    data = _commented(b"P5\n3 2\n255\n" + bytes(6), 200 << 10)
+    path = tmp_path / "img.pgm"
+    for end in (3, 100_000, len(data) - 14, len(data) - 11, len(data) - 8):
+        path.write_bytes(data[:end])
+        with mock.patch.object(netpbm, "_PLAIN_BLOCK", block or netpbm._PLAIN_BLOCK):
+            got = _outcome(lambda p: read_image(p)[0], path)
+        assert got[1] == end, got
+
+
+def test_reads_a_file_of_no_known_size(tmp_path):
+    # a pipe has no size to check the header against, so it is read whole
+    values = np.arange(60, dtype=np.uint16).reshape(6, 10) * 1000
+    write_pgm(tmp_path / "img.pgm", IntensityGrid(values, 65535))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "img.pgm").read_bytes()))
+    writer.start()
+    try:
+        got, maxval, kind = read_image(fifo)
+    finally:
+        writer.join()
+    assert (maxval, kind) == (65535, "pgm") and got.tolist() == values.tolist()
 
 
 def test_pbm_reads_as_grid(tmp_path):

@@ -21,6 +21,7 @@ from isophote import (
     neighbor_min,
     neighbors,
 )
+from isophote.raster import _freeze_values, adopt
 
 
 def grid3x3():
@@ -124,6 +125,99 @@ class TestIntensityGrid:
         g = IntensityGrid(np.array([[0, 1]], dtype=given), max_value)
         assert g.values.dtype == stored
         assert g.values.tolist() == [[0, 1]]
+
+
+def _scan_rule(values: np.ndarray, max_value: int):
+    """The freeze rule written out: (dtype, values) of the frozen array, or the error message.
+
+    Every value is scanned; the array keeps its integer dtype when that
+    holds max_value, else it is stored as uint8 up to 255, uint16 up to
+    65535 and int64 above, which must hold every value.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    if lo < 0 or hi > max_value:
+        return f"intensities must lie in [0, {max_value}], found range [{lo}, {hi}]"
+    if values.dtype.kind in "iu" and np.iinfo(values.dtype).max >= max_value:
+        dtype = values.dtype
+    else:
+        dtype = np.dtype(np.uint8 if max_value <= 255 else np.uint16 if max_value <= 65535 else np.int64)
+    if hi > np.iinfo(dtype).max:
+        return f"intensities must lie in [0, {np.iinfo(dtype).max}] to be stored as {dtype}, found {hi}"
+    return dtype, values.tolist()
+
+
+FREEZE_DTYPES = [np.dtype(t) for t in (bool, np.uint8, np.uint16, np.int16, np.int64, np.uint64)]
+
+
+@st.composite
+def freeze_inputs(draw):
+    dtype = draw(st.sampled_from(FREEZE_DTYPES))
+    max_value = draw(st.sampled_from([0, 1, 254, 255, 65535, 10**30]))
+    if dtype.kind == "b":
+        lo, hi = 0, 1
+    else:
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    edges = sorted({v for v in (lo, -1, 0, 1, 254, 255, 256, 65535, 65536, 2**63 - 1, 2**63, hi) if lo <= v <= hi})
+    value = st.one_of(st.sampled_from(edges), st.integers(lo, hi))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4)))
+    flat = draw(st.lists(value, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(flat, dtype=dtype).reshape(shape), max_value
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("make, shape", [(IntensityGrid, (2, 3)), (FrameStack, (2, 2, 3))])
+    @pytest.mark.parametrize("source", ["writable", "read-only", "read-only-view"])
+    def test_a_callers_array_is_copied(self, make, shape, source):
+        base = np.arange(np.prod(shape), dtype=np.uint8).reshape(shape)
+        given = base
+        if source == "read-only":
+            given = base.copy()
+            given.setflags(write=False)
+        elif source == "read-only-view":
+            given = base.view()
+            given.setflags(write=False)  # base stays writable
+        raster = make(given, 255)
+        assert not np.shares_memory(raster.values, base) and not np.shares_memory(raster.values, given)
+        before = raster.values.copy()
+        base += 1
+        assert np.array_equal(raster.values, before)
+        assert base.flags.writeable
+
+    def test_an_adopted_array_is_frozen_in_place(self):
+        values = np.arange(6, dtype=np.uint16).reshape(2, 3)
+        grid = IntensityGrid(adopt(values), 65535)
+        assert grid.values is values and not values.flags.writeable
+        stacked = np.stack([values, values])
+        assert FrameStack(adopt(stacked), 65535).values is stacked and not stacked.flags.writeable
+
+    @pytest.mark.parametrize("values, max_value", [
+        (np.arange(6, dtype=np.uint8).reshape(2, 3), 256),  # too narrow: stored as uint16
+        (np.arange(6, dtype=np.uint16).reshape(3, 2).T, 65535),  # not C-contiguous
+    ], ids=["dtype", "layout"])
+    def test_an_adopted_array_of_another_dtype_or_layout_is_copied(self, values, max_value):
+        grid = IntensityGrid(adopt(values), max_value)
+        assert not np.shares_memory(grid.values, values) and grid.values.flags.c_contiguous
+        assert grid.values.tolist() == values.tolist()
+
+    def test_frame_stack_keeps_the_stack_it_builds(self):
+        frames = [IntensityGrid(np.full((2, 3), t, dtype=np.uint8), 255) for t in range(3)]
+        stack = frame_stack(frames)
+        assert not stack.values.flags.writeable and stack.values.flags.owndata
+        assert not any(np.shares_memory(stack.values, f.values) for f in frames)
+
+    @given(freeze_inputs(), st.booleans())
+    def test_freeze_follows_the_scan_rule(self, case, adopted):
+        values, max_value = case
+        expected = _scan_rule(values, max_value)
+        given = adopt(values.copy()) if adopted else values
+        try:
+            frozen = _freeze_values(given, max_value, 2)
+        except ValueError as err:
+            assert str(err) == expected
+        else:
+            assert (frozen.dtype, frozen.tolist()) == expected
+            assert not frozen.flags.writeable and frozen.flags.c_contiguous
+            assert adopted or not np.shares_memory(frozen, values)
 
 
 class TestNeighbors:
