@@ -12,10 +12,13 @@ kept as independent code paths so each can check the other:
 * :func:`detect_multilevel` enumerates a threshold schedule and builds
   each boundary from its sublevel set, one bit per threshold in a word
   per pixel that holds up to 64 of them, counted from the schedule's
-  arithmetic on row strips of the image.
+  arithmetic.
 * :func:`detect_pointwise` characterizes, per pixel, exactly which
   thresholds capture it (an integer interval) and counts schedule
   members inside that interval in closed form.
+
+Both run one strip loop, :func:`_row_strips`, which lays out each row
+strip, its halo and its scratch; they differ only in how they count.
 
 Everything here uses integer arithmetic only.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,9 +61,9 @@ _WORD_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
 
 # Both routes run on row strips of every frame of about this many bytes of
 # their widest scratch dtype (at least one row each): detect_pointwise's
-# closed form, and each 64-level chunk of detect_multilevel. The scratch
-# buffers the steps pass between them stay in L2 cache; only the mask a
-# route returns is image-sized.
+# closed form, and every 64-level chunk of detect_multilevel in turn on
+# each strip. The scratch buffers the steps pass between them stay in L2
+# cache; only the mask a route returns is image-sized.
 _STRIP_BUDGET = 256 << 10
 
 
@@ -241,23 +244,24 @@ def _levels_at_or_below(values: np.ndarray, schedule: ThresholdSchedule, max_val
     return out
 
 
-def _row_strips(shape: tuple, itemsize: int) -> tuple[int, list[tuple[slice, slice, slice]]]:
-    """Split the rows of every frame of an array of this shape into strips.
+def _row_strips(values: np.ndarray, itemsize: int, *dtypes) -> Iterator[tuple]:
+    """Split the rows of every frame of values into strips, each with its halo and scratch.
 
     A strip holds about _STRIP_BUDGET bytes at itemsize bytes a pixel, and
-    at least one row. Returns the most rows a strip has, and per strip the
-    slice of its rows, that slice widened by one halo row on each side the
-    frame has, and the strip's rows within the halo. The halo gives each
-    pixel of the strip all its neighbors.
+    at least one row. Yields per strip the slice of its rows, the view of
+    values over them widened by one halo row on each side the frame has,
+    the strip's rows within that view, and one scratch array of the view's
+    shape per dtype, allocated zeroed once and reused by every strip. The
+    halo gives each pixel of the strip all its neighbors.
     """
-    *frames, height, width = shape
+    *frames, height, width = values.shape
     step = max(_STRIP_BUDGET // (math.prod(frames) * width * itemsize), 1)
-    strips = []
+    buffers = [np.zeros(values[..., : step + 2, :].size, dtype) for dtype in dtypes]
     for top in range(0, height, step):
-        end = min(top + step, height)
-        first = max(top - 1, 0)
-        strips.append((slice(top, end), slice(first, end + 1), slice(top - first, end - first)))
-    return step, strips
+        end, first = min(top + step, height), max(top - 1, 0)
+        block = values[..., first : end + 1, :]
+        scratch = (b[: block.size].reshape(block.shape) for b in buffers)
+        yield (slice(top, end), block, slice(top - first, end - first), *scratch)
 
 
 def _sublevel_words(values: np.ndarray, levels: range, k: np.ndarray, zeros: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -286,9 +290,9 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     """Enumerate the schedule, build every level curve set, and count memberships.
 
     Time grows as levels x pixels. One word per pixel holds the sublevel
-    sets of a chunk of up to 64 levels, one bit each, and each chunk runs
-    on row strips of every frame at once, so transient memory is a few
-    times _STRIP_BUDGET beyond the mask whatever the schedule length.
+    sets of a chunk of up to 64 levels, one bit each. Every chunk runs in
+    turn on each row strip of every frame at once, so transient memory is
+    a few times _STRIP_BUDGET beyond the mask whatever the schedule length.
     """
     topology.check_grid(grid)
     # every intermediate of the sublevel counts lies within this bound of zero
@@ -299,25 +303,17 @@ def detect_multilevel(grid: Grid, schedule: ThresholdSchedule, topology: Topolog
     inc, offset = schedule.increment, schedule.offset
     step = max(min(size, 8 * _WORD_DTYPES[-1].itemsize), 1)
     word = next(w for w in _WORD_DTYPES if 8 * w.itemsize >= step)
-    rows, strips = _row_strips(values.shape, max(word.itemsize, dtype.itemsize))
-    halo_size = values[..., : rows + 2, :].size  # the most pixels a strip and its halo hold
-    # scratch reused by every strip of every chunk
-    zero = np.zeros(halo_size, dtype=dtype)
-    k_buf = np.empty(halo_size, dtype=dtype)
-    below_buf = np.empty(halo_size, dtype=word)
-    bits_buf = np.empty(halo_size, dtype=np.uint8)
-    for start in range(0, size, step):
-        levels = range(offset + start * inc, offset + min(start + step, size) * inc, inc)
-        for strip, halo, inner in strips:
-            block = values[..., halo, :]
-            zeros, k, below = (b[: block.size].reshape(block.shape) for b in (zero, k_buf, below_buf))
+    strips = _row_strips(values, max(word.itemsize, dtype.itemsize), dtype, dtype, word, np.uint8)
+    for rows, block, inner, zeros, k, below, bits in strips:
+        total = count[..., rows, :]
+        bits = bits.reshape(-1)[: total.size].reshape(total.shape)  # contiguous, unlike bits[..., inner, :]
+        for start in range(0, size, step):
+            levels = range(offset + start * inc, offset + min(start + step, size) * inc, inc)
             _sublevel_words(block, levels, k, zeros, out=below)
             members = neighbor_any(below, topology)[..., inner, :]
-            below = below[..., inner, :]
-            members &= np.invert(below, out=below)  # neighbor_any(below) & ~below
-            bits = bits_buf[: members.size].reshape(members.shape)
-            count[..., strip, :] += np.bitwise_count(members, out=bits)
-            del members  # before the next strip's neighbor_any allocates
+            members &= np.invert(below, out=below)[..., inner, :]  # neighbor_any(below) & ~below
+            total += np.bitwise_count(members, out=bits)
+            del members  # before the next chunk's neighbor_any allocates
     return DetectionMask(count, grid, schedule)
 
 
@@ -355,13 +351,9 @@ def detect_pointwise(
     dtype = signed_dtype(_check_range(grid, schedule))
     values = grid.values
     count = np.empty(values.shape, dtype=np.min_scalar_type(schedule.size(grid.max_value)))  # see DetectionMask
-    rows, strips = _row_strips(values.shape, dtype.itemsize)
-    # scratch reused by every strip and its halo; numpy's SIMD min/max loops
-    # take two arrays, so a max against 0 reads an array of zeros, not a scalar
-    zero_buf, k_buf = np.zeros((2, values[..., : rows + 2, :].size), dtype=dtype)
-    for strip, halo, inner in strips:
-        block = values[..., halo, :]
-        zero, k = (b[: block.size].reshape(block.shape) for b in (zero_buf, k_buf))
+    # numpy's SIMD min/max loops take two arrays, so a max against 0 reads
+    # an array of zeros, not a scalar
+    for rows, block, inner, zero, k in _row_strips(values, dtype.itemsize, dtype, dtype):
         # K(v) = max(L(v), 0), the schedule levels at or below v, once per pixel;
         # L(0) >= 0 unless the offset lies past one increment
         _levels_at_or_below(block, schedule, grid.max_value, out=k)
@@ -373,7 +365,7 @@ def detect_pointwise(
         # interval. The fill fits k's dtype, so the minimum keeps it.
         low = neighbor_min(k, topology, schedule.size(grid.max_value))[..., inner, :]
         np.subtract(k[..., inner, :], low, out=low)
-        np.maximum(low, zero[..., inner, :], out=count[..., strip, :], casting="unsafe")
+        np.maximum(low, zero[..., inner, :], out=count[..., rows, :], casting="unsafe")
     return DetectionMask(count, grid, schedule)
 
 

@@ -62,29 +62,20 @@ class _Scanner:
     def token_start(self) -> int:
         """The offset of the next header token: past whitespace, and past '#' comments to their line ends.
 
-        Lines of comments are skipped in array passes over blocks of whole
-        lines, so a header of a million one-line comments costs about what
-        one comment of as many bytes does.
+        Comments are found as in a plain raster, by :func:`_blank` over
+        blocks that end at a line end, so a header of a million one-line
+        comments costs about what one comment of as many bytes does.
         """
         data, at = self.data, self.pos
         while True:
             at = _SPACES.match(data, at).end()
             if not data.startswith(b"#", at):
                 return at
-            cut = max(data.rfind(b"\n", at, at + _PLAIN_BLOCK), data.rfind(b"\r", at, at + _PLAIN_BLOCK)) + 1
-            if cut <= at:  # the comment fills the block
-                at = _line_end(data, at)
-                continue
-            raw = np.frombuffer(data, dtype=np.uint8, count=cut - at, offset=at)
-            eol = (raw == ord("\n")) | (raw == ord("\r"))
-            kept = np.flatnonzero(eol | ((raw != ord(" ")) & (raw - np.uint8(ord("\t")) >= 5)))
-            # the line ends and the bytes that are not whitespace, in order: the first
-            # token starts the first line whose first such byte is not a '#'
-            ends, nonblank = eol[kept], raw[kept]
-            starts = np.flatnonzero(ends[:-1] & ~ends[1:] & (nonblank[1:] != ord("#")))
-            if starts.size:
-                return at + int(kept[starts[0] + 1])
-            at = cut
+            end = _line_end(data, at + _PLAIN_BLOCK)
+            token = np.flatnonzero(~_blank(data, at, end, False)[1])
+            if token.size:
+                return at + int(token[0]) - 1
+            at = end
 
     def uint(self, what: str, limit: int) -> int:
         start = self.token_start()
@@ -186,6 +177,18 @@ def _line_end(data: bytes, at: int) -> int:
     return len(data)
 
 
+def _blank(data: bytes, pos: int, end: int, bits: bool) -> tuple[np.ndarray, np.ndarray]:
+    """data[pos:end] with a space on each side, so that every token has both of its
+    edges, and the mask of its whitespace and comments (see :func:`_comments`).
+    """
+    raw = np.full(end - pos + 2, ord(" "), dtype=np.uint8)
+    raw[1:-1] = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
+    is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
+    if data.find(b"#", pos, end) >= 0:
+        _comments(raw, is_space, bits)
+    return raw, is_space
+
+
 def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     """The first n plain samples from sc.pos on, decoded with array operations.
 
@@ -207,12 +210,7 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     done = 0
     while done < n and pos < len(data):
         end = _line_end(data, pos + _PLAIN_BLOCK)
-        # a space on each side, so that every token has both of its edges
-        raw = np.full(end - pos + 2, ord(" "), dtype=np.uint8)
-        raw[1:-1] = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
-        is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
-        if data.find(b"#", pos, end) >= 0:
-            _comments(raw, is_space, bits)
+        raw, is_space = _blank(data, pos, end, bits)
         if bits:
             done += _plain_bits(sc, pos, raw, is_space, out[done:])
         else:
@@ -451,6 +449,8 @@ def write_ppm(path, rgb: np.ndarray, maxval: int = 255, binary: bool = True) -> 
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3 or not rgb.size:
         raise ValueError(f"expected shape (h, w, 3) with h, w >= 1, got {rgb.shape}")
+    if rgb.dtype.kind not in "iub":
+        raise ValueError(f"samples must be integers, got dtype {rgb.dtype}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PPM maxval must lie in [1, 65535], got {maxval}")
     if rgb.min() < 0 or rgb.max() > maxval:

@@ -706,13 +706,14 @@ class TestWriterLimits:
             lambda path, binary: write_ppm(path, np.zeros((2, 2, 4), np.int64), binary=binary),
             lambda path, binary: write_ppm(path, np.full((1, 1, 3), 256), binary=binary),
             lambda path, binary: write_ppm(path, np.full((1, 1, 3), -1), binary=binary),
+            lambda path, binary: write_ppm(path, np.full((2, 2, 3), 1.7), binary=binary),
             # the reader refuses a height or width of 0
             lambda path, binary: write_pbm(path, np.zeros((0, 5), dtype=bool), binary),
             lambda path, binary: write_pbm(path, np.zeros((5, 0), dtype=bool), binary),
             lambda path, binary: write_ppm(path, np.zeros((0, 5, 3), np.int64), binary=binary),
         ],
         ids=["pgm-maxval", "pbm-1d", "pbm-3d", "ppm-2d", "ppm-4-channels", "ppm-above-maxval", "ppm-negative",
-             "pbm-no-rows", "pbm-no-columns", "ppm-empty"],
+             "ppm-float", "pbm-no-rows", "pbm-no-columns", "ppm-empty"],
     )
     def test_rejected_write_leaves_no_file(self, tmp_path, write, binary):
         path = tmp_path / "img.pnm"
