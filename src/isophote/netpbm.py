@@ -27,8 +27,6 @@ __all__ = [
 
 _WS = b" \t\r\n\x0b\x0c"
 _SPACES = re.compile(rb"[%b]*" % _WS)
-# one header token (a '#' inside it belongs to it), empty only at the end of the data
-_TOKEN = re.compile(rb"[^%b]*" % _WS)
 _KINDS = ("pbm", "pgm", "ppm")  # of magic digits 1-3 (plain) and 4-6 (binary)
 
 
@@ -72,14 +70,14 @@ class _Scanner:
             if not data.startswith(b"#", at):
                 return at
             end = _line_end(data, at + _PLAIN_BLOCK)
-            token = np.flatnonzero(~_blank(data, at, end, False)[1])
+            token = np.flatnonzero(_blank(data, at, end, False)[1])
             if token.size:
                 return at + int(token[0]) - 1
             at = end
 
     def uint(self, what: str, limit: int) -> int:
         start = self.token_start()
-        self.pos = _TOKEN.match(self.data, start).end()
+        self.pos = _find_any(self.data, start, _WS)  # a '#' inside a token belongs to it
         token = self.data[start : self.pos]
         if not token:
             self.fail(f"expected {what}, found end of file")
@@ -140,20 +138,24 @@ class _Scanner:
         return out
 
 
-def _comments(raw: np.ndarray, is_space: np.ndarray, bits: bool) -> None:
-    """Mark in is_space every comment in raw, from its '#' up to its line end."""
-    opens = np.flatnonzero(raw == ord("#"))
+def _comments(raw: np.ndarray, kept: np.ndarray, bits: bool) -> None:
+    """Clear in kept every comment in raw, from its '#' up to its line end.
+
+    A byte is in a comment when the last opening '#' or line end at or
+    before it is a '#'. That state flips only at those bytes, so it is a
+    running parity of its flips there, and no line end is searched for.
+    """
+    opens = raw == ord("#")
     if not bits:
-        opens = opens[is_space[opens - 1]]  # in a sample, '#' is part of the sample
-    eols = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
-    ends = np.append(eols, raw.size - 1)[np.searchsorted(eols, opens)]
-    first = np.flatnonzero(np.diff(ends, prepend=-1))  # one range per commented line
-    if first.size:
-        lo, hi = opens[first[0]], ends[-1]
-        inside = np.zeros(hi - lo, dtype=np.int8)
-        inside[opens[first] - lo] = 1
-        inside[ends[first[:-1]] - lo] = -1
-        is_space[lo:hi] |= np.cumsum(inside, dtype=np.int8, out=inside).view(bool)
+        np.greater(opens[1:], kept[:-1], out=opens[1:])  # in a sample, '#' is part of the sample
+    marks = np.flatnonzero(opens | (raw == ord("\n")) | (raw == ord("\r")))
+    state = opens.take(marks)
+    if state.any():
+        lo = marks[state.argmax()]
+        flips = np.zeros(raw.size, dtype=bool)
+        flips[marks] = np.diff(state, prepend=False)
+        inside = np.logical_xor.accumulate(flips[lo:], out=flips[lo:])
+        np.greater(kept[lo:], inside, out=kept[lo:])
 
 
 # Bytes of plain raster decoded at a time, up to the next line end: the
@@ -165,28 +167,42 @@ _PLAIN_BLOCK = 1 << 16
 _BINARY_BLOCK = 1 << 18
 
 
-def _line_end(data: bytes, at: int) -> int:
-    """The offset just past the first line end at or after at, or len(data)."""
+def _find_any(data: bytes, at: int, chars: bytes) -> int:
+    """The offset of the first of the bytes chars at or after at, or len(data).
+
+    The bytes are looked for in windows that double from _PLAIN_BLOCK
+    bytes, each only before the nearest found so far, so one that is near
+    costs no scan of the rest of the data.
+    """
     size = _PLAIN_BLOCK
     while at < len(data):
-        ends = [i for i in (data.find(b"\n", at, at + size), data.find(b"\r", at, at + size)) if i >= 0]
-        if ends:
-            return min(ends) + 1
-        at += size
+        first = stop = at + size
+        for c in chars:
+            i = data.find(c, at, first)
+            if i >= 0:
+                first = i
+        if first < stop:
+            return first
+        at = stop
         size *= 2
     return len(data)
 
 
+def _line_end(data: bytes, at: int) -> int:
+    """The offset just past the first line end at or after at, or len(data)."""
+    return min(_find_any(data, at, b"\n\r") + 1, len(data))
+
+
 def _blank(data: bytes, pos: int, end: int, bits: bool) -> tuple[np.ndarray, np.ndarray]:
     """data[pos:end] with a space on each side, so that every token has both of its
-    edges, and the mask of its whitespace and comments (see :func:`_comments`).
+    edges, and the mask of its token bytes: neither whitespace nor comment (see :func:`_comments`).
     """
     raw = np.full(end - pos + 2, ord(" "), dtype=np.uint8)
     raw[1:-1] = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
-    is_space = (raw == ord(" ")) | (raw - np.uint8(ord("\t")) < 5)  # HT LF VT FF CR
+    kept = (raw != ord(" ")) & (raw - np.uint8(ord("\t")) > 4)  # not HT LF VT FF CR
     if data.find(b"#", pos, end) >= 0:
-        _comments(raw, is_space, bits)
-    return raw, is_space
+        _comments(raw, kept, bits)
+    return raw, kept
 
 
 def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
@@ -210,69 +226,85 @@ def _plain_raster(sc: _Scanner, n: int, maxval: int | None) -> np.ndarray:
     done = 0
     while done < n and pos < len(data):
         end = _line_end(data, pos + _PLAIN_BLOCK)
-        raw, is_space = _blank(data, pos, end, bits)
+        raw, kept = _blank(data, pos, end, bits)
         if bits:
-            done += _plain_bits(sc, pos, raw, is_space, out[done:])
+            done += _plain_bits(sc, pos, raw, kept, out[done:])
         else:
-            done += _plain_samples(sc, pos, raw, is_space, out[done:], maxval)
+            done += _plain_samples(sc, pos, raw, kept, out[done:], maxval)
         pos = end
     if done < n:
         sc.fail(f"expected {'bit' if bits else 'sample value'}, found end of file", at=len(data))
     return out
 
 
-def _plain_bits(sc: _Scanner, at: int, raw: np.ndarray, is_space: np.ndarray, out: np.ndarray) -> int:
+def _plain_bits(sc: _Scanner, at: int, raw: np.ndarray, kept: np.ndarray, out: np.ndarray) -> int:
     """Decode the P1 bits of one block into out, up to its size; return how many.
 
     Byte i of raw is byte at + i - 1 of sc.data. The first byte that is
     not whitespace, 0 or 1 fails with its byte offset.
     """
-    bits = raw[~is_space][: out.size] - np.uint8(ord("0"))
-    if (bits > 1).any():
-        i = int(np.flatnonzero(~is_space)[(bits > 1).argmax()])
+    index = np.flatnonzero(kept)[: out.size]
+    bits = raw.take(index) - np.uint8(ord("0"))  # non-digits wrap above 9
+    if bits.max(initial=0) > 1:
+        i = int(index[(bits > 1).argmax()])
         sc.fail(f"expected 0 or 1, found {bytes([raw[i]])!r}", at=at + i - 1)
     out[: bits.size] = bits
     return bits.size
 
 
 def _plain_samples(
-    sc: _Scanner, at: int, raw: np.ndarray, is_space: np.ndarray, out: np.ndarray, maxval: int
+    sc: _Scanner, at: int, raw: np.ndarray, kept: np.ndarray, out: np.ndarray, maxval: int
 ) -> int:
     """Decode the samples of one block into out, up to its size; return how many.
 
     Byte i of raw is byte at + i - 1 of sc.data, its first and last bytes
-    are whitespace, and is_space marks its whitespace and comments. The
-    first sample that is not all digits or exceeds maxval fails with its
-    byte offset.
+    are whitespace, and kept marks the bytes of its tokens. The first
+    sample that is not all digits or exceeds maxval fails with its byte
+    offset.
+
+    Each byte gets the value of the last p digits of its token up to it,
+    p the number of digits of maxval, summed from shifted views of the
+    digits; one gather takes it at each token's last byte. A token of more
+    than p digits is over maxval exactly when a digit other than 0 has p
+    token bytes after it.
     """
-    digit = raw - np.uint8(ord("0"))  # non-digits wrap above 9
-    # alternately the index before a token's first byte and its last byte
-    edges = np.flatnonzero(is_space[1:] != is_space[:-1])[: 2 * out.size]
-    last = edges[1::2]
-    stop = last[-1] + 1 if last.size else 0
-    ok = np.logical_or(digit[:stop] < 10, is_space[:stop])
-    if not ok.all():  # keep the tokens before the first that is not all digits
-        last = last[: np.searchsorted(last, ok.argmin())]
-    lengths = last - edges[: 2 * last.size : 2]
-    values = digit[last].astype(np.uint32)
-    for k in range(1, min(int(lengths.max(initial=0)), 5)):
-        place = digit[last - k].astype(np.uint32)
-        place *= lengths > k  # left of a shorter run's first digit, or wrapped below 0
+    places = len(str(maxval))
+    ends = np.flatnonzero(kept[:-1] > kept[1:])[: out.size]  # each token's last byte
+    stop = int(ends[-1]) + 1 if ends.size else 0
+    digit = raw - np.uint8(ord("0"))
+    digit *= kept.view(np.uint8)  # 0 outside tokens; a non-digit wraps above 9
+    values = digit.astype(np.uint16)
+    span = kept[1:]  # span[j]: the k bytes after byte j are token bytes
+    for k in range(1, places + 1):
+        # digit j counts k bytes past it while its token lasts, so the digits
+        # of the token before, one byte apart, do not
+        place = digit[:-k] * span.view(np.uint8)
+        if k == places:
+            break
+        if k == 4:
+            values = values.astype(np.uint32)  # five digits pass 65535
+        place = place.astype(values.dtype)
         place *= 10**k
-        values += place
-    over = values > maxval
-    long = np.flatnonzero(lengths > 5)  # above maxval unless every digit left of its last five is 0
-    prefix = np.stack([last[long] - lengths[long] + 1, last[long] - 4], axis=1)
-    over[long] |= np.logical_or.reduceat(digit, prefix.ravel())[::2]
-    k = int(over.argmax()) if over.any() else last.size
-    if k < edges.size // 2:
-        begin, end = (at + edges[2 * k : 2 * k + 2]).tolist()
-        token = sc.data[begin:end]
-        if k < last.size:
+        values[k:] += place
+        span = span[:-1] & kept[k + 1 :]
+    samples = values.take(ends)
+    high = place[:stop]  # a digit other than 0 with places token bytes after it
+    if digit[:stop].max(initial=0) > 9 or samples.max(initial=0) > maxval or high.any():
+
+        def first(byte):  # the token of the first byte marked, or ends.size
+            return int(np.searchsorted(ends, byte.argmax())) if byte.any() else ends.size
+
+        bad = first(digit[:stop] > 9)
+        over = np.flatnonzero(samples > maxval)
+        i = min(bad, first(high != 0), int(over[0]) if over.size else bad)
+        end = int(ends[i])
+        begin = at + end - int(kept[end::-1].argmin())
+        token = sc.data[begin : at + end]
+        if i < bad:  # a token that is not all digits has no value
             sc.fail(f"sample value {_number(token)} exceeds maxval {maxval}", at=begin)
         sc.fail(f"expected sample value, found {token[:16]!r}", at=begin)
-    out[: values.size] = values
-    return values.size
+    out[: samples.size] = samples
+    return samples.size
 
 
 def read_image(path) -> tuple[np.ndarray, int, str]:
@@ -289,8 +321,10 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        # a file of no known size, such as a pipe, is read whole
-        data = fh.read(_PLAIN_BLOCK if stat.S_ISREG(info.st_mode) else -1)
+        if stat.S_ISREG(info.st_mode):  # no more than the file holds, unless it reports no size
+            data = fh.read(min(_PLAIN_BLOCK, info.st_size) or _PLAIN_BLOCK)
+        else:  # a file of no known size, such as a pipe, is read whole
+            data = fh.read()
         sc = _Scanner(data, str(path), max(info.st_size, len(data)))
         kind, binary, width, height, maxval = _read_header(sc, fh)
         if not binary and len(sc.data) < sc.size:  # a plain raster is parsed in memory
@@ -343,10 +377,10 @@ def _read_header(sc: _Scanner, fh) -> tuple[str, bool, int, int, int]:
         sc.data += more
 
 
-def _extract_channel(rgb: np.ndarray, channel: str) -> np.ndarray:
+def _extract_channel(rgb: np.ndarray, channel: str, maxval: int) -> np.ndarray:
     if channel == "gray":
-        # widen first: the weighted sum of unsigned samples would wrap
-        r, g, b = (rgb[..., i].astype(np.int32) for i in range(3))
+        # widened to the narrowest type that holds 256 * maxval, which the weighted sum never exceeds
+        r, g, b = (rgb[..., i].astype(np.min_scalar_type(256 * maxval)) for i in range(3))
         return ((77 * r + 150 * g + 29 * b) >> 8).astype(rgb.dtype)
     return rgb[..., "rgb".index(channel)]
 
@@ -361,7 +395,7 @@ def read_grid(path, channel: str = "gray") -> IntensityGrid:
         raise ValueError(f"unknown channel {channel!r}")
     values, maxval, kind = read_image(path)
     if kind == "ppm":
-        return IntensityGrid(adopt(_extract_channel(values, channel)), maxval)
+        return IntensityGrid(adopt(_extract_channel(values, channel, maxval)), maxval)
     if channel != "gray":
         raise ValueError(f"{path}: channel {channel!r} requested but the image has no color planes")
     return IntensityGrid(adopt(values), maxval)
@@ -382,8 +416,9 @@ def _plain_rows(values: np.ndarray) -> bytes:
     cells[m - 1 :: m, width] = ord("\n")
     rest = flat
     for j in range(width - 1, -1, -1):
-        cells[:, j] = rest % 10 + ord("0")
-        rest = rest // 10
+        q = rest // 10  # the remainder by subtraction: % on unsigned integers is many times slower
+        cells[:, j] = rest - 10 * q + ord("0")
+        rest = q
     for j in range(width - 1):
         cells[:, j] *= flat >= 10 ** (width - 1 - j)
     return cells.tobytes().replace(b"\0", b"")
