@@ -38,8 +38,8 @@ __all__ = [
 
 _RAY_EPS = 1e-9
 # The largest width * height a scene may declare (8192 x 8192). Past a few
-# hundred thousand pixels render peaks near 58 bytes per pixel: the outputs (26),
-# the rays (24) and the grid's frozen copy of the image (8).
+# hundred thousand pixels render peaks near 52 bytes per pixel: the outputs (26),
+# the rays (24) and _identity_changes' two bool temporaries (2).
 MAX_PIXELS = 1 << 26
 # render works through the image in row strips of about this many pixels (at
 # least one row each), so each object's temporaries stay cache-sized; only the
@@ -208,12 +208,15 @@ class SceneSpec:
         cx, cy = self.principal
         ts = (np.arange(self.width) + 0.5 - cx) * pitch
         ss = (np.arange(self.height) + 0.5 - cy) * pitch
-        # the rays (t, s, 1) are separable; (s^2 + t^2) + 1 rounds as a norm's (t^2 + s^2) + 1 does
-        norm = np.sqrt(np.add.outer(ss * ss, ts * ts) + 1.0)
+        # the rays (t, s, 1) are separable; (s^2 + t^2) + 1 rounds as a norm's (t^2 + s^2) + 1 does.
+        # The norm is formed in the z plane, which then becomes 1 / norm in place.
         dirs = np.empty((3, self.height, self.width))
+        norm = np.add.outer(ss * ss, ts * ts, out=dirs[2])
+        norm += 1.0
+        np.sqrt(norm, out=norm)
         np.divide(ts, norm, out=dirs[0])
         np.divide(ss[:, None], norm, out=dirs[1])
-        np.divide(1.0, norm, out=dirs[2])
+        np.divide(1.0, norm, out=norm)
         return np.moveaxis(dirs, 0, -1)
 
 
@@ -274,28 +277,53 @@ def _identity_changes(ids: np.ndarray) -> np.ndarray:
     return changes
 
 
-def _sphere_rows(dirs: np.ndarray, sphere: Sphere, box: tuple[slice, slice], rows: slice):
-    """b, disc and disc's gradient (gx, gy) over `rows` of the sphere's box.
+def _difference(f: np.ndarray, axis: int) -> np.ndarray:
+    """np.gradient(f, axis=axis) bit for bit, with no temporaries: central differences inside and
+    one-sided ones at the two ends; 0 * f along an axis of length 1, which np.gradient refuses."""
+    if f.shape[axis] == 1:
+        return 0 * f
+    g = np.empty_like(f)
+    along, out = (f.T, g.T) if axis else (f, g)  # f is 2-D
+    np.subtract(along[2:], along[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0
+    np.subtract(along[1], along[0], out=out[0])
+    np.subtract(along[-1], along[-2], out=out[-1])
+    return g
 
-    The hit solves tau^2 - 2 b tau + c.c - r^2 = 0, disc = b^2 - (c.c - r^2).
-    disc is built one row past `rows` each way where the box has that row, so
-    np.gradient takes central differences inside the box and one-sided ones at
-    its edges, as over the whole box. The box's border lies outside the cone,
-    where central, one-sided or (along an axis of length 1) zero differences
-    all leave `near` false.
+
+def _sphere_rows(dirs: np.ndarray, sphere: Sphere, box: tuple[slice, slice], rows: slice):
+    """b, disc and near over `rows` of the sphere's box.
+
+    The hit solves tau^2 - 2 b tau + c.c - r^2 = 0, disc = b^2 - (c.c - r^2),
+    and near, |disc| <= |grad disc| / 2, holds within about half a pixel of
+    tangency. disc is built one row past `rows` each way where the box has
+    that row, so its gradient takes central differences inside the box and
+    one-sided ones at its edges, as over the whole box. The box's border lies
+    outside the cone, where central, one-sided or (along an axis of length 1)
+    zero differences all leave `near` false.
     """
     grown = slice(max(rows.start - 1, box[0].start), min(rows.stop + 1, box[0].stop))
     b = _dot(dirs[grown, box[1]], sphere.center)
     disc = b * b - (_dot(sphere.center, sphere.center) - sphere.radius**2)
-    gy, gx = (np.gradient(disc, axis=k) if disc.shape[k] > 1 else 0 * disc for k in (0, 1))
     crop = slice(rows.start - grown.start, rows.stop - grown.start)
-    return b[crop], disc[crop], gx[crop], gy[crop]
+    b, gy, disc = b[crop], _difference(disc, 0)[crop], disc[crop]
+    slope = np.hypot(_difference(disc, 1), gy)
+    slope *= 0.5
+    return b, disc, np.abs(disc, out=gy) <= slope
 
 
 def _shade(spec: SceneSpec, obj: SceneObject, lam):
-    """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, lam))) per lam = n.l."""
-    value = spec.ambient + (1.0 - spec.ambient) * obj.albedo * np.maximum(0.0, lam)
-    return np.rint(spec.max_value * np.clip(value, 0.0, 1.0)).astype(np.int64)
+    """round(max_value * clamp(ambient + (1 - ambient) * albedo * max(0, lam))) per lam = n.l, as floats.
+
+    An array lam is overwritten with its shades.
+    """
+    out = lam if isinstance(lam, np.ndarray) else None
+    value = np.maximum(0.0, lam, out=out)
+    value *= (1.0 - spec.ambient) * obj.albedo
+    value += spec.ambient
+    value = np.clip(value, 0.0, 1.0, out=out)
+    value *= spec.max_value
+    return np.rint(value, out=out)
 
 
 def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
@@ -307,63 +335,105 @@ def render(spec: SceneSpec) -> tuple[IntensityGrid, GroundTruth]:
     the tangency condition and nearest-object identity changes, not from
     the image, so they can grade any detector.
     """
-    return _render(spec, spec.pixel_rays(), spec.objects)
+    (rendered,) = _render(spec, spec.pixel_rays(), [spec.objects])
+    return rendered
 
 
-def _render(spec: SceneSpec, dirs: np.ndarray, objects: tuple) -> tuple[IntensityGrid, GroundTruth]:
-    """render of `objects` with the rays given, one row strip of about _STRIP_PIXELS pixels at a time.
+def _render(spec: SceneSpec, dirs: np.ndarray, frames: list) -> list[tuple[IntensityGrid, GroundTruth]]:
+    """render of each frame's objects with the rays given, one row strip of about _STRIP_PIXELS pixels at a time.
 
-    Only the outputs and the rays are image-sized; each strip's temporaries
-    are freed before the next strip. Every value is computed per pixel, as
-    over the whole image, so the strip size changes no byte.
+    frames is a list of object tuples, one per frame. Every frame holds the
+    same kinds of object in the same order, and its planes keep frame 0's
+    normals and albedos, as _displace moves them. So each plane's two shades
+    are taken once, and each strip takes every plane's d.n, where it faces
+    away and where |d.n| > eps once; then it hit-tests, shades and tests
+    occlusion in every frame. Only the outputs and the rays are image-sized;
+    each strip's temporaries are freed before the next strip. Every value is
+    computed per pixel, as over the whole image, so neither the strip size
+    nor the frames change a byte.
     """
     shape = (spec.height, spec.width)
-    depth, ids = np.full(shape, np.inf), np.full(shape, -1, dtype=np.intp)
-    image, occluding = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+    outputs = [(np.full(shape, np.inf), np.full(shape, -1, dtype=np.intp),
+                np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)) for _ in frames]
     whole = (slice(0, spec.height), slice(0, spec.width))
-    boxes = [_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in objects]
+    boxes = [[_sphere_box(spec, obj) if isinstance(obj, Sphere) else whole for obj in objects] for objects in frames]
+    # per plane: its normal, and its shades where it is seen from the front (normal n) and from the back (-n)
+    sides = {}
+    for i, obj in enumerate(frames[0]):
+        if isinstance(obj, Plane):
+            nl = _dot(obj.normal, spec.light_direction)
+            sides[i] = obj.normal, _shade(spec, obj, nl), _shade(spec, obj, -nl)
     step = max(_STRIP_PIXELS // spec.width, 1)
     for top in range(0, spec.height, step):
-        _render_strip(spec, dirs, objects, boxes, top, min(top + step, spec.height), depth, ids, image, occluding)
-    truth = GroundTruth(
-        occluding_mask=occluding,
-        discontinuity_mask=_identity_changes(ids),
-        depth_map=depth,
-        object_ids=ids,
-    )
-    return IntensityGrid(adopt(image), spec.max_value), truth
+        _render_rows(spec, dirs, frames, boxes, sides, outputs, top, min(top + step, spec.height))
+    rendered = []
+    for depth, ids, image, occluding in outputs:
+        truth = GroundTruth(
+            occluding_mask=occluding,
+            discontinuity_mask=_identity_changes(ids),
+            depth_map=depth,
+            object_ids=ids,
+        )
+        rendered.append((IntensityGrid(adopt(image), spec.max_value), truth))
+    return rendered
 
 
-def _render_strip(spec: SceneSpec, dirs: np.ndarray, objects: tuple, boxes: list, top: int, bottom: int,
-                  depth: np.ndarray, ids: np.ndarray, image: np.ndarray, occluding: np.ndarray) -> None:
-    """Hit-test, shade and test for occlusion rows [top, bottom), writing into the four outputs."""
+def _render_rows(spec: SceneSpec, dirs: np.ndarray, frames: list, boxes: list, sides: dict, outputs: list,
+                 top: int, bottom: int) -> None:
+    """Rows [top, bottom) of every frame: each plane's d.n there and what follows from it, then each frame's strip.
+
+    The planes' strip arrays are freed on return, before the next rows take theirs.
+    """
+    planes = {}
+    for i, (normal, front, back) in sides.items():
+        denom = _dot(dirs[top:bottom], normal)
+        planes[i] = denom, np.abs(denom) > _RAY_EPS, (denom > 0, front, back)
+    for objects, frame_boxes, out in zip(frames, boxes, outputs):
+        _render_strip(spec, dirs, objects, frame_boxes, planes, top, bottom, *out)
+
+
+def _render_strip(spec: SceneSpec, dirs: np.ndarray, objects: tuple, boxes: list, planes: dict, top: int,
+                  bottom: int, depth: np.ndarray, ids: np.ndarray, image: np.ndarray, occluding: np.ndarray) -> None:
+    """Hit-test, shade and test for occlusion rows [top, bottom), writing into the four outputs.
+
+    planes holds, per plane, its d.n over the strip, where |d.n| > eps, and where d.n > 0 with
+    the plane's two shades.
+    """
     second = np.full((bottom - top, spec.width), np.inf)  # counts ties
     # per object meeting the strip: its box there, in image and in strip rows, and per sphere its
-    # b and near, per plane where it faces away
+    # b and near, per plane where it faces away and its shades
     kept = {}
     for i, (obj, (rows, cols)) in enumerate(zip(objects, boxes)):
         rows = slice(max(rows.start, top), min(rows.stop, bottom))
         if rows.start >= rows.stop or cols.start >= cols.stop:
             continue
         box, local = (rows, cols), (slice(rows.start - top, rows.stop - top), cols)
+        near_depth = depth[box]
+        # the first object to meet the strip finds depth and second +inf: its tau is the depth, with no tie
+        first = not kept
         if isinstance(obj, Sphere):
-            b, disc, gx, gy = _sphere_rows(dirs, obj, boxes[i], rows)
-            near = np.abs(disc) <= 0.5 * np.hypot(gx, gy)  # within ~half a pixel of tangency
+            b, disc, near = _sphere_rows(dirs, obj, boxes[i], rows)
             kept[i] = box, local, (b, near)
             root = np.sqrt(np.maximum(disc, 0.0))
-            tau = np.where(b - root > _RAY_EPS, b - root, np.where(b + root > _RAY_EPS, b + root, np.inf))
-            tau = np.where(disc >= 0.0, tau, np.inf)
+            # the far root b + root where it lies ahead, then the near root b - root where that does
+            tau = np.add(b, root, out=near_depth if first else None)
+            np.copyto(tau, np.inf, where=tau <= _RAY_EPS)
+            enter = np.subtract(b, root, out=root)
+            np.copyto(tau, enter, where=enter > _RAY_EPS)
+            np.copyto(tau, np.inf, where=disc < 0.0)
         else:
-            denom = _dot(dirs[box], obj.normal)
+            denom, oblique, shading = planes[i]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked out below
-                tau = float(_dot(obj.point, obj.normal)) / denom
+                tau = np.divide(float(_dot(obj.point, obj.normal)), denom, out=near_depth if first else None)
             hit = tau > _RAY_EPS
-            hit &= (denom > _RAY_EPS) | (denom < -_RAY_EPS)
+            hit &= oblique
             np.copyto(tau, np.inf, where=~hit)
-            # where the plane is nearest, |denom| > eps, so its shading normal -sign(denom) n is -n or n
-            kept[i] = box, local, denom > 0
+            kept[i] = box, local, shading
+        if first:
+            np.copyto(ids[box], i, where=near_depth < np.inf)
+            continue
         # a strict < keeps the first minimum, as argmin does; min never rounds, so depth is exact
-        near_depth, near_second = depth[box], second[local]
+        near_second = second[local]
         closer = tau < near_depth
         np.minimum(near_second, tau, out=near_second)
         np.copyto(near_second, near_depth, where=closer)
@@ -375,16 +445,18 @@ def _render_strip(spec: SceneSpec, dirs: np.ndarray, objects: tuple, boxes: list
         obj = objects[i]
         mine = ids[box] == i
         if isinstance(obj, Plane):
-            nl = _dot(obj.normal, light)
-            np.copyto(image[box], _shade(spec, obj, nl), where=mine)
-            np.copyto(image[box], _shade(spec, obj, -nl), where=mine & fact)
+            # where the plane is nearest, |d.n| > eps, so its shading normal -sign(d.n) n is -n or n
+            facing, front, back = fact
+            np.copyto(image[box], front, where=mine, casting="unsafe")
+            np.copyto(image[box], back, where=mine & facing, casting="unsafe")
             continue
         b, near = fact
         if mine.any():
-            lam = _dot(dirs[box], light) * np.where(mine, depth[box], 0.0)  # n.l = (tau d.l - c.l) / r
+            lam = _dot(dirs[box], light)  # n.l = (tau d.l - c.l) / r
+            lam *= np.where(mine, depth[box], 0.0)
             lam -= _dot(obj.center, light)
             lam /= obj.radius
-            np.copyto(image[box], _shade(spec, obj, lam), where=mine)
+            np.copyto(image[box], _shade(spec, obj, lam), where=mine, casting="unsafe")
         others = np.where(mine, second[local], depth[box])  # the nearest hit of another object
         occluding[box] |= near & (b > 0) & (ids[box] >= 0) & ~(others < b - _RAY_EPS)
 
@@ -412,8 +484,8 @@ def render_sequence(
         raise SceneError(f"{frames} frames of {spec.width}x{spec.height} exceed the limit of {MAX_PIXELS} pixels")
     shift = _bounded_vector(motion, 3, "motion")
     moved = [tuple(_displace(o, i * shift) for o in spec.objects) for i in range(frames)]
-    dirs = spec.pixel_rays()  # motion moves objects, not the image geometry the rays depend on
-    renders = [_render(spec, dirs, objects) for objects in moved]
+    # motion moves objects, not the image geometry the rays depend on, nor a plane's normal
+    renders = _render(spec, spec.pixel_rays(), moved)
     return [grid for grid, _ in renders], [truth for _, truth in renders]
 
 

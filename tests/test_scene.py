@@ -33,7 +33,7 @@ from isophote import (
     render_sequence,
 )
 from isophote import scene
-from isophote.scene import MAX_PIXELS, _identity_changes, _sphere_box
+from isophote.scene import MAX_PIXELS, _difference, _identity_changes, _sphere_box
 
 N4 = Topology.N4
 
@@ -604,6 +604,18 @@ class TestRenderIdentity:
         assert got.dtype == bool
         assert np.array_equal(got, reference_scene._identity_changes(ids))
 
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+                      elements=st.one_of(st.floats(-1e30, 1e30), st.floats(-1e-300, 1e-300))),
+           st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_difference_is_np_gradient_bit_for_bit(self, values, axis):
+        got = _difference(values, axis)
+        assert got.dtype == values.dtype and got.shape == values.shape
+        if values.shape[axis] == 1:  # np.gradient refuses an axis of length 1; the difference there is 0
+            assert (got == 0).all()
+        else:
+            assert got.tobytes() == np.gradient(values, axis=axis).tobytes()
+
     @given(scenes(), st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
            st.integers(2, 3))
     @settings(max_examples=60, deadline=None)
@@ -707,9 +719,77 @@ class TestRenderStrips:
         finally:
             tracemalloc.stop()
         assert all((truth.object_ids == i).any() for i in range(5))
-        # image-sized: depth, ids and image at 8 B/px and both masks at 1 (the outputs), the rays
-        # at 24 and the grid's frozen copy of the image at 8; all else is a few strips' worth
-        assert peak < (8 + 8 + 8 + 1 + 1 + 24 + 8) * spec.width * spec.height + 4 * 8 * scene._STRIP_PIXELS
+        # image-sized: the outputs (depth, ids and image at 8 B/px, both masks at 1), the rays and
+        # _identity_changes' two bool temporaries; all else is four strips of floats
+        outputs, rays, identity_changes = 8 + 8 + 8 + 1 + 1, 24, 2
+        assert peak < (outputs + rays + identity_changes) * spec.width * spec.height + 4 * 8 * scene._STRIP_PIXELS
+
+
+_WALL = Plane((0.0, 0.0, 12.0), (0.1, 0.0, -1.0), 0.4)
+_LIT = dict(light_direction=(0.3, -0.5, -1.0), ambient=0.2, fov=0.5)
+# Scenes for the first object to meet a strip, which fills the depth directly, and for the plane
+# work every frame of a sequence shares; each with the motion its sequence takes.
+FILL_EXAMPLES = {
+    # the sphere is the first object in the strips its box meets, the wall in the last row
+    "SPHERE_FIRST": (SceneSpec(16, 12, (Sphere((0.0, -0.3, 5.0), 1.0, 0.8), _WALL), **_LIT), (0.05, -0.02, 0.1)),
+    # a floor first in every strip, with a sphere after it
+    "PLANE_FIRST": (SceneSpec(16, 12, (Plane((0.0, 1.0, 0.0), (0.0, -1.0, 0.2), 0.6),
+                                       Sphere((0.3, 0.1, 6.0), 1.2, 0.9)), **_LIT), (0.05, -0.02, 0.1)),
+    # an edge-on plane through the camera first: on row 3, s = 0, so d.n = 0 and 0/0 there
+    "EDGE_ON_FIRST": (SceneSpec(9, 7, (Plane((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)), Sphere((0.0, 0.0, 6.0), 1.0, 0.7),
+                                       _WALL), **{**_LIT, "fov": 1.0}), (0.05, 0.0, 0.1)),
+    # one small sphere near the top: the strips below row 7 meet no object
+    "MISSED_STRIPS": (SceneSpec(12, 12, (Sphere((0.0, -1.6, 5.0), 0.6, 0.8),), **_LIT), (0.02, 0.01, 0.0)),
+    # exact depth ties: the twin is nearest nowhere, but as `second` it blocks the inner ring
+    "TWIN_SPHERES": (SceneSpec(16, 12, (Sphere((0.2, -0.1, 5.0), 1.0, 0.8), Sphere((0.2, -0.1, 5.0), 1.0, 0.3),
+                                        _WALL), **_LIT), (0.05, -0.02, 0.1)),
+    "TWIN_PLANES": (SceneSpec(16, 12, (_WALL, Plane((0.0, 0.0, 12.0), (0.1, 0.0, -1.0), 0.9),
+                                       Sphere((0.2, -0.1, 5.0), 1.0, 0.8)), **_LIT), (0.05, -0.02, 0.1)),
+    # the wall moves along its normal: each frame's tau differs while d.n is the same
+    "ALONG_THE_NORMAL": (SceneSpec(16, 12, (_WALL, Sphere((0.2, -0.1, 5.0), 1.0, 0.8)), **_LIT),
+                         tuple((0.5 * _WALL.normal).tolist())),
+}
+
+
+class TestFirstObjectAndSharedPlanes:
+    """The first object's direct fill and the plane work shared by a sequence's frames, in strips of
+    one and three rows, against the whole-image reference."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", FILL_EXAMPLES)
+    def test_fill_examples_match_reference(self, name, rows, monkeypatch):
+        spec, motion = FILL_EXAMPLES[name]
+        monkeypatch.setattr(scene, "_STRIP_PIXELS", rows * spec.width)
+        assert_same_render(render(spec), reference_scene.render(spec))
+        got, want = render_sequence(spec, motion, 3), reference_scene.render_sequence(spec, motion, 3)
+        for pair in zip(zip(*got), zip(*want)):
+            assert_same_render(*pair)
+
+    def test_fill_examples_show_their_cases(self):
+        spec = FILL_EXAMPLES["SPHERE_FIRST"][0]
+        rows, _ = _sphere_box(spec, spec.objects[0])
+        assert (rows.start, rows.stop) == (0, 11)
+        _, truth = render(FILL_EXAMPLES["PLANE_FIRST"][0])
+        assert (truth.object_ids == 0).any() and (truth.object_ids == 1).any()
+        spec = FILL_EXAMPLES["EDGE_ON_FIRST"][0]
+        assert (reference_scene.dot(spec.pixel_rays()[3], spec.objects[0].normal) == 0).all()
+        _, truth = render(spec)
+        assert (truth.object_ids[3] >= 1).all() and not (truth.object_ids == 0).any()
+        _, truth = render(FILL_EXAMPLES["MISSED_STRIPS"][0])
+        assert (truth.object_ids[7:] == -1).all() and (truth.object_ids[:7] == 0).any()
+        for name in ("TWIN_SPHERES", "TWIN_PLANES"):
+            spec = FILL_EXAMPLES[name][0]
+            _, truth = render(spec)
+            assert not (truth.object_ids == 1).any()
+        twins = FILL_EXAMPLES["TWIN_SPHERES"][0]
+        alone = dataclasses.replace(twins, objects=twins.objects[::2])
+        assert (render(alone)[1].occluding_mask & ~render(twins)[1].occluding_mask).any()
+        spec, motion = FILL_EXAMPLES["ALONG_THE_NORMAL"]
+        _, truths = render_sequence(spec, motion, 3)
+        wall = np.logical_and.reduce([t.object_ids == 0 for t in truths])
+        assert wall.any()
+        depths = [t.depth_map[wall] for t in truths]
+        assert (depths[0] > depths[1]).all() and (depths[1] > depths[2]).all()
 
 
 def seeded_scenes(count: int, seed: int):
