@@ -16,8 +16,8 @@ are equal along both axes, so it is two boolean passes over the grid.
 
 Traced chains stay flat arrays of pixel coordinates: trace_level_contours
 returns a Chains, a frozen record of read-only arrays, and the SVG and text
-exports lay out every pixel of such a record in array passes, formatting
-each distinct coordinate once.
+exports lay out every pixel of such a record in array passes, with the
+digits of netpbm.decimal_cells, the plain Netpbm writer's.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .detector import level_curve_set
+from .netpbm import decimal_cells
 from .raster import IntensityGrid, PixelCoord, Topology, adopt, as_integer, signed_dtype
 
 __all__ = [
@@ -470,44 +471,24 @@ def _padded(texts: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(len(texts), width)
 
 
-def _cells(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """fmt(v) of each distinct value as one padded row of ASCII bytes, and
-    each value's row in that table.
-
-    The table spans the whole range from the smallest value to the largest
-    when that range is no longer than twice the values, else only the
-    values' distinct entries.
-    """
-    if not values.size:
-        return _padded([]), values
-    lo, hi = int(values.min()), int(values.max())
-    if hi - lo < 2 * values.size:
-        distinct, index = range(lo, hi + 1), (values - lo).astype(np.intp, copy=False)
-    else:
-        distinct, index = np.unique(values, return_inverse=True)
-        distinct = distinct.tolist()
-    return _padded([fmt(v).encode("ascii") for v in distinct]), index
-
-
-def _export(chains: Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes, bytes]) -> bytes:
-    """Each chain as its head, fmt(x),fmt(y) per pixel joined by spaces, and
-    its tail; an open chain takes heads[0] and tails[0], a closed one [1].
+def _export(chains: Chains, fraction: bytes, heads: tuple[bytes, bytes], tails: tuple[bytes, bytes]) -> bytes:
+    """Each chain as its head, x<fraction>,y<fraction> per pixel joined by
+    spaces, and its tail; an open chain takes heads[0] and tails[0], a closed one [1].
 
     Every pixel fills one fixed-width row of bytes: the chain's head if it
-    is the first pixel, its two coordinates and the comma, and then a space,
-    or the chain's tail after its last pixel. The places left over hold NUL,
-    and the NULs are dropped at the end. Every traced chain has a pixel.
+    is the first pixel, then the decimal_cells of its x, ended by the
+    fraction and the comma, and of its y, ended by the fraction and the
+    space that the chain's tail replaces after its last pixel. The places
+    left over hold NUL, and the NULs are dropped at the end. Every traced
+    chain has a pixel.
     """
-    (x_table, x), (y_table, y) = _cells(chains.x, fmt), _cells(chains.y, fmt)
+    x, y = decimal_cells(chains.x, fraction + b","), decimal_cells(chains.y, fraction + b" ")
     head, tail = _padded(list(heads)), _padded(list(tails))
-    hw, wx, wy = head.shape[1], x_table.shape[1], y_table.shape[1]
-    comma = hw + wx
-    sep = comma + 1 + wy
+    hw, wx, wy = head.shape[1], x.shape[1], y.shape[1]
+    sep = hw + wx + wy - 1
     rows = np.zeros((chains.x.size, sep + tail.shape[1]), np.uint8)
-    np.take(x_table, x, axis=0, out=rows[:, hw:comma], mode="clip")
-    rows[:, comma] = ord(",")
-    np.take(y_table, y, axis=0, out=rows[:, comma + 1 : sep], mode="clip")
-    rows[:, sep] = ord(" ")
+    rows[:, hw : hw + wx] = x
+    rows[:, hw + wx : sep + 1] = y
     kind = chains.closed.view(np.uint8)
     ends = chains.ends
     rows[ends - np.diff(ends, prepend=0), :hw] = head[kind]
@@ -518,11 +499,12 @@ def _export(chains: Chains, fmt, heads: tuple[bytes, bytes], tails: tuple[bytes,
 def contours_to_svg(contours: Chains, width: int, height: int) -> str:
     """Render traced contours as SVG polylines/polygons at pixel centers.
 
-    Takes the result of trace_level_contours. Each distinct coordinate is
-    formatted once, as f"{v + 0.5:g}", and the points are laid out in array
-    passes, between one-byte markers that the tags then replace.
+    Takes the result of trace_level_contours. Each coordinate v is written
+    exactly, as f"{v}.5", by the one digit pass of netpbm.decimal_cells,
+    and the points are laid out in array passes, between one-byte markers
+    that the tags then replace.
     """
-    body = _export(contours, lambda v: f"{v + 0.5:g}", (b"\1", b"\2"), (b"\3", b"\3"))
+    body = _export(contours, b".5", (b"\1", b"\2"), (b"\3", b"\3"))
     body = body.replace(b"\1", b'<polyline points="').replace(b"\2", b'<polygon points="')
     body = body.replace(b"\3", b'" fill="none" stroke="black" stroke-width="0.25"/>\n')
     head = (
@@ -535,7 +517,8 @@ def contours_to_svg(contours: Chains, width: int, height: int) -> str:
 def contours_to_text(contours: Chains) -> str:
     """One traced contour per line as x,y pairs; closed chains end with a Z marker.
 
-    Takes the result of trace_level_contours. Each distinct coordinate is
-    formatted once, as f"{v}", and the lines are laid out in array passes.
+    Takes the result of trace_level_contours. Each coordinate v is written
+    as f"{v}" by the one digit pass of netpbm.decimal_cells, and the lines
+    are laid out in array passes.
     """
-    return _export(contours, str, (b"", b""), (b"\n", b" Z\n")).decode("ascii")
+    return _export(contours, b"", (b"", b""), (b"\n", b" Z\n")).decode("ascii")

@@ -313,11 +313,11 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
     Returns (values, maxval, kind) where kind is "pbm", "pgm" or "ppm";
     values has shape (h, w) or (h, w, 3) and dtype uint8, or uint16 when
     maxval exceeds 255. PBM files yield 0/1 with maxval 1 (1 = black,
-    following the format). Binary samples are read from the file straight
-    into the array returned, which is read-only at 8 bits. The declared
-    size is checked against the bytes that remain before anything of that
-    size is allocated, and a sample above maxval fails with its byte
-    offset in every format.
+    following the format). The array is the caller's own, writable in
+    every format: binary samples are read from the file straight into it.
+    The declared size is checked against the bytes that remain before
+    anything of that size is allocated, and a sample above maxval fails
+    with its byte offset in every format.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -346,8 +346,6 @@ def read_image(path) -> tuple[np.ndarray, int, str]:
                     i = int(over.argmax())
                     start = sc.pos - flat.nbytes
                     sc.fail(f"sample value {flat[i]} exceeds maxval {maxval}", at=start + i * flat.itemsize)
-            if maxval < 256:
-                flat.setflags(write=False)
     return flat.reshape((height, width, 3) if kind == "ppm" else (height, width)), maxval, kind
 
 
@@ -401,19 +399,17 @@ def read_grid(path, channel: str = "gray") -> IntensityGrid:
     return IntensityGrid(adopt(values), maxval)
 
 
-def _plain_rows(values: np.ndarray) -> bytes:
-    """Each row (along the first axis) of an array of non-negative integers
-    in decimal, its samples joined by spaces and ended by a newline.
+def decimal_cells(values: np.ndarray, suffix: bytes = b"") -> np.ndarray:
+    """Each of an array of non-negative integers in decimal, then suffix: one
+    row of uint8 per value, in flat order, as wide as the largest value's
+    digits and the suffix. The places left of a value's leading digit hold
+    NUL, for the caller to delete.
     """
-    m = values.size // values.shape[0]
-    top = int(values.max())
+    top = int(values.max(initial=0))
     flat = values.ravel().astype(np.min_scalar_type(top), copy=False)  # narrow: cheaper digits
     width = len(str(top))
-    # one fixed-width cell per value: its digits, then its separator; the
-    # places left of a value's leading digit hold NUL, deleted at the end
-    cells = np.empty((flat.size, width + 1), dtype=np.uint8)
-    cells[:, width] = ord(" ")
-    cells[m - 1 :: m, width] = ord("\n")
+    cells = np.empty((flat.size, width + len(suffix)), dtype=np.uint8)
+    cells[:, width:] = np.frombuffer(suffix, np.uint8)
     rest = flat
     for j in range(width - 1, -1, -1):
         q = rest // 10  # the remainder by subtraction: % on unsigned integers is many times slower
@@ -421,6 +417,15 @@ def _plain_rows(values: np.ndarray) -> bytes:
         rest = q
     for j in range(width - 1):
         cells[:, j] *= flat >= 10 ** (width - 1 - j)
+    return cells
+
+
+def _plain_rows(values: np.ndarray) -> bytes:
+    """Each row (along the first axis) of an array of non-negative integers
+    in decimal, its samples joined by spaces and ended by a newline.
+    """
+    cells = decimal_cells(values, b" ")
+    cells[values[0].size - 1 :: values[0].size, -1] = ord("\n")
     return cells.tobytes().replace(b"\0", b"")
 
 

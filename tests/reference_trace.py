@@ -114,13 +114,13 @@ def chain_pixels(chains: Chains) -> list[list[tuple[int, int]]]:
 
 
 def reference_contours_to_svg(chains: Chains, width: int, height: int) -> str:
-    """Render traced chains as SVG polylines/polygons at pixel centers."""
+    """Render traced chains as SVG polylines/polygons at pixel centers, each coordinate exact."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for pixels, closed in zip(chain_pixels(chains), chains.closed.tolist()):
-        pts = " ".join(f"{x + 0.5:g},{y + 0.5:g}" for x, y in pixels)
+        pts = " ".join(f"{x + 0.5},{y + 0.5}" for x, y in pixels)  # exact below 2**52
         tag = "polygon" if closed else "polyline"
         lines.append(f'<{tag} points="{pts}" fill="none" stroke="black" stroke-width="0.25"/>')
     lines.append("</svg>")

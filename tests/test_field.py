@@ -611,13 +611,17 @@ class TestExports:
             assert_exports_match(got, want, grid.width, grid.height)
             assert contours_to_text(got).count(" Z\n") == sum(closed)
 
-    def test_large_coordinates_keep_the_g_rounding(self):
-        # a row and a column of 100003 pixels, bright at 99999 and 100001
+    def test_large_coordinates_are_exact(self):
+        # a row and a column of 100003 pixels, bright at 99999 and 100001, and a
+        # row of a few bright pixels spread over it
         row = np.zeros((1, 100003), dtype=np.int64)
         row[0, [99999, 100001]] = 9
+        sparse = np.zeros((1, 100003), dtype=np.int64)
+        sparse[0, [0, 7, 50000, 100002]] = 9
         for values, text, svg_points in (
-            (row, "99999,0\n100001,0\n", ("99999.5,0.5", "100002,0.5")),
-            (row.T, "0,99999\n0,100001\n", ("0.5,99999.5", "0.5,100002")),
+            (row, "99999,0\n100001,0\n", ("99999.5,0.5", "100001.5,0.5")),
+            (row.T, "0,99999\n0,100001\n", ("0.5,99999.5", "0.5,100001.5")),
+            (sparse, "0,0\n7,0\n50000,0\n100002,0\n", ("0.5,0.5", "7.5,0.5", "50000.5,0.5", "100002.5,0.5")),
         ):
             contours = trace_level_contours(IntensityGrid(values, 9), 5, N4)
             h, w = values.shape
@@ -625,12 +629,3 @@ class TestExports:
             svg = contours_to_svg(contours, w, h)
             assert all(f'<polyline points="{p}" ' in svg for p in svg_points)
             assert_exports_match(contours, contours, w, h)
-
-    def test_sparse_coordinates_take_the_table_of_distinct_values(self):
-        # a few values spread over a wide range take the table of distinct values
-        row = np.zeros((1, 100003), dtype=np.int64)
-        row[0, [0, 7, 50000, 100002]] = 9
-        contours = trace_level_contours(IntensityGrid(row, 9), 5, N4)
-        table, _ = field._cells(contours.x, str)
-        assert len(table) == 4
-        assert_exports_match(contours, contours, 100003, 1)

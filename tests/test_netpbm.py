@@ -22,6 +22,7 @@ from isophote import (
     write_ppm,
 )
 from isophote import netpbm
+from isophote.cli import main
 from reference_netpbm import ReferenceScanner, read_plain
 
 
@@ -35,8 +36,9 @@ def test_pgm_roundtrip(tmp_path, binary, maxval):
     write_pgm(path, grid, binary=binary)
     back = read_grid(path)
     assert np.array_equal(back.values, grid.values)
-    assert back.max_value == maxval
-    assert read_image(path)[0].dtype == (np.uint8 if maxval < 256 else np.uint16)
+    assert back.max_value == maxval and not back.values.flags.writeable
+    values = read_image(path)[0]  # the caller's own in every format: writable
+    assert values.dtype == (np.uint8 if maxval < 256 else np.uint16) and values.flags.writeable
 
 
 def test_pgm_sixteen_bit_is_big_endian(tmp_path):
@@ -54,7 +56,7 @@ def test_pbm_roundtrip(tmp_path, binary, width):
     path = tmp_path / "mask.pbm"
     write_pbm(path, mask, binary=binary)
     values, _, kind = read_image(path)
-    assert kind == "pbm" and np.array_equal(values, mask)
+    assert kind == "pbm" and np.array_equal(values, mask) and values.flags.writeable
 
 
 def old_plain_rows(rows) -> bytes:
@@ -77,6 +79,22 @@ def test_plain_writers_match_row_join(tmp_path, width, maxval):
     mask = values % 2 == 1
     write_pbm(path, mask, binary=False)
     assert path.read_bytes() == f"P1\n{width} 3\n".encode() + old_plain_rows(mask)
+
+
+@given(
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int64, np.intp]),
+    data=st.data(),
+    suffix=st.binary(max_size=3).filter(lambda b: b"\0" not in b),
+)
+def test_decimal_cells_are_the_digits_of_str(dtype, data, suffix):
+    top = min(np.iinfo(dtype).max, 2**31 - 1)
+    values = np.array(data.draw(st.lists(st.integers(0, top), max_size=20)), dtype=dtype)
+    cells = netpbm.decimal_cells(values, suffix)
+    width = len(str(max(values.tolist(), default=0)))
+    assert cells.dtype == np.uint8 and cells.shape == (values.size, width + len(suffix))
+    for v, cell in zip(values.tolist(), cells):
+        digits = str(v).encode()
+        assert cell.tobytes() == b"\0" * (width - len(digits)) + digits + suffix
 
 
 _SAMPLE_DTYPES = (np.uint8, np.uint16, np.int64, bool)
@@ -142,8 +160,7 @@ def test_binary_io_makes_no_raster_sized_copy(tmp_path, maxval):
     assert _traced_peak(write_pgm, path, grid) < block + slack
     assert _traced_peak(read_image, path) < grid.values.nbytes + netpbm._PLAIN_BLOCK + slack
     assert _traced_peak(read_grid, path) < grid.values.nbytes + netpbm._PLAIN_BLOCK + slack
-    # 8-bit samples come back read-only, as when they were a view of the file's bytes
-    assert read_image(path)[0].flags.writeable == (maxval > 255)
+    assert read_image(path)[0].flags.writeable
     mask = grid.values % 2 == 1
     assert _traced_peak(write_pbm, tmp_path / "mask.pbm", mask) < mask.size // 8 + mask.size // 16
 
@@ -212,6 +229,34 @@ def test_binary_header_cut_inside_its_comments(tmp_path, block):
         assert got[1] == end, got
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n6 4\n255\n" + bytes(15), "raster truncated: binary samples need at least 24 bytes, have 15"),
+        (_commented(b"P5\n6 4\n255\n", 200 << 10)[:-6], "expected height, found end of file"),
+    ],
+    ids=["raster", "header-past-the-first-read"],
+)
+def test_file_cut_after_its_size_was_read(tmp_path, monkeypatch, capsys, data, message):
+    # fstat reports more bytes than the file holds, as when the file is cut between
+    # fstat and the read: the call fails as for a file that was short from the start
+    path, out = tmp_path / "cut.pgm", tmp_path / "mask.pbm"
+    path.write_bytes(data)
+    argv = ["detect", str(path), str(out)]
+    want = f"isophote: error: {path}: {message} at byte {len(data)}\n"
+    assert main(argv) == 2 and capsys.readouterr().err == want
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        info = list(real_fstat(fd))
+        info[6] += 100  # st_size
+        return os.stat_result(info)
+
+    monkeypatch.setattr(netpbm.os, "fstat", fstat)
+    assert main(argv) == 2 and capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_reads_a_file_of_no_known_size(tmp_path):
     # a pipe has no size to check the header against, so it is read whole
     values = np.arange(60, dtype=np.uint16).reshape(6, 10) * 1000
@@ -241,6 +286,7 @@ def test_ppm_channels(tmp_path, binary):
     rgb = np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255], [10, 20, 30]]])
     path = tmp_path / "img.ppm"
     write_ppm(path, rgb, binary=binary)
+    assert read_image(path)[0].flags.writeable
     assert read_grid(path, channel="r").values.tolist() == [[255, 0, 0, 10]]
     assert read_grid(path, channel="g").values.tolist() == [[0, 255, 0, 20]]
     assert read_grid(path, channel="b").values.tolist() == [[0, 0, 255, 30]]
